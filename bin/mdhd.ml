@@ -83,32 +83,12 @@ let die msg =
   prerr_endline ("mdhd: " ^ msg);
   exit 1
 
-let setup_cache ~no_cache ~tuning_db =
-  if no_cache then begin
-    Mdh_atf.Cost_cache.set_enabled false;
-    Mdh_lowering.Plan_cache.set_enabled false;
-    Mdh_atf.Tuning_db.set_ambient None
-  end
-  else
-    let db =
-      match tuning_db with
-      | Some path -> Mdh_atf.Tuning_db.open_db path
-      | None -> (
-        match Mdh_atf.Tuning_db.default_path () with
-        | Some path -> Mdh_atf.Tuning_db.open_db path
-        | None -> Mdh_atf.Tuning_db.in_memory ())
-    in
-    Mdh_atf.Tuning_db.set_ambient (Some db)
-
 let run socket workers queue read_timeout_s write_timeout_s max_frame
     max_deadline_s state_dir tuning_db no_cache inject =
-  (match inject with
-  | None -> ()
-  | Some spec -> (
-    match Mdh_fault.Fault.configure spec with
-    | Ok () -> ()
-    | Error msg -> die ("--inject: " ^ msg)));
-  setup_cache ~no_cache ~tuning_db;
+  Option.iter
+    (fun spec -> Result.iter_error (fun msg -> die ("--inject: " ^ msg)) (Mdh_fault.Fault.configure spec))
+    inject;
+  Mdh_serve.Op.setup_cache ~no_cache ~tuning_db;
   if workers < 1 then die "--workers must be at least 1";
   if queue < 0 then die "--queue must not be negative";
   let config =
@@ -134,7 +114,7 @@ let () =
   | Ok _ -> ()
   | Error msg -> die ("MDH_FAULTS: " ^ msg));
   let doc = "MDH tuning-as-a-service daemon (see docs/SERVING.md)" in
-  let info = Cmd.info "mdhd" ~version:"1.8.0" ~doc in
+  let info = Cmd.info "mdhd" ~version:Mdh_serve.Op.version ~doc in
   exit
     (Cmd.eval
        (Cmd.v info

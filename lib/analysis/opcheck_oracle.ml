@@ -4,19 +4,17 @@ module Rewrite = Mdh_rewrite.Rewrite
 
 (* memoized per (seed, type, operator name): the report describes the
    implementation (declarations are judged elsewhere), and operators are
-   deduplicated by name exactly like the analyzer's opcheck pass *)
-let memo : (string, Opcheck.report) Hashtbl.t = Hashtbl.create 16
+   deduplicated by name exactly like the analyzer's opcheck pass. The
+   table is shared by pool domains and mdhd handler threads, hence a
+   locked Memo; verification is pure, so a rare duplicate compute under
+   concurrent misses is harmless. *)
+let memo : Opcheck.report Mdh_support.Memo.t = Mdh_support.Memo.create ()
 
-let report ~seed ~ty fn =
+let report ?(seed = 42) ~ty fn =
   let key =
     Printf.sprintf "%d/%s/%s" seed (Scalar.ty_to_string ty) fn.Combine.fn_name
   in
-  match Hashtbl.find_opt memo key with
-  | Some r -> r
-  | None ->
-    let r = Opcheck.verify ~seed ~ty fn in
-    Hashtbl.add memo key r;
-    r
+  Mdh_support.Memo.find_or_add memo key (fun () -> Opcheck.verify ~seed ~ty fn)
 
 let verdict_of_outcome ~evaluations = function
   | Opcheck.Verified _ -> Rewrite.Proved { evaluations }

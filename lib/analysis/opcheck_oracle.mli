@@ -6,6 +6,12 @@
     by which algebra-gated rewrite rules obtain evidence — declared
     metadata never reaches the engine as proof. *)
 
+val report :
+  ?seed:int -> ty:Mdh_tensor.Scalar.ty -> Mdh_combine.Combine.custom_fn ->
+  Opcheck.report
+(** Memoized {!Opcheck.verify} (default seed 42), safe to call from
+    concurrent domains and threads. *)
+
 val oracle : ?seed:int -> unit -> Mdh_rewrite.Rewrite.oracle
 (** Verification reports are memoized per (type, operator-name) — the
     same dedup key the analyzer's operator pass uses — so repeated

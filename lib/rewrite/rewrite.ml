@@ -691,55 +691,89 @@ let set_cache_enabled enabled = Memo.set_enabled cache enabled
 
 (* --- report rendering --------------------------------------------------- *)
 
-let improvement r =
-  if r.r_raw_seconds > 0.0 then (r.r_raw_seconds -. r.r_seconds) /. r.r_raw_seconds
-  else 0.0
+(* everything the renderers read, as plain data: the form the optimize
+   report takes on the mdhd wire, so local and remote print alike *)
+type rule_summary = {
+  rs_tier : string;
+  rs_rule : string;
+  rs_site : string;
+  rs_detail : string;
+  rs_verified : bool;
+  rs_justification : string;
+}
+
+type summary = {
+  s_raw_digest : string;
+  s_digest : string;
+  s_raw_point_flops : int;
+  s_point_flops : int;
+  s_raw_seconds : float;
+  s_seconds : float;
+  s_applied : rule_summary list;
+}
 
 let tier_name = function `Expr -> "expr" | `Plan -> "plan"
 
-let report_json ~name ~device r =
+let summarize r =
+  { s_raw_digest = Plan.digest r.r_raw_plan; s_digest = Plan.digest r.r_plan;
+    s_raw_point_flops = r.r_raw_plan.Plan.point_flops;
+    s_point_flops = r.r_plan.Plan.point_flops; s_raw_seconds = r.r_raw_seconds;
+    s_seconds = r.r_seconds;
+    s_applied =
+      List.map
+        (fun a ->
+          { rs_tier = tier_name a.ap_tier; rs_rule = a.ap_rule;
+            rs_site = a.ap_site; rs_detail = a.ap_detail;
+            rs_verified = (match a.ap_just with Pure _ -> false | Algebra _ -> true);
+            rs_justification = justification_to_string a.ap_just })
+        r.r_applied }
+
+let improvement s =
+  if s.s_raw_seconds > 0.0 then (s.s_raw_seconds -. s.s_seconds) /. s.s_raw_seconds
+  else 0.0
+
+let summary_json ~name ~device s =
   let applied =
     List.map
       (fun a ->
         Json.obj
-          [ ("tier", Json.quote (tier_name a.ap_tier));
-            ("rule", Json.quote a.ap_rule);
-            ("site", Json.quote a.ap_site);
-            ("detail", Json.quote a.ap_detail);
-            ( "kind",
-              Json.quote
-                (match a.ap_just with Pure _ -> "pure" | Algebra _ -> "verified") );
-            ("justification", Json.quote (justification_to_string a.ap_just)) ])
-      r.r_applied
+          [ ("tier", Json.quote a.rs_tier);
+            ("rule", Json.quote a.rs_rule);
+            ("site", Json.quote a.rs_site);
+            ("detail", Json.quote a.rs_detail);
+            ("kind", Json.quote (if a.rs_verified then "verified" else "pure"));
+            ("justification", Json.quote a.rs_justification) ])
+      s.s_applied
   in
   Json.obj
     [ ("schema", Json.quote "mdh-optimize/1");
       ("workload", Json.quote name);
       ("device", Json.quote device);
-      ("raw_digest", Json.quote (Plan.digest r.r_raw_plan));
-      ("digest", Json.quote (Plan.digest r.r_plan));
-      ("point_flops_raw", string_of_int r.r_raw_plan.Plan.point_flops);
-      ("point_flops", string_of_int r.r_plan.Plan.point_flops);
-      ("raw_model_seconds", Json.number r.r_raw_seconds);
-      ("model_seconds", Json.number r.r_seconds);
-      ("improvement", Json.number (improvement r));
-      ("n_applied", string_of_int (List.length r.r_applied));
+      ("raw_digest", Json.quote s.s_raw_digest);
+      ("digest", Json.quote s.s_digest);
+      ("point_flops_raw", string_of_int s.s_raw_point_flops);
+      ("point_flops", string_of_int s.s_point_flops);
+      ("raw_model_seconds", Json.number s.s_raw_seconds);
+      ("model_seconds", Json.number s.s_seconds);
+      ("improvement", Json.number (improvement s));
+      ("n_applied", string_of_int (List.length s.s_applied));
       ("applied", Json.arr applied) ]
 
-let pp_report ~name ~device ppf r =
+let report_json ~name ~device r = summary_json ~name ~device (summarize r)
+
+let pp_summary ~name ~device ppf s =
   Format.fprintf ppf "@[<v>optimize %s on %s@," name device;
   Format.fprintf ppf "raw plan:       digest %s, %d point flops, model %.3e s@,"
-    (Plan.digest r.r_raw_plan) r.r_raw_plan.Plan.point_flops r.r_raw_seconds;
-  if r.r_applied = [] then Format.fprintf ppf "no rewrites applied@,"
+    s.s_raw_digest s.s_raw_point_flops s.s_raw_seconds;
+  if s.s_applied = [] then Format.fprintf ppf "no rewrites applied@,"
   else
     List.iter
       (fun a ->
         Format.fprintf ppf "[%s] %s @@ %s: %s@,    justification: %s@,"
-          (tier_name a.ap_tier) a.ap_rule a.ap_site a.ap_detail
-          (justification_to_string a.ap_just))
-      r.r_applied;
+          a.rs_tier a.rs_rule a.rs_site a.rs_detail a.rs_justification)
+      s.s_applied;
   Format.fprintf ppf "saturated plan: digest %s, %d point flops, model %.3e s@,"
-    (Plan.digest r.r_plan) r.r_plan.Plan.point_flops r.r_seconds;
+    s.s_digest s.s_point_flops s.s_seconds;
   Format.fprintf ppf "cost-model delta: %+.2f%% (%.3e s -> %.3e s)@]"
-    (-100.0 *. improvement r)
-    r.r_raw_seconds r.r_seconds
+    (-100.0 *. improvement s)
+    s.s_raw_seconds s.s_seconds

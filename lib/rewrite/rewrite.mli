@@ -147,12 +147,38 @@ val set_cache_enabled : bool -> unit
 
 (** {1 Report rendering} *)
 
-val report_json : name:string -> device:string -> report -> string
+type rule_summary = {
+  rs_tier : string;  (** ["expr"] or ["plan"] *)
+  rs_rule : string;
+  rs_site : string;
+  rs_detail : string;
+  rs_verified : bool;  (** justified by an oracle proof, not a pure identity *)
+  rs_justification : string;
+}
+
+type summary = {
+  s_raw_digest : string;
+  s_digest : string;
+  s_raw_point_flops : int;
+  s_point_flops : int;
+  s_raw_seconds : float;
+  s_seconds : float;
+  s_applied : rule_summary list;
+}
+(** Everything the renderers read from a {!report}, as plain data — the
+    form the report takes on the mdhd wire. *)
+
+val summarize : report -> summary
+
+val summary_json : name:string -> device:string -> summary -> string
 (** Schema [mdh-optimize/1]: workload, device, raw/saturated plan digests
     and model seconds, and one record per applied rule ([tier], [rule],
-    [site], [detail], [justification]). *)
+    [site], [detail], [kind], [justification]). *)
 
-val pp_report :
-  name:string -> device:string -> Format.formatter -> report -> unit
+val report_json : name:string -> device:string -> report -> string
+(** [summary_json] of [summarize]. *)
+
+val pp_summary :
+  name:string -> device:string -> Format.formatter -> summary -> unit
 (** Human rendering: each applied rule with its justification, then the
     before/after cost-model delta. *)

@@ -23,11 +23,8 @@ let parse_request line =
     | None -> Error "request has no \"op\" field")
   | _ -> Error "request is not a JSON object"
 
-let str_field req name = Jin.get_string req.req_body name
-let num_field req name = Jin.get_float req.req_body name
-
 let int_field req name =
-  Option.map (fun f -> int_of_float (Float.round f)) (num_field req name)
+  Option.map (fun f -> int_of_float (Float.round f)) (Jin.get_float req.req_body name)
 
 let bool_field req name = Jin.get_bool req.req_body name
 

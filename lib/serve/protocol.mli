@@ -28,10 +28,9 @@ val parse_request : string -> (request, string) result
 (** One line → request. [Error] on malformed JSON, a non-object, or a
     missing/non-string ["op"]. *)
 
-(** {1 Request field accessors} (absent and wrongly-typed are both [None]) *)
+(** {1 Request field accessors} (absent and wrongly-typed are both [None];
+    the work ops decode their own fields, see {!Op}) *)
 
-val str_field : request -> string -> string option
-val num_field : request -> string -> float option
 val int_field : request -> string -> int option
 val bool_field : request -> string -> bool option
 

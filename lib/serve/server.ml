@@ -1,33 +1,18 @@
-(* mdhd core: bounded-admission, deadline-aware, crash-contained serving
-   of tune/plan/check/optimize/exec/metrics/health over a Unix socket.
+(* mdhd core: transport, admission, deadlines and drain around Op's work
+   ops, plus metrics/health, over a Unix socket (contract in server.mli).
 
    Threading model: the caller of [serve] runs the accept loop (select
    with a short tick so drain requests and signals are noticed);
    [workers] systhreads pull admitted connections from a bounded queue
    and run the handlers. Handlers hold no global locks — the shared
-   state they touch (Plan_cache, Cost_cache, rewrite cache, Tuning_db,
-   the metrics registry) is already safe for concurrent domains, and
-   the Tuning_db compaction race for in-process writers is closed by
-   its own io mutex (see tuning_db.ml).
-
-   Every failure mode has a structured story:
-     queue full            -> one `overloaded` reply + close (shed)
-     oversized frame       -> one `frame_too_large` reply + close
-     stalled client        -> connection closed after read_timeout_s
-     handler raised        -> one `internal` reply, daemon keeps serving
-     SIGTERM / SIGINT      -> drain: finish/suspend in-flight, flush db,
-                              unlink socket, serve() returns (exit 0) *)
+   state they touch (Plan_cache, Cost_cache, rewrite cache, Opcheck
+   oracle, Tuning_db, the metrics registry) is safe for concurrent
+   domains, and the Tuning_db compaction race for in-process writers is
+   closed by its own io mutex (see tuning_db.ml). *)
 
 module Fault = Mdh_fault.Fault
 module Metrics = Mdh_obs.Metrics
 module J = Mdh_obs.Json
-module Jin = Mdh_support.Json_in
-module Crc32 = Mdh_support.Crc32
-module W = Mdh_workloads.Workload
-module Device = Mdh_machine.Device
-module Schedule = Mdh_lowering.Schedule
-module Cost = Mdh_lowering.Cost
-module Tuner = Mdh_atf.Tuner
 module P = Protocol
 
 type config = {
@@ -46,8 +31,7 @@ let default_config ~socket =
     write_timeout_s = 10.0; max_frame = 1 lsl 20; max_deadline_s = None;
     state_dir = None }
 
-(* --- serve.* observability (ISSUE: accepted, shed, timed out,
-   in-flight gauge, per-request latency) --- *)
+(* --- serve.* observability --- *)
 let m_accepted = Metrics.counter "serve.accepted"
 let m_shed = Metrics.counter "serve.shed"
 let m_timed_out = Metrics.counter "serve.timed_out"
@@ -88,268 +72,21 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* --- request helpers (no exits: handlers return structured errors) --- *)
-
-type herror = string * string (* code, message *)
-
-let ( let* ) r f = match r with Ok v -> f v | Error (_ : herror) as e -> e
-
-let find_workload name =
-  match Mdh_workloads.Catalog.find name with
-  | Some w -> Ok w
-  | None -> Error ("bad_request", Printf.sprintf "unknown workload %S" name)
-
-let device_of req =
-  match Option.value ~default:"cpu" (P.str_field req "device") with
-  | "gpu" -> Ok Device.a100_like
-  | "cpu" -> Ok Device.xeon6140_like
-  | s -> Error ("bad_request", Printf.sprintf "unknown device %S (gpu|cpu)" s)
-
-let params_of (w : W.t) req =
-  match Option.value ~default:"test" (P.str_field req "input") with
-  | "test" -> Ok w.W.test_params
-  | inp -> (
-    match List.assoc_opt inp w.W.paper_inputs with
-    | Some params -> Ok params
-    | None ->
-      Error ("bad_request", Printf.sprintf "workload has no input set %S" inp))
-
-let workload_of req =
-  match P.str_field req "workload" with
-  | Some name -> find_workload name
-  | None -> Error ("bad_request", "request has no \"workload\" field")
-
-let strategy_of req =
-  match Option.value ~default:"auto" (P.str_field req "strategy") with
-  | "auto" -> Ok Tuner.Auto
-  | "exhaustive" -> Ok Tuner.Exhaustive
-  | "random" -> Ok Tuner.Random
-  | "anneal" -> Ok Tuner.Anneal
-  | s -> Error ("bad_request", Printf.sprintf "unknown strategy %S" s)
-
-(* --- resume tokens ---
-
-   The checkpoint file name is a pure function of every search-relevant
-   request knob, so a client that re-sends the same tune request with
-   ["resume": true] finds its own checkpoint without bookkeeping — and
-   the token survives daemon restarts because it lives in state_dir, not
-   in memory. Explicit tokens (["resume": "tune-....ckpt"]) are accepted
-   for clients that stored the reply, but never one that escapes
-   state_dir. *)
-
-let token_ok token =
-  token <> "" && String.length token <= 128
-  && token.[0] <> '.'
-  && String.for_all
-       (fun c ->
-         (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-         || (c >= '0' && c <= '9') || c = '.' || c = '_' || c = '-')
-       token
-
-let derive_token ~wl ~dev ~input ~budget ~seed ~chains ~strategy ~saturate =
-  let key =
-    String.concat "|"
-      [ wl; dev; input; string_of_int budget; string_of_int seed;
-        string_of_int chains; strategy; string_of_bool saturate ]
-  in
-  "tune-" ^ Crc32.to_hex (Crc32.string key) ^ ".ckpt"
-
-(* --- handlers --- *)
-
-let tune_handler t req =
-  let* w = workload_of req in
-  let* dev = device_of req in
-  let* params = params_of w req in
-  let* strategy = strategy_of req in
-  let budget = Option.value ~default:400 (P.int_field req "budget") in
-  let seed = Option.value ~default:1 (P.int_field req "seed") in
-  let chains = Option.value ~default:1 (P.int_field req "chains") in
-  let saturate = not (Option.value ~default:false (P.bool_field req "no_rewrite")) in
-  let deadline_s =
-    match (P.num_field req "deadline_s", t.config.max_deadline_s) with
-    | Some d, Some cap -> Some (Float.min d cap)
-    | Some d, None -> Some d
-    | None, cap -> cap
-  in
-  let input = Option.value ~default:"test" (P.str_field req "input") in
-  let strategy_name =
-    Option.value ~default:"auto" (P.str_field req "strategy")
-  in
-  let token =
-    derive_token
-      ~wl:(String.lowercase_ascii w.W.wl_name)
-      ~dev:dev.Device.device_name ~input ~budget ~seed ~chains
-      ~strategy:strategy_name ~saturate
-  in
-  let* resume, token =
-    match Jin.member "resume" req.P.req_body with
-    | None | Some (Jin.Bool false) -> Ok (false, token)
-    | Some (Jin.Bool true) -> Ok (true, token)
-    | Some (Jin.Str explicit) ->
-      if token_ok explicit then Ok (true, explicit)
-      else Error ("bad_request", "malformed resume token")
-    | Some _ -> Error ("bad_request", "\"resume\" must be a boolean or a token")
-  in
-  let checkpoint = Filename.concat t.st_dir token in
-  let md = W.to_md_hom w params in
-  match
-    Tuner.tune_resumable ~strategy ~budget ~seed ~chains ?deadline_s
-      ~checkpoint ~resume
-      ~should_stop:(fun () -> draining t)
-      ~saturate md dev Cost.tuned_codegen
-  with
-  | Error e -> Error ("tune_failed", e)
-  | Ok (Tuner.Suspended { evaluations; _ }) ->
-    Metrics.incr m_suspended;
-    Ok
-      [ ("status", J.quote "suspended"); ("token", J.quote token);
-        ("evaluations", string_of_int evaluations) ]
-  | Ok (Tuner.Tuned tu) ->
-    Ok
-      [ ("status", J.quote "tuned");
-        ("schedule", J.quote (Schedule.to_string tu.Tuner.schedule));
-        ("estimated_s", P.number tu.Tuner.estimated_s);
-        ("evaluations",
-         string_of_int tu.Tuner.search.Mdh_atf.Search.evaluations);
-        ("from_db", if tu.Tuner.from_db then "true" else "false") ]
-
-let plan_handler req =
-  let* w = workload_of req in
-  let* dev = device_of req in
-  let* params = params_of w req in
-  let md = W.to_md_hom w params in
-  let sched = Mdh_lowering.Lower.mdh_default md dev in
-  match Mdh_lowering.Plan_cache.build md dev sched with
-  | Error e -> Error ("plan_failed", e)
-  | Ok plan ->
-    Ok
-      [ ("digest", J.quote (Mdh_lowering.Plan.digest plan));
-        ("parallelism",
-         string_of_int (Mdh_lowering.Plan.parallelism plan));
-        ("device", J.quote dev.Device.device_name);
-        ("plan", J.quote (Format.asprintf "%a" Mdh_lowering.Plan.pp plan)) ]
-
-let check_handler req =
-  let* targets =
-    match P.str_field req "workload" with
-    | Some name ->
-      let* w = find_workload name in
-      Ok [ w ]
-    | None -> Ok Mdh_workloads.Catalog.all
-  in
-  let module D = Mdh_analysis.Diagnostic in
-  let per_target =
-    List.map
-      (fun (w : W.t) ->
-        ( "workload:" ^ String.lowercase_ascii w.W.wl_name,
-          Mdh_analysis.Analyze.directive (w.W.make w.W.test_params) ))
-      targets
-  in
-  let all = List.concat_map snd per_target in
-  let diag_json (target, (d : D.t)) =
-    J.obj
-      ([ ("target", J.quote target); ("code", J.quote d.D.code);
-         ("severity", J.quote (D.severity_to_string d.D.severity));
-         ("message", J.quote d.D.message) ]
-      @
-      match d.D.span with
-      | None -> []
-      | Some s ->
-        [ ("line", string_of_int s.D.line); ("col", string_of_int s.D.col) ])
-  in
-  Ok
-    [ ("targets", string_of_int (List.length per_target));
-      ("errors", string_of_int (D.error_count all));
-      ("warnings", string_of_int (D.warning_count all));
-      ("hints", string_of_int (D.hint_count all));
-      ("diagnostics",
-       J.arr
-         (List.concat_map
-            (fun (target, ds) ->
-              List.map (fun d -> diag_json (target, d)) ds)
-            per_target)) ]
-
-let optimize_handler req =
-  let* w = workload_of req in
-  let* dev = device_of req in
-  let* params = params_of w req in
-  let md = W.to_md_hom w params in
-  let sched = Mdh_lowering.Lower.mdh_default md dev in
-  let oracle = Mdh_analysis.Opcheck_oracle.oracle () in
-  match
-    Mdh_rewrite.Rewrite.optimize ~oracle md dev Cost.tuned_codegen sched
-  with
-  | Error e -> Error ("optimize_failed", e)
-  | Ok r ->
-    let module R = Mdh_rewrite.Rewrite in
-    let rule_json (a : R.applied) =
-      J.obj
-        [ ("tier", J.quote (match a.R.ap_tier with `Expr -> "expr" | `Plan -> "plan"));
-          ("rule", J.quote a.R.ap_rule); ("site", J.quote a.R.ap_site);
-          ("justification", J.quote (R.justification_to_string a.R.ap_just)) ]
-    in
-    Ok
-      [ ("raw_digest", J.quote (Mdh_lowering.Plan.digest r.R.r_raw_plan));
-        ("digest", J.quote (Mdh_lowering.Plan.digest r.R.r_plan));
-        ("raw_seconds", P.number r.R.r_raw_seconds);
-        ("seconds", P.number r.R.r_seconds);
-        ("applied", J.arr (List.map rule_json r.R.r_applied)) ]
-
-let exec_handler req =
-  let* w = workload_of req in
-  let* params = params_of w req in
-  let seed = Option.value ~default:1 (P.int_field req "seed") in
-  let md = W.to_md_hom w params in
-  let env = w.W.gen params ~seed in
-  (* a zero-domain pool keeps concurrent exec handlers independent: no
-     shared worker set to contend for or poison, and Exec still gets the
-     host device it expects *)
-  let pool = Mdh_runtime.Pool.create ~num_domains:0 () in
-  Fun.protect ~finally:(fun () -> Mdh_runtime.Pool.shutdown pool)
-  @@ fun () ->
-  let sched = Schedule.sequential md in
-  let result, elapsed =
-    Mdh_support.Util.time_it (fun () ->
-        Mdh_runtime.Exec.run pool md sched env)
-  in
-  match result with
-  | Error e -> Error ("exec_failed", e)
-  | Ok out_env ->
-    let checked =
-      match w.W.reference with
-      | None -> "null"
-      | Some oracle ->
-        let expected = oracle params env in
-        let ok =
-          List.for_all
-            (fun (o : Mdh_core.Md_hom.output) ->
-              Mdh_tensor.Dense.approx_equal ~rel:1e-3 ~abs:1e-4
-                (Mdh_tensor.Buffer.data
-                   (Mdh_tensor.Buffer.env_find out_env o.Mdh_core.Md_hom.out_name))
-                (Mdh_tensor.Buffer.data
-                   (Mdh_tensor.Buffer.env_find expected o.Mdh_core.Md_hom.out_name)))
-            md.Mdh_core.Md_hom.outputs
-        in
-        if ok then "true" else "false"
-    in
-    if checked = "false" then Error ("exec_mismatch", "result check failed")
-    else
-      Ok
-        [ ("workload", J.quote md.Mdh_core.Md_hom.hom_name);
-          ("elapsed_s", P.number elapsed); ("checked", checked) ]
+let queue_depth t = with_mutex t.qmutex (fun () -> Queue.length t.queue)
 
 let health_handler t =
   Ok
     [ ("status", J.quote (if draining t then "draining" else "ok"));
       ("uptime_s", P.number (Unix.gettimeofday () -. t.started));
       ("in_flight", string_of_int (Atomic.get t.in_flight));
-      ("queue_depth",
-       string_of_int (with_mutex t.qmutex (fun () -> Queue.length t.queue)));
+      ("queue_depth", string_of_int (queue_depth t));
       ("workers", string_of_int t.config.workers);
       ("max_queue", string_of_int t.config.max_queue);
       ("served", string_of_int (served t));
       ("pid", string_of_int (Unix.getpid ())) ]
 
+(* the work ops are Op's table (decode → run → encode); the daemon adds
+   only its own state: health, the registry, and the serving context *)
 let dispatch t req =
   Atomic.incr t.n_served;
   Metrics.incr m_requests;
@@ -357,20 +94,23 @@ let dispatch t req =
     match req.P.req_op with
     | "health" -> health_handler t
     | "metrics" -> Ok [ ("registry", Metrics.to_json ()) ]
-    | "tune" -> tune_handler t req
-    | "plan" -> plan_handler req
-    | "check" -> check_handler req
-    | "optimize" -> optimize_handler req
-    | "exec" -> exec_handler req
-    | op -> Error ("unknown_op", Printf.sprintf "unknown op %S" op)
+    | op -> (
+      let ctx =
+        Op.serving ~state_dir:t.st_dir ~max_deadline_s:t.config.max_deadline_s
+          ~should_stop:(fun () -> draining t)
+      in
+      match Op.handle ctx op req.P.req_body with
+      | Some result -> result
+      | None -> Error ("unknown_op", Printf.sprintf "unknown op %S" op))
   in
   let metrics =
-    if Option.value ~default:false (P.bool_field req "metrics") then
-      Some (Metrics.to_json ())
-    else None
+    if P.bool_field req "metrics" = Some true then Some (Metrics.to_json ()) else None
   in
   match result with
-  | Ok fields -> P.ok_reply ?metrics (Some req) ~op:req.P.req_op fields
+  | Ok fields ->
+    if List.assoc_opt "status" fields = Some (J.quote "suspended") then
+      Metrics.incr m_suspended;
+    P.ok_reply ?metrics (Some req) ~op:req.P.req_op fields
   | Error (code, msg) ->
     Metrics.incr m_errors;
     P.error_reply ~request:req ~code msg
@@ -507,8 +247,6 @@ let handle_conn t fd =
   go ()
 
 (* --- admission and lifecycle --- *)
-
-let queue_depth t = with_mutex t.qmutex (fun () -> Queue.length t.queue)
 
 let shed t fd =
   Metrics.incr m_shed;

@@ -1,39 +1,28 @@
 (** mdhd — the fault-tolerant tuning-as-a-service daemon core.
 
     A long-running Unix-domain-socket server speaking the newline-
-    delimited JSON protocol of {!Protocol}, sharing one process-wide
-    {!Mdh_lowering.Plan_cache} / {!Mdh_atf.Cost_cache} / rewrite cache
-    and one ambient {!Mdh_atf.Tuning_db} across every client. The
+    delimited JSON protocol of {!Protocol}. The work ops are {!Op}'s
+    table, run under {!Op.serving} and sharing one process-wide set of
+    caches and one ambient {!Mdh_atf.Tuning_db}; this module adds
+    transport, admission, deadlines, drain, [health] and [metrics]. The
     robustness contract (pinned by test_serve and the check.sh serve
-    stage):
+    stage; docs/SERVING.md has the operator's view):
 
-    - {b Admission control}: the accept loop admits at most
-      [workers + max_queue] connections; beyond that it sheds with a
-      structured [overloaded] reply carrying a [retry_after_s] hint and
-      closes — it never queues unboundedly and never blocks on a slow
-      client ([serve.shed] counter).
-    - {b Deadlines}: [tune] requests run through
-      {!Mdh_atf.Tuner.tune_resumable} with the request's [deadline_s]
-      (clamped to [max_deadline_s]); an expired annealing search
-      suspends to a crash-safe checkpoint under [state_dir] and replies
-      [status="suspended"] with a resume token instead of hogging a
-      worker slot.
-    - {b Stall containment}: per-connection read/write timeouts and a
-      [max_frame] guard bound what any single client can consume; a
-      stalled or oversized frame costs one worker slot for at most
-      [read_timeout_s], never the accept loop.
-    - {b Crash containment}: a handler raising (including
-      [serve.handle] injected faults) produces one [internal] error
-      reply on that connection and the daemon keeps serving.
-    - {b Graceful drain}: {!request_shutdown} (wired to SIGTERM/SIGINT
-      by bin/mdhd) stops accepting, lets in-flight work finish or
-      suspend (tune handlers poll the drain flag as their
-      [should_stop]), flushes the ambient tuning database, removes the
-      socket file, and {!serve} returns — the daemon then exits 0.
+    - {b Admission control}: at most [workers + max_queue] connections;
+      beyond that a structured [overloaded] reply with a [retry_after_s]
+      hint, then close ([serve.shed]).
+    - {b Deadlines}: [tune] deadlines are clamped to [max_deadline_s]; an
+      expired annealing search suspends to a checkpoint under
+      [state_dir] and replies [status="suspended"] with a resume token.
+    - {b Stall and crash containment}: per-connection read/write
+      timeouts and a [max_frame] guard; a raising handler (including
+      [serve.handle] injected faults) costs one [internal] reply.
+    - {b Graceful drain}: {!request_shutdown} stops accepting, lets
+      in-flight work finish or suspend, flushes the ambient tuning
+      database, removes the socket file, and {!serve} returns.
 
     Fault sites [serve.accept], [serve.read], [serve.write] and
-    [serve.handle] thread the whole path through {!Mdh_fault.Fault} for
-    deterministic chaos testing. *)
+    [serve.handle] thread the whole path through {!Mdh_fault.Fault}. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)

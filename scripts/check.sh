@@ -23,6 +23,9 @@
 #     the Plan IR (no Schedule internals in the executor / cost model /
 #     simulator / kernel codegen / plan specializer) and the catalogue's
 #     default-schedule plan digests must match scripts/plan_digests.golden,
+#   - the operation-table pin fails: lib/serve/server.ml decodes no
+#     workload/device/input/strategy itself and bin/mdhc.ml carries no
+#     second printer for daemon replies (both go through Mdh_serve.Op),
 #   - the differential stage fails: the plan-compiled specializer and (when
 #     gcc is on PATH) the compiled OpenMP C must reproduce the reference
 #     interpreter's results; without gcc the C half prints an explicit SKIP
@@ -97,8 +100,22 @@ if [ -n "$schedule_leaks" ]; then
     exit 1
 fi
 
+# operation-table pin: tune/plan/check/optimize/exec are defined once, in
+# lib/serve/op.ml. The daemon must not grow its own argument decoding and
+# mdhc must not grow its own reply printers again.
+op_leaks=$( { grep -nE 'device_of|params_of|strategy_of|find_workload' lib/serve/server.ml
+    grep -nE 'remote_(tune|plan|check|optimize|run)|\<r(str|num|int)\>' bin/mdhc.ml; } || true)
+if [ -n "$op_leaks" ]; then
+    echo "error: an op is decoded or printed outside Mdh_serve.Op:" >&2
+    echo "$op_leaks" | head -10 >&2
+    exit 1
+fi
+
 chaos_dir=$(mktemp -d)
-trap 'rm -rf "$chaos_dir"' EXIT
+mdhd_pid=
+# a failing stage exits with its daemon still up: stop it with the rest
+trap 'if [ -n "$mdhd_pid" ]; then kill -TERM "$mdhd_pid" 2> /dev/null || true; fi
+    rm -rf "$chaos_dir"' EXIT
 
 # plan-consistency stage, part 2: `mdhc plan` must succeed over the whole
 # catalogue and the structural digests must match the committed golden file
@@ -216,6 +233,7 @@ served=$(grep -l 'digest' "$chaos_dir"/serve_plan.* | wc -l)
 kill -TERM "$mdhd_pid"
 wait "$mdhd_pid" || {
     echo "error: mdhd (chaos) did not exit 0 on SIGTERM" >&2; exit 1; }
+mdhd_pid=
 [ ! -e "$serve_sock" ] || {
     echo "error: mdhd (chaos) leaked its socket file" >&2; exit 1; }
 
@@ -242,6 +260,7 @@ sleep 1
 kill -TERM "$mdhd_pid"
 wait "$mdhd_pid" || {
     echo "error: mdhd did not drain to exit 0 on SIGTERM mid-tune" >&2; exit 1; }
+mdhd_pid=
 wait "$client_pid" || true
 rc=$(cat "$rc_file")
 if [ "$rc" -ne 3 ]; then
@@ -277,7 +296,49 @@ fi
 kill -TERM "$mdhd_pid"
 wait "$mdhd_pid" || {
     echo "error: mdhd (resume) did not exit 0 on SIGTERM" >&2; exit 1; }
+mdhd_pid=
 [ ! -e "$serve_sock" ] || {
     echo "error: mdhd (resume) leaked its socket file" >&2; exit 1; }
+
+# part 3: local = remote. Every op prints through one printer, so each
+# command's stdout and exit status must be the same in-process and with
+# --remote, once wall-clock times are masked. The daemon runs without a
+# tuning database so a remote tune searches exactly like a local
+# --no-cache one. (run --backend cc is local-only and not compared.)
+"$MDHD" --socket "$serve_sock" --state-dir "$serve_state" --no-cache \
+    > "$chaos_dir/mdhd4.log" 2>&1 &
+mdhd_pid=$!
+wait_for_daemon "$mdhd_pid"
+same_remote() { # mdhc arguments
+    rc_local=0
+    rc_remote=0
+    "$MDHC_BIN" "$@" > "$chaos_dir/local.txt" 2> /dev/null || rc_local=$?
+    "$MDHC_BIN" "$@" --remote "$serve_sock" > "$chaos_dir/remote.txt" 2> /dev/null ||
+        rc_remote=$?
+    for side in local remote; do
+        sed -E 's/ in [0-9.e+-]+s/ in Ts/; s/\([0-9.e+-]+s wall\)/(Ts wall)/' \
+            "$chaos_dir/$side.txt" > "$chaos_dir/$side.cmp"
+    done
+    if [ "$rc_local" -ne "$rc_remote" ] ||
+        ! diff -u "$chaos_dir/local.cmp" "$chaos_dir/remote.cmp" >&2; then
+        echo "error: mdhc $* differs with --remote (exit $rc_local vs $rc_remote)" >&2
+        exit 1
+    fi
+}
+same_remote plan --digest
+same_remote plan matvec --device cpu --schedule 'tiles=7x9 parallel=[0] layers=[0]'
+same_remote check
+same_remote check --strict --file test/fixtures/warn.mdh
+[ "$rc_remote" -eq 1 ] || {
+    echo "error: check --strict on a warning exited $rc_remote, expected 1" >&2; exit 1; }
+same_remote optimize prl
+same_remote optimize prl --json
+same_remote tune matmul --budget 40 --no-cache
+same_remote run dot --parallel
+same_remote run prl
+kill -TERM "$mdhd_pid"
+wait "$mdhd_pid" || {
+    echo "error: mdhd (local = remote) did not exit 0 on SIGTERM" >&2; exit 1; }
+mdhd_pid=
 
 echo "check.sh: OK"

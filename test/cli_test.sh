@@ -104,8 +104,8 @@ fi
 
 # --- mdhc check: the static diagnostics engine ---
 
-# this PR's version
-grep -q '^1\.8\.0' "$tmp/version.txt" || fail "--version is not 1.8.0"
+# the release version (Mdh_serve.Op.version)
+grep -q '^1\.9\.0' "$tmp/version.txt" || fail "--version is not 1.9.0"
 
 # --- mdhc plan: the executable IR, printed and fingerprinted ---
 

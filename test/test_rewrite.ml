@@ -404,6 +404,42 @@ let test_optimize_cached_roundtrip () =
         [ cpu; gpu ])
     Catalog.all
 
+(* --- the opcheck oracle's memo is shared by domains and mdhd threads --- *)
+
+let test_oracle_memo_concurrent () =
+  (* every combine operator of the catalogue, at its workload's type *)
+  let ops =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (w : W.t) ->
+           let md = W.to_md_hom w w.W.test_params in
+           match md.Md_hom.outputs with
+           | [] -> []
+           | o :: _ ->
+             List.filter_map
+               (fun op ->
+                 Option.map
+                   (fun fn -> (Scalar.ty_to_string o.Md_hom.out_ty, o.Md_hom.out_ty, fn))
+                   (Combine.custom_fn_of op))
+               (Array.to_list md.Md_hom.combine_ops))
+         Catalog.all)
+  in
+  check Alcotest.bool "catalogue has combine operators" true (List.length ops >= 3);
+  (* fresh seeds, so the four domains race on cold keys of the memo *)
+  let seeds = List.init 40 (fun i -> 7001 + i) in
+  let work = List.concat_map (fun seed -> List.map (fun op -> (seed, op)) ops) seeds in
+  let reports () =
+    List.map (fun (seed, (_, ty, fn)) -> Opcheck_oracle.report ~seed ~ty fn) work
+  in
+  let domains = List.init 4 (fun _ -> Domain.spawn reports) in
+  let parallel = List.map Domain.join domains in
+  let sequential = List.map (fun (seed, (_, ty, fn)) -> Opcheck.verify ~seed ~ty fn) work in
+  List.iteri
+    (fun i got ->
+      check Alcotest.bool (Printf.sprintf "domain %d reports = sequential verify" i) true
+        (compare got sequential = 0))
+    parallel
+
 let suite =
   ( "rewrite",
     [ Alcotest.test_case "catalogue rewritten bitwise (interp)" `Quick
@@ -421,4 +457,6 @@ let suite =
       Alcotest.test_case "optimize json wellformed" `Quick
         test_optimize_json_wellformed;
       Alcotest.test_case "optimize cached + never worsens" `Quick
-        test_optimize_cached_roundtrip ] )
+        test_optimize_cached_roundtrip;
+      Alcotest.test_case "oracle memo safe across domains" `Quick
+        test_oracle_memo_concurrent ] )

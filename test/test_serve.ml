@@ -16,6 +16,8 @@ module Device = Mdh_machine.Device
 module Schedule = Mdh_lowering.Schedule
 module Cost = Mdh_lowering.Cost
 module Tuner = Mdh_atf.Tuner
+module Op = Mdh_serve.Op
+module Diag = Mdh_analysis.Diagnostic
 
 let check = Alcotest.check
 let cpu = Device.xeon6140_like
@@ -384,6 +386,105 @@ let test_stale_socket_is_replaced () =
     Server.request_shutdown t;
     Thread.join th
 
+
+(* --- the operation table: local ≡ remote by construction --- *)
+
+(* run [req] in-process, then push the request and the result through
+   their JSON codecs the way mdhc --remote and mdhd do: the decoded
+   request must be the same record, and the decoded result must print
+   byte-identically (stdout, stderr, status) *)
+let round_trip ?(ctx = Op.local ()) ?(view = Op.plain) (op : (_, _) Op.t) req =
+  let wire fields = Jin.parse (J.obj fields) in
+  let ok what = function
+    | Ok v -> v
+    | Error (code, msg) -> Alcotest.failf "%s %s: %s: %s" op.Op.name what code msg
+  in
+  let res = ok "run" (op.Op.run ctx req) in
+  let req' = ok "decode_request" (op.Op.decode_request (wire (op.Op.encode_request req))) in
+  check Alcotest.bool (op.Op.name ^ ": request survives the wire") true (req = req');
+  let res' = ok "decode_result" (op.Op.decode_result (wire (op.Op.encode_result res))) in
+  let local = op.Op.print view req res and remote = op.Op.print view req' res' in
+  check Alcotest.string (op.Op.name ^ ": stdout") local.Op.out remote.Op.out;
+  check Alcotest.string (op.Op.name ^ ": stderr") local.Op.err remote.Op.err;
+  check Alcotest.int (op.Op.name ^ ": status") local.Op.status remote.Op.status;
+  res
+
+let test_op_codecs_round_trip () =
+  Mdh_atf.Tuning_db.set_ambient None;
+  List.iter
+    (fun workload ->
+      let subject device = { Op.workload; device; input = "test" } in
+      let tune =
+        { Op.Tune.subject = subject "cpu"; budget = 24; seed = 3; chains = 2;
+          strategy = Tuner.Anneal; no_rewrite = false; deadline_s = None;
+          resume = false; token = None }
+      in
+      ignore (round_trip Op.Tune.op tune);
+      ignore (round_trip Op.Tune.op { tune with subject = subject "gpu"; no_rewrite = true });
+      (* a suspension prints its resume hint and exit status 3 on both sides *)
+      let ckpt = Filename.temp_file "mdh-op" ".ckpt" in
+      ignore
+        (round_trip ~ctx:(Op.local ~checkpoint:ckpt ()) Op.Tune.op
+           { tune with budget = 2000; deadline_s = Some 1e-7 });
+      (try Sys.remove ckpt with Sys_error _ -> ());
+      List.iter
+        (fun view ->
+          List.iter
+            (fun device ->
+              ignore (round_trip ~view Op.Plan_op.op { Op.Plan_op.subject = subject device; schedule = None });
+              List.iter
+                (fun no_rewrite ->
+                  ignore (round_trip ~view Op.Optimize.op { Op.Optimize.subject = subject device; no_rewrite }))
+                [ false; true ])
+            [ "cpu"; "gpu" ];
+          ignore (round_trip ~view Op.Check.op { Op.Check.workload = Some workload; source = None }))
+        [ Op.plain; { Op.json = true; digest = true; strict = true } ];
+      List.iter
+        (fun (parallel, backend) ->
+          ignore
+            (round_trip Op.Exec_op.op
+               { Op.Exec_op.subject = subject "cpu"; seed = 5; parallel; backend;
+                 no_specialize = parallel }))
+        Op.Exec_op.[ (false, Auto); (true, Auto); (true, Interp) ])
+    [ "matvec"; "prl"; "kmeans" ];
+  (* the explicit schedule of mdhc plan --schedule travels too *)
+  ignore
+    (round_trip Op.Plan_op.op
+       { Op.Plan_op.subject = { Op.workload = "matvec"; device = "cpu"; input = "test" };
+         schedule = Some "tiles=7x9 parallel=[0] layers=[0]" })
+
+(* check --file sends the pragma text: the diagnostics that come back,
+   spans included, are exactly Analyze.pragma's on the same text *)
+let test_check_source_over_the_wire () =
+  let file =
+    if Sys.file_exists "fixtures/hints.mdh" then "fixtures/hints.mdh"
+    else "test/fixtures/hints.mdh"
+  in
+  let text = In_channel.with_open_text file In_channel.input_all in
+  let req = { Op.Check.workload = None; source = Some { Op.Check.file; text; params = [] } } in
+  let expected = Mdh_analysis.Analyze.pragma ~name:"hints" text in
+  List.iter
+    (fun view ->
+      match round_trip ~view Op.Check.op req with
+      | [ (uri, ds) ] ->
+        check Alcotest.string "target is the file" file uri;
+        check Alcotest.bool "diagnostics and spans match Analyze.pragma" true (ds = expected);
+        check Alcotest.bool "spans present" true
+          (List.exists (fun (d : Diag.t) -> d.Diag.span <> None) ds)
+      | _ -> Alcotest.fail "one target expected")
+    [ Op.plain; { Op.plain with json = true } ];
+  (* and through a live daemon *)
+  with_server (fun ~socket _ ->
+      match
+        Client.request ~socket ~op:"check" (Op.Check.op.Op.encode_request req)
+      with
+      | Ok { Client.ok = true; result = Some body; _ } -> (
+        match Op.Check.op.Op.decode_result body with
+        | Ok [ (_, ds) ] ->
+          check Alcotest.bool "daemon diagnostics match" true (ds = expected)
+        | _ -> Alcotest.fail "daemon check result did not decode")
+      | _ -> Alcotest.fail "daemon check failed")
+
 let suite =
   ( "serve",
     [ Alcotest.test_case "protocol: parse and envelopes" `Quick
@@ -409,4 +510,8 @@ let suite =
       Alcotest.test_case "drain removes socket, rebind works" `Quick
         test_drain_removes_socket_and_refuses_double_bind;
       Alcotest.test_case "stale socket is replaced" `Quick
-        test_stale_socket_is_replaced ] )
+        test_stale_socket_is_replaced;
+      Alcotest.test_case "op codecs: local print = remote print" `Quick
+        test_op_codecs_round_trip;
+      Alcotest.test_case "check source over the wire" `Quick
+        test_check_source_over_the_wire ] )
