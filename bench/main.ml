@@ -13,11 +13,12 @@
      dune exec bench/main.exe ablation-tuning-budget
      dune exec bench/main.exe micro             -- Bechamel kernels
 
-   Tuning results are cached: cost-model verdicts in memory, tuned
-   schedules persistently (default ~/.cache/mdh/tuning.db, or
+   Tuning results are cached: cost-model verdicts (and plans) in memory,
+   tuned schedules persistently (default ~/.cache/mdh/tuning.db, or
    --tuning-db PATH / $MDH_TUNING_DB), so warm re-runs skip the schedule
-   search entirely. --no-cache disables both and records nothing; the
-   [tuning] trailer reports what the run actually evaluated. *)
+   search entirely. --no-cache disables every in-memory cache and the
+   database and records nothing; the [tuning] trailer reports what the
+   run actually evaluated. *)
 
 let usage () =
   print_endline
@@ -63,19 +64,6 @@ let rec extract_flags acc = function
   | arg :: rest ->
     let acc, args = extract_flags acc rest in
     (acc, arg :: args)
-
-let setup_cache ~no_cache ~db_path =
-  if no_cache then Mdh_atf.Cost_cache.set_enabled false
-  else
-    let db =
-      match db_path with
-      | Some path -> Mdh_atf.Tuning_db.open_db path
-      | None -> (
-        match Mdh_atf.Tuning_db.default_path () with
-        | Some path -> Mdh_atf.Tuning_db.open_db path
-        | None -> Mdh_atf.Tuning_db.in_memory ())
-    in
-    Mdh_atf.Tuning_db.set_ambient (Some db)
 
 let print_tuning_stats elapsed =
   let cost = Mdh_atf.Cost_cache.stats () in
@@ -154,7 +142,7 @@ let () =
       { no_cache = false; db_path = None; metrics = false; trace = None }
       (List.tl (Array.to_list Sys.argv))
   in
-  setup_cache ~no_cache:flags.no_cache ~db_path:flags.db_path;
+  Mdh_serve.Op.setup_cache ~no_cache:flags.no_cache ~tuning_db:flags.db_path;
   if flags.trace <> None then Mdh_obs.Trace.set_enabled true;
   let command = match args with [] -> "everything" | args -> String.concat " " args in
   let run body =

@@ -131,9 +131,9 @@ let setup_faults ~inject =
 
 let no_cache_arg =
   let doc =
-    "Disable both the persistent tuning database and the in-memory \
-     cost-model cache: recompute every search from scratch and record \
-     nothing."
+    "Disable the persistent tuning database and every in-memory cache \
+     (cost model, plans, compiled plans, operator verification): recompute \
+     everything from scratch and record nothing."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
@@ -185,13 +185,8 @@ let obs_arg ~trace =
     $ (if trace then trace_arg else const None)
     $ metrics_arg $ metrics_out_arg)
 
-(* enable span collection before the command body runs; per-run counters
-   (cost cache hit/miss) restart from zero so the report covers exactly
-   this invocation's workload *)
-let setup_obs obs =
-  if obs.trace <> None then Mdh_obs.Trace.set_enabled true;
-  Mdh_atf.Cost_cache.reset_stats ();
-  Mdh_lowering.Plan_cache.reset_stats ()
+(* enable span collection before the command body runs *)
+let setup_obs obs = if obs.trace <> None then Mdh_obs.Trace.set_enabled true
 
 (* the registry dump goes to stderr (or a file), never stdout: several
    commands emit machine-readable stdout (SARIF, profile JSON, digests)
@@ -660,23 +655,19 @@ let run_cmd =
       & opt (enum Op.Exec_op.backends) Op.Exec_op.Auto
       & info [ "backend" ] ~doc ~docv:"auto|interp|special|cc")
   in
-  let no_specialize_arg =
-    let doc = "Disable the plan-compiled specializer (auto backend only)." in
-    Arg.(value & flag & info [ "no-specialize" ] ~doc)
-  in
-  let run workload input seed parallel backend no_specialize obs remote =
+  let run workload input seed parallel backend obs remote =
     if remote <> None && backend = Op.Exec_op.Cc then
       or_die (Error "--backend cc is not available with --remote: mdhd does \
                      not run a C compiler for its clients");
     setup_obs obs;
     perform ~remote ~obs Op.Exec_op.op
       [ { Op.Exec_op.subject = { Op.workload; device = "cpu"; input }; seed;
-          parallel; backend; no_specialize } ]
+          parallel; backend } ]
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ workload_arg $ test_input_arg $ seed_arg $ parallel_arg
-      $ backend_arg $ no_specialize_arg $ obs_arg ~trace:true $ remote_arg)
+      $ backend_arg $ obs_arg ~trace:true $ remote_arg)
 
 let check_cmd =
   let doc =
@@ -724,7 +715,6 @@ let optimize_cmd =
      declared-but-unverified operator annotations."
   in
   let run workload device input no_rewrite json obs remote =
-    Mdh_lowering.Plan_cache.reset_stats ();
     perform ~view:{ Op.plain with json } ~remote ~obs Op.Optimize.op
       [ { Op.Optimize.subject = { Op.workload; device; input }; no_rewrite } ]
   in
@@ -760,8 +750,7 @@ let plan_cmd =
     Arg.(value & flag & info [ "digest" ] ~doc)
   in
   let run workload device input schedule digest no_cache obs remote =
-    if no_cache then Mdh_lowering.Plan_cache.set_enabled false;
-    Mdh_lowering.Plan_cache.reset_stats ();
+    if no_cache then Op.setup_cache ~no_cache ~tuning_db:None;
     let workloads =
       match workload with
       | Some w -> [ w ]

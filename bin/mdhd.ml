@@ -69,7 +69,10 @@ let tuning_db_arg =
   Arg.(value & opt (some string) None & info [ "tuning-db" ] ~doc ~docv:"PATH")
 
 let no_cache_arg =
-  let doc = "Disable the tuning database and the in-memory cost/plan caches." in
+  let doc =
+    "Disable the tuning database and every in-memory cache (cost model, plans, \
+     compiled plans, operator verification)."
+  in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
 let inject_arg =

@@ -8,7 +8,8 @@ module Rewrite = Mdh_rewrite.Rewrite
    table is shared by pool domains and mdhd handler threads, hence a
    locked Memo; verification is pure, so a rare duplicate compute under
    concurrent misses is harmless. *)
-let memo : Opcheck.report Mdh_support.Memo.t = Mdh_support.Memo.create ()
+let memo : Opcheck.report Mdh_support.Memo.t =
+  Mdh_support.Memo.create "analysis.opcheck_oracle"
 
 let report ?(seed = 42) ~ty fn =
   let key =

@@ -12,15 +12,7 @@ type ctx = {
   prefix : string;
 }
 
-let cache : (float, string) result Memo.t = Memo.create ()
-
-(* the registry is the source of truth for hit/miss accounting: unlike
-   the Memo-internal counters it is resettable per tuning run, so front
-   ends can report per-run (not process-cumulative) numbers *)
-let m_hits = Mdh_obs.Metrics.counter "atf.cost_cache.hits"
-let m_misses = Mdh_obs.Metrics.counter "atf.cost_cache.misses"
-
-let record ~hit = Mdh_obs.Metrics.incr (if hit then m_hits else m_misses)
+let cache : (float, string) result Memo.t = Memo.create "atf.cost_cache"
 
 let context ?include_transfers md dev cg =
   let prefix =
@@ -38,33 +30,17 @@ let context ?include_transfers md dev cg =
 
 let context_key ctx = ctx.prefix
 
-let schedule_key ctx schedule = Memo.key [ ctx.prefix; Schedule.to_string schedule ]
-
 let seconds ctx schedule =
   (* chaos hook: lets the fault layer model a cost evaluation that dies or
      stalls mid-search (fires per call, cached or not, so trigger counts
      are independent of the cache state) *)
   Mdh_fault.Fault.hit "cost.eval";
-  Memo.find_or_add ~record cache (schedule_key ctx schedule) (fun () ->
+  let key = Memo.key [ ctx.prefix; Schedule.to_string schedule ] in
+  Memo.find_or_add cache key (fun () ->
       Cost.seconds ?include_transfers:ctx.include_transfers ctx.md ctx.dev ctx.cg
         schedule)
 
-let set_enabled enabled = Memo.set_enabled cache enabled
-let enabled () = Memo.enabled cache
+type stats = Memo.stats = { n_hits : int; n_misses : int; n_entries : int }
 
-type stats = { n_hits : int; n_misses : int; n_entries : int }
-
-let stats () =
-  { n_hits = Mdh_obs.Metrics.value m_hits;
-    n_misses = Mdh_obs.Metrics.value m_misses;
-    n_entries = (Memo.stats cache).Memo.n_entries }
-
-let reset_stats () =
-  Mdh_obs.Metrics.reset_counter m_hits;
-  Mdh_obs.Metrics.reset_counter m_misses;
-  Memo.reset_stats cache
-
-let clear () =
-  Memo.clear cache;
-  Mdh_obs.Metrics.reset_counter m_hits;
-  Mdh_obs.Metrics.reset_counter m_misses
+let stats () = Memo.stats cache
+let clear () = Memo.clear cache

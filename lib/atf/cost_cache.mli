@@ -10,7 +10,9 @@
 
     The table is safe to consult from multiple domains, and the hit/miss
     counters let benchmarks assert how many real cost-model evaluations a
-    run performed (the acceptance check for warm tuning-database runs). *)
+    run performed (the acceptance check for warm tuning-database runs).
+    [--no-cache] turns it off with every other table
+    ({!Mdh_support.Memo.set_caching}). *)
 
 type ctx
 (** Everything but the schedule, pre-digested once per tuning run. *)
@@ -26,28 +28,16 @@ val context_key : ctx -> string
 (** The canonical digest of [(md_hom, device, codegen, transfers)] — the
     tuning database builds its keys on top of this. *)
 
-val schedule_key : ctx -> Mdh_lowering.Schedule.t -> string
-
 val seconds : ctx -> Mdh_lowering.Schedule.t -> (float, string) result
 (** Memoized [Cost.seconds]. *)
 
-val set_enabled : bool -> unit
-(** Toggle the cache globally ([--no-cache]); disabled calls still count as
-    misses so evaluation counting stays meaningful. *)
-
-val enabled : unit -> bool
-
-type stats = { n_hits : int; n_misses : int; n_entries : int }
+type stats = Mdh_support.Memo.stats = { n_hits : int; n_misses : int; n_entries : int }
 
 val stats : unit -> stats
-(** [n_misses] = real cost-model evaluations since the last reset. The
-    counts live on the [Mdh_obs.Metrics] registry ([atf.cost_cache.hits] /
-    [atf.cost_cache.misses]), so they appear in metrics reports and are
-    resettable per tuning run — front ends reset them so successive
-    workloads don't report each other's accumulated counts. *)
-
-val reset_stats : unit -> unit
-(** Zero the hit/miss counters (registry and in-table); cached entries
-    are kept. *)
+(** [n_misses] = real cost-model evaluations. The counts are the
+    [atf.cost_cache.hits] / [atf.cost_cache.misses] counters of the
+    {!Mdh_support.Memo} table [atf.cost_cache], per process: front ends
+    that report one run's traffic take a before/after delta. *)
 
 val clear : unit -> unit
+(** Drop every cached verdict; the counters are kept. *)

@@ -255,10 +255,19 @@ let write_checkpoint ~path ~key ~budget ~chains ~seed slots =
   try
     Fault.hit "db.write";
     let data = Fault.mangle "db.write" data in
-    let tmp = path ^ ".tmp" in
-    Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
-    Fault.hit "db.rename";
-    Sys.rename tmp path;
+    (* a temp file of its own per write: two identical tunes share [path]
+       but must never interleave their bytes in one temp file. Once
+       renamed it is gone, so the cleanup only bites on failure. *)
+    let tmp =
+      Filename.temp_file ~temp_dir:(Filename.dirname path)
+        (Filename.basename path) ".tmp"
+    in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+      (fun () ->
+        Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
+        Fault.hit "db.rename";
+        Sys.rename tmp path);
     Metrics.incr m_ckpt_writes
   with Sys_error _ | Unix.Unix_error _ | Fault.Injected _ ->
     (* a failing checkpoint write never fails the tuning run — it only
@@ -297,10 +306,7 @@ let read_checkpoint ~path ~key ~chains =
         else Ck_corrupt
     | _ -> Ck_corrupt)
 
-let remove_checkpoint path =
-  List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ path; path ^ ".tmp" ]
+let remove_checkpoint path = try Sys.remove path with Sys_error _ -> ()
 
 type outcome =
   | Tuned of tuning

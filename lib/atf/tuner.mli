@@ -109,9 +109,10 @@ val tune_resumable :
     without recording it in the tuning database.
 
     While a deadline, stop predicate, checkpoint path or resume request is
-    in effect, annealing writes a CRC-framed checkpoint (atomic tmp +
-    rename) every [checkpoint_every] (default 64) evaluations per chain —
-    to [checkpoint], defaulting to [mdh-<db key>.ckpt] next to the tuning
+    in effect, annealing writes a CRC-framed checkpoint (atomic rename of
+    a per-write temp file, removed if the write fails) every
+    [checkpoint_every] (default 64) evaluations per chain — to
+    [checkpoint], defaulting to [mdh-<db key>.ckpt] next to the tuning
     database (or in the temp dir for in-memory databases). [resume]
     restores the portfolio from that file: the resumed search replays the
     exact rng draw sequence, so its result is bit-identical to an

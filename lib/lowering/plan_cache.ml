@@ -2,42 +2,18 @@ module Md_hom = Mdh_core.Md_hom
 module Device = Mdh_machine.Device
 module Memo = Mdh_support.Memo
 
-let cache : (Plan.t, string) result Memo.t = Memo.create ()
-
-(* the registry is the source of truth for hit/miss accounting: unlike
-   the Memo-internal counters it is resettable per run, so front ends can
-   report per-run (not process-cumulative) numbers *)
-let m_hits = Mdh_obs.Metrics.counter "lowering.plan_cache.hits"
-let m_misses = Mdh_obs.Metrics.counter "lowering.plan_cache.misses"
-
-let record ~hit = Mdh_obs.Metrics.incr (if hit then m_hits else m_misses)
-
-let plan_key md dev sched =
-  Memo.key
-    [ Format.asprintf "%a" Md_hom.pp md;
-      dev.Device.device_name;
-      Schedule.to_string sched ]
+let cache : (Plan.t, string) result Memo.t = Memo.create "lowering.plan_cache"
 
 let build md dev sched =
-  Memo.find_or_add ~record cache (plan_key md dev sched) (fun () ->
-      Plan.build md dev sched)
+  let key =
+    Memo.key
+      [ Format.asprintf "%a" Md_hom.pp md;
+        dev.Device.device_name;
+        Schedule.to_string sched ]
+  in
+  Memo.find_or_add cache key (fun () -> Plan.build md dev sched)
 
-let set_enabled enabled = Memo.set_enabled cache enabled
-let enabled () = Memo.enabled cache
+type stats = Memo.stats = { n_hits : int; n_misses : int; n_entries : int }
 
-type stats = { n_hits : int; n_misses : int; n_entries : int }
-
-let stats () =
-  { n_hits = Mdh_obs.Metrics.value m_hits;
-    n_misses = Mdh_obs.Metrics.value m_misses;
-    n_entries = (Memo.stats cache).Memo.n_entries }
-
-let reset_stats () =
-  Mdh_obs.Metrics.reset_counter m_hits;
-  Mdh_obs.Metrics.reset_counter m_misses;
-  Memo.reset_stats cache
-
-let clear () =
-  Memo.clear cache;
-  Mdh_obs.Metrics.reset_counter m_hits;
-  Mdh_obs.Metrics.reset_counter m_misses
+let stats () = Memo.stats cache
+let clear () = Memo.clear cache

@@ -3,7 +3,8 @@
     Every downstream consumer of {!Plan.t} — the executor, the cost model,
     the simulator, and the code generators — obtains plans through this
     cache, keyed on (hom, device, schedule), so the tuner's inner loop
-    stops rebuilding identical plans. Hit/miss counters live in the
+    stops rebuilding identical plans. It is the {!Mdh_support.Memo} table
+    [lowering.plan_cache]: hit/miss counters live in the
     {!Mdh_obs.Metrics} registry under [lowering.plan_cache.*] and show up
     in every [--metrics] summary. *)
 
@@ -15,16 +16,10 @@ val build :
 (** {!Plan.build} through the cache. Illegal-schedule errors are cached
     too: re-probing a rejected schedule is also a hit. *)
 
-val plan_key : Mdh_core.Md_hom.t -> Mdh_machine.Device.t -> Schedule.t -> string
-(** The cache key (exposed for tests). *)
-
-val set_enabled : bool -> unit
-(** [set_enabled false] makes every call rebuild ([--no-cache]). *)
-
-val enabled : unit -> bool
-
-type stats = { n_hits : int; n_misses : int; n_entries : int }
+type stats = Mdh_support.Memo.stats = { n_hits : int; n_misses : int; n_entries : int }
 
 val stats : unit -> stats
-val reset_stats : unit -> unit
+(** Process-cumulative; take a before/after delta for one run. *)
+
 val clear : unit -> unit
+(** Drop every cached plan; the counters are kept. *)

@@ -9,8 +9,6 @@ module Plan = Mdh_lowering.Plan
 module Cost = Mdh_lowering.Cost
 module Schedule = Mdh_lowering.Schedule
 module Plan_cache = Mdh_lowering.Plan_cache
-module Memo = Mdh_support.Memo
-module Metrics = Mdh_obs.Metrics
 module Json = Mdh_obs.Json
 
 type property = Associative | Commutative
@@ -658,36 +656,6 @@ let optimize ?(oracle = pure_oracle) (md : Md_hom.t) dev cg sched =
           r_raw_seconds = plan_seconds md dev cg raw_plan;
           r_seconds = plan_seconds md' dev cg plan';
           r_applied = expr_applied @ plan_applied })
-
-(* --- memoized lowering-phase entry point --- *)
-
-let cache : (report, string) result Memo.t = Memo.create ()
-let m_hits = Metrics.counter "rewrite.cache.hits"
-let m_misses = Metrics.counter "rewrite.cache.misses"
-let record ~hit = Metrics.incr (if hit then m_hits else m_misses)
-
-let optimize_cached ?(oracle = pure_oracle) md dev cg sched =
-  let key =
-    Memo.key
-      [ "rewrite-v1"; oracle.oracle_name;
-        Format.asprintf "%a" Md_hom.pp md;
-        dev.Device.device_name; cg.Cost.cg_name; Schedule.to_string sched ]
-  in
-  Memo.find_or_add ~record cache key (fun () -> optimize ~oracle md dev cg sched)
-
-type cache_stats = { n_hits : int; n_misses : int; n_entries : int }
-
-let cache_stats () =
-  { n_hits = Metrics.value m_hits;
-    n_misses = Metrics.value m_misses;
-    n_entries = (Memo.stats cache).Memo.n_entries }
-
-let reset_cache_stats () =
-  Metrics.reset_counter m_hits;
-  Metrics.reset_counter m_misses;
-  Memo.reset_stats cache
-
-let set_cache_enabled enabled = Memo.set_enabled cache enabled
 
 (* --- report rendering --------------------------------------------------- *)
 

@@ -39,7 +39,7 @@ type verdict =
   | Unknown of string  (** the oracle could not decide *)
 
 type oracle = {
-  oracle_name : string;  (** stable id, part of the rewrite-cache key *)
+  oracle_name : string;  (** stable id, e.g. ["opcheck-42"] *)
   prove : Scalar.ty -> Combine.custom_fn -> property -> verdict;
 }
 
@@ -125,25 +125,6 @@ val optimize :
   (report, string) result
 (** Saturate both tiers under one schedule and price the before/after
     pair with the cost model. [Error] iff the schedule is illegal. *)
-
-val optimize_cached :
-  ?oracle:oracle ->
-  Md_hom.t ->
-  Device.t ->
-  Cost.codegen ->
-  Schedule.t ->
-  (report, string) result
-(** [optimize] memoized under (oracle, computation, device, codegen,
-    schedule) — the lowering-phase entry point, so repeated lowerings of
-    the same workload reuse the saturated plan (cached under its new
-    digest). Hits/misses are mirrored to the [rewrite.cache.hits] /
-    [rewrite.cache.misses] metrics counters. *)
-
-type cache_stats = { n_hits : int; n_misses : int; n_entries : int }
-
-val cache_stats : unit -> cache_stats
-val reset_cache_stats : unit -> unit
-val set_cache_enabled : bool -> unit
 
 (** {1 Report rendering} *)
 

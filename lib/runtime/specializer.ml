@@ -14,16 +14,6 @@ module Metrics = Mdh_obs.Metrics
 module Clock = Mdh_obs.Clock
 module Profile = Mdh_obs.Profile
 
-let m_hits = Metrics.counter "runtime.specializer.hits"
-let m_misses = Metrics.counter "runtime.specializer.misses"
-let m_compiles = Metrics.counter "runtime.specializer.compiles"
-
-(* per-phase latency: compilation (cache misses only) vs execution of the
-   compiled closure — hit/miss counters alone leave compiled-plan time
-   invisible in traces *)
-let h_compile = Metrics.histogram "runtime.specializer.compile_s"
-let h_run = Metrics.histogram "runtime.specializer.run_s"
-
 exception Unsupported of string
 
 let unsup fmt = Format.kasprintf (fun m -> raise (Unsupported m)) fmt
@@ -827,14 +817,21 @@ let write_back c env op acc =
 
 (* --- the digest-keyed compile cache ----------------------------------- *)
 
-let cache : (compiled, string) result Memo.t = Memo.create ()
-let record ~hit = Metrics.incr (if hit then m_hits else m_misses)
+let cache : (compiled, string) result Memo.t = Memo.create "runtime.specializer"
+
+let m_compiles = Metrics.counter "runtime.specializer.compiles"
+
+(* per-phase latency: compilation (cache misses only) vs execution of the
+   compiled closure — hit/miss counters alone leave compiled-plan time
+   invisible in traces *)
+let h_compile = Metrics.histogram "runtime.specializer.compile_s"
+let h_run = Metrics.histogram "runtime.specializer.run_s"
 
 let cache_key plan md =
   Memo.key [ Plan.digest plan; Format.asprintf "%a" Md_hom.pp md ]
 
 let compiled plan md =
-  Memo.find_or_add ~record cache (cache_key plan md) (fun () ->
+  Memo.find_or_add cache (cache_key plan md) (fun () ->
       let t0 = Clock.now_ns () in
       let result =
         Trace.with_span ~cat:"runtime" "specializer.compile"
@@ -857,15 +854,8 @@ let supported plan md =
 type stats = { hits : int; misses : int; compiles : int }
 
 let stats () =
-  { hits = Metrics.value m_hits;
-    misses = Metrics.value m_misses;
-    compiles = Metrics.value m_compiles }
-
-let reset_stats () =
-  Metrics.reset_counter m_hits;
-  Metrics.reset_counter m_misses;
-  Metrics.reset_counter m_compiles;
-  Memo.reset_stats cache
+  let s = Memo.stats cache in
+  { hits = s.Memo.n_hits; misses = s.Memo.n_misses; compiles = Metrics.value m_compiles }
 
 let clear () = Memo.clear cache
 

@@ -8,7 +8,8 @@
     thunks — so executing a plan costs no per-point tensor boxing or
     environment lookups. Compiled plans are memoized process-wide under
     {!Mdh_lowering.Plan.digest} (plus a fingerprint of the computation),
-    with cache traffic on [runtime.specializer.hits|misses|compiles].
+    in the {!Mdh_support.Memo} table [runtime.specializer], with cache
+    traffic on [runtime.specializer.hits|misses|compiles].
 
     Eligibility: all inputs read and all outputs are [fp32]; every
     reduction operator ([pw]/[ps]) is one builtin ([add]/[mul]/[min]/[max]),
@@ -49,6 +50,5 @@ type stats = { hits : int; misses : int; compiles : int }
 val stats : unit -> stats
 (** Current values of the [runtime.specializer.*] counters. *)
 
-val reset_stats : unit -> unit
 val clear : unit -> unit
-(** Drop every compiled plan (the counters are reset separately). *)
+(** Drop every compiled plan; the counters are kept. *)

@@ -22,13 +22,12 @@ module Md_hom = Mdh_core.Md_hom
 
 let version = "1.9.0"
 
-(* the tuner consults the ambient database (and the cost cache) from every
-   internal call site — baselines included — so both binaries configure
-   them process-wide before serving anything *)
+(* the tuner consults the ambient database (and the in-memory tables)
+   from every internal call site — baselines included — so every front end
+   configures them process-wide before running anything *)
 let setup_cache ~no_cache ~tuning_db =
   if no_cache then begin
-    Mdh_atf.Cost_cache.set_enabled false;
-    Plan_cache.set_enabled false;
+    Mdh_support.Memo.set_caching false;
     Tuning_db.set_ambient None
   end
   else
@@ -558,9 +557,7 @@ end
 module Exec_op = struct
   type backend = Auto | Interp | Special | Cc
 
-  type req = {
-    subject : subject; seed : int; parallel : bool; backend : backend; no_specialize : bool;
-  }
+  type req = { subject : subject; seed : int; parallel : bool; backend : backend }
 
   type res = { workload : string; elapsed_s : float; checked : bool }
 
@@ -601,7 +598,7 @@ module Exec_op = struct
     in
     let out, elapsed_s =
       match r.backend with
-      | Auto -> in_pool (walk ~fastpath:true ~specialize:(not r.no_specialize))
+      | Auto -> in_pool (walk ~fastpath:true ~specialize:true)
       | Interp -> in_pool (walk ~fastpath:false ~specialize:false)
       | Special -> in_pool (fun pool -> special pool md sched env)
       | Cc -> timed (fun () -> ok_or "exec_failed" (Mdh_codegen.Cc.execute md env))
@@ -615,14 +612,12 @@ module Exec_op = struct
   let encode_request r =
     subject_fields r.subject
     @ [ ("seed", string_of_int r.seed); ("parallel", bool r.parallel);
-        ("no_specialize", bool r.no_specialize);
         ("backend", J.quote (fst (List.find (fun (_, b) -> b = r.backend) backends))) ]
 
   (* the daemon never runs a C compiler on a client's behalf *)
   let decode_request b =
     let backend = str b "backend" "auto" in
     { subject = subject_of b; seed = int b "seed" 1; parallel = flag b "parallel";
-      no_specialize = flag b "no_specialize";
       backend =
         (match List.assoc_opt backend backends with
         | Some be when be <> Cc -> be

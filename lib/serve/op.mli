@@ -13,8 +13,9 @@ val version : string
 (** The release shared by mdhc, mdhd and the SARIF [tool_version]. *)
 
 val setup_cache : no_cache:bool -> tuning_db:string option -> unit
-(** Process-wide cache configuration for both binaries: [no_cache]
-    disables the cost and plan caches and the tuning database; otherwise
+(** Process-wide cache configuration for mdhc, mdhd and the bench driver:
+    [no_cache] turns off every in-memory table
+    ({!Mdh_support.Memo.set_caching}) and the tuning database; otherwise
     the ambient database is [tuning_db], else [$MDH_TUNING_DB] or the
     user cache dir, else in memory. *)
 
@@ -126,9 +127,7 @@ module Exec_op : sig
 
   val backends : (string * backend) list
 
-  type req = {
-    subject : subject; seed : int; parallel : bool; backend : backend; no_specialize : bool;
-  }
+  type req = { subject : subject; seed : int; parallel : bool; backend : backend }
 
   type res
   (** Wall time and whether the workload's oracle agreed ([rel 1e-3],

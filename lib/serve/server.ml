@@ -5,10 +5,9 @@
    with a short tick so drain requests and signals are noticed);
    [workers] systhreads pull admitted connections from a bounded queue
    and run the handlers. Handlers hold no global locks — the shared
-   state they touch (Plan_cache, Cost_cache, rewrite cache, Opcheck
-   oracle, Tuning_db, the metrics registry) is safe for concurrent
-   domains, and the Tuning_db compaction race for in-process writers is
-   closed by its own io mutex (see tuning_db.ml). *)
+   state they touch (the Memo caches, Tuning_db, the metrics registry)
+   is safe for concurrent domains, and the Tuning_db compaction race for
+   in-process writers is closed by its own io mutex (see tuning_db.ml). *)
 
 module Fault = Mdh_fault.Fault
 module Metrics = Mdh_obs.Metrics

@@ -26,6 +26,8 @@
 #   - the operation-table pin fails: lib/serve/server.ml decodes no
 #     workload/device/input/strategy itself and bin/mdhc.ml carries no
 #     second printer for daemon replies (both go through Mdh_serve.Op),
+#   - the cache-accounting pin fails: hit/miss counters under lib/ are
+#     registered only by Mdh_support.Memo (and the persistent tuning db),
 #   - the differential stage fails: the plan-compiled specializer and (when
 #     gcc is on PATH) the compiled OpenMP C must reproduce the reference
 #     interpreter's results; without gcc the C half prints an explicit SKIP
@@ -108,6 +110,19 @@ op_leaks=$( { grep -nE 'device_of|params_of|strategy_of|find_workload' lib/serve
 if [ -n "$op_leaks" ]; then
     echo "error: an op is decoded or printed outside Mdh_serve.Op:" >&2
     echo "$op_leaks" | head -10 >&2
+    exit 1
+fi
+
+# cache-accounting pin: every in-memory cache is a named Mdh_support.Memo
+# table, which binds its own <name>.hits/.misses counters. No other module
+# under lib/ registers hit/miss counters; the persistent tuning database
+# (lib/atf/tuning_db.ml) is not a memo and keeps its own.
+cache_leaks=$(grep -rnE 'Metrics\.counter "[^"]*\.(hits|misses)"' lib \
+    | grep -vE '^lib/(support/memo|atf/tuning_db)\.ml:' || true)
+if [ -n "$cache_leaks" ]; then
+    echo "error: hit/miss counters registered outside Mdh_support.Memo:" >&2
+    echo "$cache_leaks" | head -10 >&2
+    echo "(create the cache with Memo.create \"<layer>.<name>\" instead)" >&2
     exit 1
 fi
 

@@ -455,6 +455,60 @@ let test_stale_checkpoint_ignored () =
       in
       check_matches_reference "stale-ignored" reference resumed)
 
+(* two identical in-flight tunes (mdhd derives one checkpoint path for
+   both) checkpoint the same path concurrently, once per evaluation: every
+   write goes through a temp file of its own, so none is lost to the other
+   tune's rename and none publishes the other's torn bytes *)
+let test_concurrent_checkpoints_same_path () =
+  with_tmp_dir (fun dir ->
+      let w = List.hd Mdh_workloads.Catalog.all in
+      let md = W.to_md_hom w w.W.test_params in
+      let ckpt = Filename.concat dir "shared.ckpt" in
+      let tune ?should_stop ?resume ?checkpoint () =
+        match
+          Tuner.tune_resumable ~strategy:Tuner.Anneal ~budget:600 ~seed:5 ~chains:2
+            ~checkpoint_every:1 ?should_stop ?resume ?checkpoint
+            ~db:(Tuning_db.in_memory ()) md cpu Cost.tuned_codegen
+        with
+        | Ok outcome -> outcome
+        | Error e -> Alcotest.fail e
+      in
+      let tuned = function
+        | Tuner.Tuned t -> t
+        | Tuner.Suspended _ -> Alcotest.fail "tune suspended"
+      in
+      let reference = tuned (tune ()) in
+      let suspend () = tune ~should_stop:(stop_after 400) ~checkpoint:ckpt () in
+      let writes () = counter_value "atf.checkpoint.writes" in
+      let w0 = writes () in
+      ignore (suspend ());
+      let alone = writes () - w0 in
+      let w1 = writes () and corrupt0 = counter_value "atf.checkpoint.corrupt" in
+      List.iter
+        (fun d ->
+          match Domain.join d with
+          | Tuner.Suspended _ -> ()
+          | Tuner.Tuned _ -> Alcotest.fail "concurrent tune did not suspend")
+        (List.init 2 (fun _ -> Domain.spawn suspend));
+      check Alcotest.int "every concurrent write published" (2 * alone) (writes () - w1);
+      check Alcotest.(list string) "only the checkpoint on disk" [ "shared.ckpt" ]
+        (Array.to_list (Sys.readdir dir));
+      let resumed = tuned (tune ~resume:true ~checkpoint:ckpt ()) in
+      check Alcotest.int "no corrupt checkpoint" corrupt0
+        (counter_value "atf.checkpoint.corrupt");
+      check_matches_reference "concurrent-resume" reference resumed)
+
+(* a checkpoint write that fails before its rename removes its temp file *)
+let test_failed_checkpoint_leaves_no_temp () =
+  with_tmp_dir (fun dir ->
+      let w = List.hd Mdh_workloads.Catalog.all in
+      let md = W.to_md_hom w w.W.test_params in
+      let ckpt = Filename.concat dir "failing.ckpt" in
+      ignore
+        (with_faults "db.rename:raise@1/1" (fun () ->
+             tune_once ~should_stop:(stop_after 25) ~checkpoint:ckpt md));
+      check Alcotest.(list string) "nothing left behind" [] (Array.to_list (Sys.readdir dir)))
+
 let suite =
   ( "fault",
     [ Alcotest.test_case "spec: parse round-trip" `Quick test_parse_spec;
@@ -495,4 +549,8 @@ let suite =
       Alcotest.test_case "corrupt checkpoint starts fresh" `Quick
         test_corrupt_checkpoint_starts_fresh;
       Alcotest.test_case "stale checkpoint ignored" `Quick
-        test_stale_checkpoint_ignored ] )
+        test_stale_checkpoint_ignored;
+      Alcotest.test_case "concurrent checkpoints, one path" `Quick
+        test_concurrent_checkpoints_same_path;
+      Alcotest.test_case "failed checkpoint leaves no temp" `Quick
+        test_failed_checkpoint_leaves_no_temp ] )

@@ -239,7 +239,7 @@ let test_tune_emits_metrics () =
   let evals = Metrics.counter "atf.search.evaluations" in
   let runs = Metrics.counter "atf.tuner.runs" in
   let evals0 = Metrics.value evals and runs0 = Metrics.value runs in
-  Cost_cache.reset_stats ();
+  let cc0 = Cost_cache.stats () in
   let md =
     W.to_md_hom Mdh_workloads.Linalg.matvec [ ("I", 2048); ("K", 2048) ]
   in
@@ -251,7 +251,8 @@ let test_tune_emits_metrics () =
   check Alcotest.bool "search evaluations recorded" true (d_evals > 0);
   let cc = Cost_cache.stats () in
   check Alcotest.bool "cost cache accounted" true
-    (cc.Cost_cache.n_hits + cc.Cost_cache.n_misses > 0);
+    (cc.Cost_cache.n_hits + cc.Cost_cache.n_misses
+     > cc0.Cost_cache.n_hits + cc0.Cost_cache.n_misses);
   let tune_s = Metrics.histogram_value (Metrics.histogram "atf.tuner.tune_s") in
   check Alcotest.bool "tune duration observed" true (tune_s.Metrics.h_count > 0)
 

@@ -443,8 +443,7 @@ let test_op_codecs_round_trip () =
         (fun (parallel, backend) ->
           ignore
             (round_trip Op.Exec_op.op
-               { Op.Exec_op.subject = subject "cpu"; seed = 5; parallel; backend;
-                 no_specialize = parallel }))
+               { Op.Exec_op.subject = subject "cpu"; seed = 5; parallel; backend }))
         Op.Exec_op.[ (false, Auto); (true, Auto); (true, Interp) ])
     [ "matvec"; "prl"; "kmeans" ];
   (* the explicit schedule of mdhc plan --schedule travels too *)

@@ -1,4 +1,4 @@
-(* Unit and property tests for Mdh_support: rng, stats, table, util. *)
+(* Unit and property tests for Mdh_support: rng, stats, table, util, memo. *)
 
 open Mdh_support
 
@@ -244,8 +244,10 @@ let test_json_accessor_mismatch () =
 
 (* --- memo --- *)
 
+let counter name = Mdh_obs.Metrics.(value (counter name))
+
 let test_memo_caches () =
-  let memo = Memo.create () in
+  let memo = Memo.create "test.memo.caches" in
   let computed = ref 0 in
   let get () = Memo.find_or_add memo "k" (fun () -> incr computed; 42) in
   check Alcotest.int "first" 42 (get ());
@@ -254,29 +256,71 @@ let test_memo_caches () =
   let stats = Memo.stats memo in
   check Alcotest.int "hits" 1 stats.Memo.n_hits;
   check Alcotest.int "misses" 1 stats.Memo.n_misses;
-  check Alcotest.int "entries" 1 stats.Memo.n_entries
+  check Alcotest.int "entries" 1 stats.Memo.n_entries;
+  (* the registry counters are the table's accounting, not a mirror *)
+  check Alcotest.int "hits = registry" stats.Memo.n_hits (counter "test.memo.caches.hits");
+  check Alcotest.int "misses = registry" stats.Memo.n_misses
+    (counter "test.memo.caches.misses")
+
+let test_memo_names () =
+  let a = Memo.create "test.memo.names.a" and b = Memo.create "test.memo.names.b" in
+  ignore (Memo.find_or_add a "k" (fun () -> 1));
+  ignore (Memo.find_or_add a "k" (fun () -> 1));
+  ignore (Memo.find_or_add b "k" (fun () -> 2));
+  let sa = Memo.stats a and sb = Memo.stats b in
+  check Alcotest.(pair int int) "a: 1 hit, 1 miss" (1, 1) (sa.Memo.n_hits, sa.Memo.n_misses);
+  check Alcotest.(pair int int) "b: 0 hits, 1 miss" (0, 1) (sb.Memo.n_hits, sb.Memo.n_misses);
+  check Alcotest.bool "duplicate name refused" true
+    (match Memo.create "test.memo.names.a" with
+     | (_ : int Memo.t) -> false
+     | exception Invalid_argument _ -> true)
 
 let test_memo_disabled () =
-  let memo = Memo.create ~enabled:false () in
+  let memo = Memo.create "test.memo.disabled" in
+  ignore (Memo.find_or_add memo "k" (fun () -> 0));
   let computed = ref 0 in
-  for _ = 1 to 3 do
-    ignore (Memo.find_or_add memo "k" (fun () -> incr computed; 0))
-  done;
+  Memo.set_caching false;
+  Fun.protect ~finally:(fun () -> Memo.set_caching true) (fun () ->
+      for _ = 1 to 3 do
+        ignore (Memo.find_or_add memo "k" (fun () -> incr computed; 0))
+      done);
   check Alcotest.int "always computes" 3 !computed;
-  check Alcotest.int "all misses" 3 (Memo.stats memo).Memo.n_misses;
-  (* re-enabling starts caching *)
-  Memo.set_enabled memo true;
+  let stats = Memo.stats memo in
+  check Alcotest.int "each call a miss" 4 stats.Memo.n_misses;
+  check Alcotest.int "no hits" 0 stats.Memo.n_hits;
+  (* switched back on, the entry cached before is served again *)
   ignore (Memo.find_or_add memo "k" (fun () -> incr computed; 0));
-  ignore (Memo.find_or_add memo "k" (fun () -> incr computed; 0));
-  check Alcotest.int "cached once enabled" 4 !computed
+  check Alcotest.int "cached once enabled" 3 !computed
 
 let test_memo_clear () =
-  let memo = Memo.create () in
+  let memo = Memo.create "test.memo.clear" in
   ignore (Memo.find_or_add memo "k" (fun () -> 1));
   Memo.clear memo;
   let stats = Memo.stats memo in
   check Alcotest.int "no entries" 0 stats.Memo.n_entries;
-  check Alcotest.int "no misses" 0 stats.Memo.n_misses
+  check Alcotest.int "counters kept" 1 stats.Memo.n_misses;
+  ignore (Memo.find_or_add memo "k" (fun () -> 1));
+  check Alcotest.int "recomputed after clear" 2 (Memo.stats memo).Memo.n_misses
+
+let test_memo_hammer () =
+  let memo = Memo.create "test.memo.hammer" in
+  let keys = 16 and calls_per_domain = 2000 in
+  let worker d () =
+    let ok = ref true in
+    for i = 0 to calls_per_domain - 1 do
+      let k = (i * 7 + d) mod keys in
+      let v = Memo.find_or_add memo (string_of_int k) (fun () -> k * k) in
+      if v <> k * k then ok := false
+    done;
+    !ok
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+  let oks = List.map Domain.join domains in
+  check Alcotest.bool "correct values" true (List.for_all Fun.id oks);
+  let stats = Memo.stats memo in
+  check Alcotest.int "hits + misses = calls" (4 * calls_per_domain)
+    (stats.Memo.n_hits + stats.Memo.n_misses);
+  check Alcotest.int "entries" keys stats.Memo.n_entries
 
 let test_memo_key () =
   check Alcotest.string "deterministic" (Memo.key [ "a"; "b" ]) (Memo.key [ "a"; "b" ]);
@@ -324,8 +368,10 @@ let suite =
       tc "table render" `Quick test_table_render;
       tc "table arity" `Quick test_table_arity;
       tc "memo caches" `Quick test_memo_caches;
+      tc "memo names" `Quick test_memo_names;
       tc "memo disabled" `Quick test_memo_disabled;
       tc "memo clear" `Quick test_memo_clear;
+      tc "memo hammer" `Quick test_memo_hammer;
       tc "memo key" `Quick test_memo_key;
       QCheck_alcotest.to_alcotest prop_divisors_divide;
       QCheck_alcotest.to_alcotest prop_ceil_div ] )
