@@ -1,7 +1,4 @@
-module Scalar = Mdh_tensor.Scalar
 module Index_fn = Mdh_tensor.Index_fn
-module Expr = Mdh_expr.Expr
-module Typecheck = Mdh_expr.Typecheck
 module Ea = Mdh_expr.Analysis
 module Combine = Mdh_combine.Combine
 module D = Mdh_directive.Directive
@@ -21,7 +18,7 @@ let c_directives = Metrics.counter "analysis.check.directives"
 let span_of_pos { Token.line; col } = { Diag.line; col }
 
 type span_env = {
-  loop_span : string -> Diag.span option;
+  loop_span : int -> Diag.span option;
   buffer_span : string -> Diag.span option;
   op_span : int -> Diag.span option;
   stmt_span : int -> Diag.span option;
@@ -37,7 +34,8 @@ let no_spans =
 
 let span_env_of (s : Parser.spans) =
   { loop_span =
-      (fun v -> Option.map span_of_pos (List.assoc_opt v s.Parser.loop_pos));
+      (fun i ->
+        Option.map (fun (_, pos) -> span_of_pos pos) (List.nth_opt s.Parser.loop_pos i));
     buffer_span =
       (fun b -> Option.map span_of_pos (List.assoc_opt b s.Parser.buffer_pos));
     op_span =
@@ -45,429 +43,6 @@ let span_env_of (s : Parser.spans) =
     stmt_span =
       (fun i -> Option.map span_of_pos (List.nth_opt s.Parser.stmt_pos i));
     pragma_span = Some (span_of_pos s.Parser.pragma_pos) }
-
-(* --- pass 1: loop-nest structure (MDH001-MDH005) ----------------------- *)
-
-let rec nest_is_perfect = function
-  | D.For { body; _ } -> nest_is_perfect body
-  | D.Body _ -> true
-  | D.Seq _ -> false
-
-let structure_pass b sp (dir : D.t) =
-  let perfect = nest_is_perfect dir.D.nest in
-  if not perfect then
-    Diag.emit b ?span:sp.pragma_span Diag.Error "MDH001"
-      "the loop nest is not perfect: statements or multiple loops at the same \
-       level";
-  let loops = D.loops dir in
-  (* one MDH002 per variable with a duplicate, at its first occurrence *)
-  let rec dups seen = function
-    | [] -> ()
-    | (var, _) :: rest ->
-      if (not (List.mem var seen)) && List.mem_assoc var rest then
-        Diag.emit b ?span:(sp.loop_span var) ~subject:var Diag.Error "MDH002"
-          "loop variable %S bound twice" var;
-      dups (var :: seen) rest
-  in
-  dups [] loops;
-  List.iter
-    (fun (var, extent) ->
-      if extent <= 0 then
-        Diag.emit b ?span:(sp.loop_span var) ~subject:var Diag.Error "MDH003"
-          "loop %S has non-positive extent %d" var extent)
-    loops;
-  if perfect then begin
-    let dims_n = List.length loops and ops_n = List.length dir.D.combine_ops in
-    if dims_n <> ops_n then
-      Diag.emit b ?span:(sp.op_span 0) Diag.Error "MDH004"
-        "combine_ops has %d entries but the loop nest has depth %d" ops_n dims_n
-  end;
-  let has_kind pred = List.exists pred dir.D.combine_ops in
-  if
-    has_kind (function Combine.Pw _ -> true | _ -> false)
-    && has_kind (function Combine.Ps _ -> true | _ -> false)
-  then
-    Diag.emit b ?span:(sp.op_span 0) Diag.Error "MDH005"
-      "pw and ps combine operators cannot be mixed in one computation: their \
-       nesting does not satisfy the interchange law the MDH decomposition \
-       relies on";
-  perfect
-
-(* --- pass 2: buffer declarations (MDH006) ------------------------------ *)
-
-let decl_pass b sp (dir : D.t) =
-  let rec dups seen = function
-    | [] -> ()
-    | (d : D.buffer_decl) :: rest ->
-      if
-        (not (List.mem d.D.buf_name seen))
-        && List.exists
-             (fun (d' : D.buffer_decl) -> String.equal d'.D.buf_name d.D.buf_name)
-             rest
-      then
-        Diag.emit b
-          ?span:(sp.buffer_span d.D.buf_name)
-          ~subject:d.D.buf_name Diag.Error "MDH006" "buffer %S declared twice"
-          d.D.buf_name;
-      dups (d.D.buf_name :: seen) rest
-  in
-  dups [] (dir.D.outs @ dir.D.inps)
-
-(* --- pass 3: body discipline and typing (MDH007-MDH012) ----------------
-
-   Mirrors Validate.walk_body statement by statement: within a statement the
-   first failing check wins (and emits exactly one diagnostic), but analysis
-   continues with the next statement, so the first emitted error agrees with
-   the fail-fast validator while later statements still get reported. *)
-
-let fold_lets lets value =
-  List.fold_right (fun (name, e) acc -> Expr.Let (name, e, acc)) lets value
-
-let rec uses_vars names = function
-  | Expr.Var v -> List.mem v names
-  | Const _ | Idx _ -> false
-  | Read (_, idxs) -> List.exists (uses_vars names) idxs
-  | Binop (_, a, b) -> uses_vars names a || uses_vars names b
-  | Unop (_, a) | Field (a, _) | Cast (_, a) -> uses_vars names a
-  | If (c, a, b) -> uses_vars names c || uses_vars names a || uses_vars names b
-  | Let (n, a, b) -> uses_vars names a || uses_vars (List.filter (( <> ) n) names) b
-  | MkRecord fields -> List.exists (fun (_, e) -> uses_vars names e) fields
-
-let fold_lets_if_needed lets value =
-  if uses_vars (List.map fst lets) value then fold_lets lets value else value
-
-let find_decl decls name =
-  List.find_opt (fun (d : D.buffer_decl) -> String.equal d.D.buf_name name) decls
-
-(* first offending read of [e], as (code, subject, message) *)
-let bad_read (dir : D.t) e =
-  let bad = ref None in
-  Expr.iter_reads e (fun buf _ ->
-      if !bad = None then
-        if find_decl dir.D.outs buf <> None then
-          bad :=
-            Some
-              ( "MDH009",
-                buf,
-                Printf.sprintf
-                  "output buffer %S is read in the body: the scalar function \
-                   must be reduction-free (use `=`, not `+=`; reductions are \
-                   expressed by combine_ops)"
-                  buf )
-        else if find_decl dir.D.inps buf = None then
-          bad := Some ("MDH007", buf, Printf.sprintf "read of undeclared buffer %S" buf));
-  !bad
-
-let body_pass b sp (dir : D.t) loops stmts =
-  let env =
-    { Typecheck.iter_vars = List.map fst loops;
-      buffer_ty =
-        (fun name ->
-          match find_decl dir.D.inps name with
-          | Some d -> Some d.D.buf_ty
-          | None -> None) }
-  in
-  let ( let* ) r k = match r with Ok v -> k v | Error () -> () in
-  let emit_stmt i ?subject code fmt =
-    Diag.emit b ?span:(sp.stmt_span i) ?subject Diag.Error code fmt
-  in
-  let check_reads i e =
-    match bad_read dir e with
-    | None -> Ok ()
-    | Some (code, subject, msg) ->
-      emit_stmt i ~subject code "%s" msg;
-      Error ()
-  in
-  let typecheck i wrapped =
-    match Typecheck.infer env wrapped with
-    | Ok ty -> Ok ty
-    | Error e ->
-      emit_stmt i "MDH012" "%a" Typecheck.pp_error e;
-      Error ()
-  in
-  let assigned = ref [] in
-  List.iteri
-    (fun i stmt ->
-      let lets =
-        (* let bindings preceding statement [i], in binding order *)
-        List.filteri (fun j _ -> j < i) stmts
-        |> List.filter_map (function
-             | D.Let_stmt (n, e) -> Some (n, e)
-             | D.Assign _ -> None)
-      in
-      match stmt with
-      | D.Let_stmt (_, e) ->
-        let wrapped = fold_lets lets e in
-        let* () = check_reads i wrapped in
-        let* _ty = typecheck i wrapped in
-        ()
-      | D.Assign { target; indices; value } ->
-        let decl = find_decl dir.D.outs target in
-        (* record the target even when a later check fails, so one broken
-           assignment does not cascade into MDH010/MDH011 noise *)
-        if decl <> None && not (List.mem target !assigned) then
-          assigned := target :: !assigned;
-        let* decl =
-          match decl with
-          | Some d -> Ok d
-          | None ->
-            if find_decl dir.D.inps target <> None then
-              emit_stmt i ~subject:target "MDH008"
-                "assignment to input buffer %S" target
-            else
-              emit_stmt i ~subject:target "MDH007"
-                "assignment to undeclared buffer %S" target;
-            Error ()
-        in
-        let* () =
-          let earlier =
-            List.filteri (fun j _ -> j < i) stmts
-            |> List.exists (function
-                 | D.Assign { target = t'; _ } -> String.equal t' target
-                 | D.Let_stmt _ -> false)
-          in
-          if earlier then begin
-            emit_stmt i ~subject:target "MDH010"
-              "output buffer %S assigned more than once per iteration point"
-              target;
-            Error ()
-          end
-          else Ok ()
-        in
-        let wrapped_value = fold_lets_if_needed lets value in
-        let wrapped_indices = List.map (fold_lets_if_needed lets) indices in
-        let* () = check_reads i wrapped_value in
-        let* () =
-          List.fold_left
-            (fun acc ie -> match acc with Error () -> acc | Ok () -> check_reads i ie)
-            (Ok ()) wrapped_indices
-        in
-        let* vty = typecheck i wrapped_value in
-        let* () =
-          if Scalar.equal_ty vty decl.D.buf_ty then Ok ()
-          else begin
-            emit_stmt i ~subject:target "MDH012"
-              "assignment to %S has type %s, buffer has type %s" target
-              (Scalar.ty_to_string vty)
-              (Scalar.ty_to_string decl.D.buf_ty);
-            Error ()
-          end
-        in
-        let* () =
-          List.fold_left
-            (fun acc ie ->
-              match acc with
-              | Error () -> acc
-              | Ok () -> (
-                match Typecheck.infer env ie with
-                | Error e ->
-                  emit_stmt i "MDH012" "%a" Typecheck.pp_error e;
-                  Error ()
-                | Ok (Scalar.Int32 | Int64) -> Ok ()
-                | Ok ity ->
-                  emit_stmt i ~subject:target "MDH012"
-                    "index expression `%s` of %S has non-integral type %s"
-                    (Expr.to_string ie) target (Scalar.ty_to_string ity);
-                  Error ()))
-            (Ok ()) wrapped_indices
-        in
-        ())
-    stmts;
-  List.iter
-    (fun (d : D.buffer_decl) ->
-      if not (List.mem d.D.buf_name !assigned) then
-        Diag.emit b
-          ?span:(sp.buffer_span d.D.buf_name)
-          ~subject:d.D.buf_name Diag.Error "MDH011"
-          "output buffer %S is never assigned" d.D.buf_name)
-    dir.D.outs
-
-(* --- pass 4: shapes and the out-view discipline (MDH013-MDH015) --------
-
-   Run only on otherwise-clean directives (mirroring the program state in
-   which Validate reaches these checks); unlike Validate the out-view pass
-   reports every breaking dimension and, for injectivity failures, exhibits
-   a concrete pair of colliding iteration points. *)
-
-let iter_points shape ~cap f =
-  (* visit up to [cap] points of [shape] in row-major order *)
-  let rank = Array.length shape in
-  let idx = Array.make rank 0 in
-  let total = Array.fold_left ( * ) 1 shape in
-  let n = min total cap in
-  let rec bump d =
-    if d >= 0 then begin
-      idx.(d) <- idx.(d) + 1;
-      if idx.(d) >= shape.(d) then begin
-        idx.(d) <- 0;
-        bump (d - 1)
-      end
-    end
-  in
-  for _ = 1 to n do
-    f (Array.copy idx);
-    bump (rank - 1)
-  done
-
-let collision_witness fn subspace =
-  let seen = Hashtbl.create 256 in
-  let witness = ref None in
-  iter_points subspace ~cap:4096 (fun pt ->
-      if !witness = None then begin
-        let image = Index_fn.apply fn pt in
-        match Hashtbl.find_opt seen image with
-        | Some prev -> witness := Some (prev, pt, image)
-        | None -> Hashtbl.add seen image pt
-      end);
-  !witness
-
-let string_of_point dims pt =
-  String.concat ", "
-    (Array.to_list (Array.mapi (fun d v -> Printf.sprintf "%s=%d" dims.(d) v) pt))
-
-let out_view_pass b sp ~dims ~sizes ~combine_ops name fn =
-  match fn with
-  | Index_fn.Opaque _ ->
-    Diag.emit b ?span:(sp.buffer_span name) ~subject:name Diag.Error "MDH015"
-      "output access of %S must be affine" name
-  | Index_fn.Affine _ ->
-    let rank = Array.length sizes in
-    let breaking = ref [] in
-    for d = 0 to rank - 1 do
-      if Combine.collapses combine_ops.(d) && Index_fn.uses_dim fn d = Some true
-      then begin
-        breaking := d :: !breaking;
-        Diag.emit b ?span:(sp.buffer_span name) ~subject:name Diag.Error
-          "MDH015"
-          "output access of %S depends on dimension %d (loop %S), which is \
-           collapsed by %s: the dimension's partial results all target the \
-           same cells"
-          name d dims.(d)
-          (Combine.name combine_ops.(d))
-      end
-    done;
-    if !breaking = [] then begin
-      let subspace =
-        Array.mapi (fun d n -> if Combine.collapses combine_ops.(d) then 1 else n) sizes
-      in
-      match Index_fn.injective_on fn subspace with
-      | Some true -> ()
-      | Some false -> (
-        match collision_witness fn subspace with
-        | Some (p1, p2, image) ->
-          (* name the first dimension on which the colliding points differ *)
-          let d =
-            let rec first i = if p1.(i) <> p2.(i) then i else first (i + 1) in
-            first 0
-          in
-          Diag.emit b ?span:(sp.buffer_span name) ~subject:name Diag.Error
-            "MDH015"
-            "output access of %S is not injective on the non-collapsed \
-             subspace: iteration points (%s) and (%s) — first differing in \
-             dimension %d (loop %S) — both write %s[%s]"
-            name (string_of_point dims p1) (string_of_point dims p2) d dims.(d)
-            name
-            (String.concat ", " (Array.to_list (Array.map string_of_int image)))
-        | None ->
-          Diag.emit b ?span:(sp.buffer_span name) ~subject:name Diag.Error
-            "MDH015"
-            "output access of %S is not injective on the non-collapsed \
-             subspace: combined results would overwrite each other"
-            name)
-      | None ->
-        Diag.emit b ?span:(sp.buffer_span name) ~subject:name Diag.Error
-          "MDH015" "could not prove injectivity of output access of %S" name
-    end
-
-let shape_pass b sp ~what name ~declared ~sizes accesses =
-  let emit code fmt =
-    Diag.emit b ?span:(sp.buffer_span name) ~subject:name Diag.Error code fmt
-  in
-  let opaque = List.exists (fun (_, fn) -> not (Index_fn.is_affine fn)) accesses in
-  if opaque then begin
-    if declared = None then
-      emit "MDH014"
-        "%s buffer %S has a non-affine access; its size cannot be inferred \
-         and must be declared"
-        what name
-  end
-  else begin
-    let ranks = List.map (fun (_, fn) -> Index_fn.out_rank fn) accesses in
-    match ranks with
-    | [] ->
-      if declared = None then
-        emit "MDH013" "%s buffer %S is never accessed" what name
-    | r0 :: rest when List.for_all (( = ) r0) rest ->
-      let mins = List.map (fun (_, fn) -> Index_fn.min_index fn sizes) accesses in
-      let maxs = List.map (fun (_, fn) -> Index_fn.max_index fn sizes) accesses in
-      if List.exists (Array.exists (fun x -> x < 0)) mins then
-        emit "MDH013" "%s buffer %S is accessed at negative indices" what name
-      else begin
-        let inferred = Array.make r0 0 in
-        List.iter
-          (Array.iteri (fun d m -> if m + 1 > inferred.(d) then inferred.(d) <- m + 1))
-          maxs;
-        match declared with
-        | None -> ()
-        | Some shape ->
-          if Array.length shape <> r0 then
-            emit "MDH013" "%s buffer %S declared with rank %d but accessed with rank %d"
-              what name (Array.length shape) r0
-          else if Array.exists2 (fun s i -> s < i) shape inferred then
-            emit "MDH013" "%s buffer %S declared as %s but accesses reach %s" what
-              name
-              (Mdh_tensor.Shape.to_string shape)
-              (Mdh_tensor.Shape.to_string inferred)
-      end
-    | _ -> emit "MDH013" "%s buffer %S accessed with inconsistent ranks" what name
-  end
-
-let shapes_pass b sp (dir : D.t) loops stmts =
-  let dims = Array.of_list (List.map fst loops) in
-  let sizes = Array.of_list (List.map snd loops) in
-  let combine_ops = Array.of_list dir.D.combine_ops in
-  let lets_before i =
-    List.filteri (fun j _ -> j < i) stmts
-    |> List.filter_map (function
-         | D.Let_stmt (n, e) -> Some (n, e)
-         | D.Assign _ -> None)
-  in
-  let assigned =
-    List.mapi (fun i stmt -> (i, stmt)) stmts
-    |> List.filter_map (function
-         | i, D.Assign { target; indices; value } ->
-           find_decl dir.D.outs target
-           |> Option.map (fun decl ->
-                  ( target,
-                    ( decl,
-                      List.map (fold_lets_if_needed (lets_before i)) indices,
-                      fold_lets_if_needed (lets_before i) value ) ))
-         | _, D.Let_stmt _ -> None)
-  in
-  List.iter
-    (fun (name, ((decl : D.buffer_decl), indices, _value)) ->
-      let fn = Ea.index_fn_of_exprs ~dims indices in
-      let before = Diag.error_count (Diag.contents b) in
-      shape_pass b sp ~what:"output" name ~declared:decl.D.buf_shape ~sizes
-        [ (indices, fn) ];
-      if Diag.error_count (Diag.contents b) = before then
-        out_view_pass b sp ~dims ~sizes ~combine_ops name fn)
-    assigned;
-  List.iter
-    (fun (decl : D.buffer_decl) ->
-      let name = decl.D.buf_name in
-      let accesses = ref [] in
-      List.iter
-        (fun (_, (_, _, value)) ->
-          Expr.iter_reads value (fun buf idxs ->
-              if String.equal buf name && not (List.mem idxs !accesses) then
-                accesses := idxs :: !accesses))
-        assigned;
-      let accesses =
-        List.rev_map (fun idxs -> (idxs, Ea.index_fn_of_exprs ~dims idxs)) !accesses
-      in
-      shape_pass b sp ~what:"input" name ~declared:decl.D.buf_shape ~sizes accesses)
-    dir.D.inps
 
 (* --- pass 5: combine-operator property verification (MDH020-023, 112) -- *)
 
@@ -544,7 +119,7 @@ let lint_pass b sp (elab : Validate.elab) =
   Array.iteri
     (fun d var ->
       if elab.Validate.el_sizes.(d) = 1 then
-        Diag.emit b ?span:(sp.loop_span var) ~subject:var Diag.Hint "MDH110"
+        Diag.emit b ?span:(sp.loop_span d) ~subject:var Diag.Hint "MDH110"
           "loop %S has extent 1: the dimension is degenerate and could be \
            dropped from the nest"
           var)
@@ -594,45 +169,40 @@ let lint_pass b sp (elab : Validate.elab) =
    parallelism with the plan the lowering actually picks on each modelled
    device; a large gap means reduction parallelisation carries the
    workload. *)
-let plan_pass b sp (dir : D.t) =
-  match Mdh_directive.Transform.to_md_hom dir with
-  | Error _ -> ()
-  | Ok md ->
-    let hint_for dev =
-      let full = Mdh_lowering.Lower.mdh_default md dev in
-      let cc_only =
-        { full with
-          Schedule.parallel_dims =
-            List.filter
-              (fun d -> not (Combine.is_reduction md.Mdh_core.Md_hom.combine_ops.(d)))
-              full.Schedule.parallel_dims }
-      in
-      match
-        ( Mdh_lowering.Plan_cache.build md dev full,
-          Mdh_lowering.Plan_cache.build md dev cc_only )
-      with
-      | Ok fp, Ok cp ->
-        let fpar = Mdh_lowering.Plan.parallelism fp in
-        let cpar = Mdh_lowering.Plan.parallelism cp in
-        if fpar >= 4 * max 1 cpar then
-          Option.map
-            (fun (td, _, _) -> (dev, td, fpar, cpar))
-            (Mdh_lowering.Plan.tree fp)
-        else None
-      | _ -> None
+let plan_pass b sp (md : Mdh_core.Md_hom.t) =
+  let hint_for dev =
+    let full = Mdh_lowering.Lower.mdh_default md dev in
+    let cc_only =
+      { full with
+        Schedule.parallel_dims =
+          List.filter
+            (fun d -> not (Combine.is_reduction md.Mdh_core.Md_hom.combine_ops.(d)))
+            full.Schedule.parallel_dims }
     in
-    (match
-       List.find_map hint_for [ Device.xeon6140_like; Device.a100_like ]
-     with
-    | Some (dev, td, fpar, cpar) ->
-      let dims = md.Mdh_core.Md_hom.dims in
-      Diag.emit b ?span:(sp.op_span td) ~subject:dims.(td) Diag.Hint "MDH113"
-        "parallelising only the concatenation dimensions achieves %d-way \
-         parallelism on %s, but the plan reaches %d-way by tree-reducing \
-         loop %S: a directive-level [parallel for] annotation would leave \
-         the device underused"
-        cpar dev.Device.device_name fpar dims.(td)
-    | None -> ())
+    match
+      ( Mdh_lowering.Plan_cache.build md dev full,
+        Mdh_lowering.Plan_cache.build md dev cc_only )
+    with
+    | Ok fp, Ok cp ->
+      let fpar = Mdh_lowering.Plan.parallelism fp in
+      let cpar = Mdh_lowering.Plan.parallelism cp in
+      if fpar >= 4 * max 1 cpar then
+        Option.map
+          (fun (td, _, _) -> (dev, td, fpar, cpar))
+          (Mdh_lowering.Plan.tree fp)
+      else None
+    | _ -> None
+  in
+  match List.find_map hint_for [ Device.xeon6140_like; Device.a100_like ] with
+  | Some (dev, td, fpar, cpar) ->
+    let dims = md.Mdh_core.Md_hom.dims in
+    Diag.emit b ?span:(sp.op_span td) ~subject:dims.(td) Diag.Hint "MDH113"
+      "parallelising only the concatenation dimensions achieves %d-way \
+       parallelism on %s, but the plan reaches %d-way by tree-reducing \
+       loop %S: a directive-level [parallel for] annotation would leave \
+       the device underused"
+      cpar dev.Device.device_name fpar dims.(td)
+  | None -> ()
 
 (* --- pass 8: verified-rewrite hints (MDH120-121) -------------------------
 
@@ -650,93 +220,72 @@ let rewrite_rules applied =
       else acc @ [ a.Mdh_rewrite.Rewrite.ap_rule ])
     [] applied
 
-let rewrite_pass b sp ~verify_ops (dir : D.t) =
-  match Mdh_directive.Transform.to_md_hom dir with
-  | Error _ -> ()
-  | Ok md ->
-    let module Rw = Mdh_rewrite.Rewrite in
-    let module Md_hom = Mdh_core.Md_hom in
-    List.iter
-      (fun (o : Md_hom.output) ->
-        let value', applied = Rw.saturate_expr ~site:o.Md_hom.out_name o.Md_hom.value in
-        if applied <> [] then
-          Diag.emit b
-            ?span:(sp.buffer_span o.Md_hom.out_name)
-            ~subject:o.Md_hom.out_name Diag.Hint "MDH120"
-            "the body of %S admits %d verified rewrite%s (%s) reducing its \
-             modelled flops from %d to %d: `mdhc optimize` applies them"
-            o.Md_hom.out_name (List.length applied)
-            (if List.length applied = 1 then "" else "s")
-            (String.concat ", " (rewrite_rules applied))
-            (Ea.flops o.Md_hom.value) (Ea.flops value'))
-      md.Md_hom.outputs;
-    let oracle =
-      if verify_ops then Opcheck_oracle.oracle () else Rw.pure_oracle
-    in
-    let hint_for dev =
-      let sched = Mdh_lowering.Lower.mdh_default md dev in
-      match Mdh_lowering.Plan_cache.build md dev sched with
-      | Error _ -> None
-      | Ok plan -> (
-        match Rw.saturate_plan ~oracle md dev Mdh_lowering.Cost.tuned_codegen plan with
-        | _, [] -> None
-        | _, applied -> Some (dev, applied))
-    in
-    (match List.find_map hint_for [ Device.xeon6140_like; Device.a100_like ] with
-    | Some (dev, applied) ->
-      Diag.emit b ?span:sp.pragma_span Diag.Hint "MDH121"
-        "the default plan for %s admits %d structural rewrite%s (%s): `mdhc \
-         optimize` applies them and reports the cost-model delta"
-        dev.Device.device_name (List.length applied)
-        (if List.length applied = 1 then "" else "s")
-        (String.concat ", " (rewrite_rules applied))
-    | None -> ())
+let rewrite_pass b sp ~verify_ops (md : Mdh_core.Md_hom.t) =
+  let module Rw = Mdh_rewrite.Rewrite in
+  let module Md_hom = Mdh_core.Md_hom in
+  List.iter
+    (fun (o : Md_hom.output) ->
+      let value', applied = Rw.saturate_expr ~site:o.Md_hom.out_name o.Md_hom.value in
+      if applied <> [] then
+        Diag.emit b
+          ?span:(sp.buffer_span o.Md_hom.out_name)
+          ~subject:o.Md_hom.out_name Diag.Hint "MDH120"
+          "the body of %S admits %d verified rewrite%s (%s) reducing its \
+           modelled flops from %d to %d: `mdhc optimize` applies them"
+          o.Md_hom.out_name (List.length applied)
+          (if List.length applied = 1 then "" else "s")
+          (String.concat ", " (rewrite_rules applied))
+          (Ea.flops o.Md_hom.value) (Ea.flops value'))
+    md.Md_hom.outputs;
+  let oracle =
+    if verify_ops then Opcheck_oracle.oracle () else Rw.pure_oracle
+  in
+  let hint_for dev =
+    let sched = Mdh_lowering.Lower.mdh_default md dev in
+    match Mdh_lowering.Plan_cache.build md dev sched with
+    | Error _ -> None
+    | Ok plan -> (
+      match Rw.saturate_plan ~oracle md dev Mdh_lowering.Cost.tuned_codegen plan with
+      | _, [] -> None
+      | _, applied -> Some (dev, applied))
+  in
+  match List.find_map hint_for [ Device.xeon6140_like; Device.a100_like ] with
+  | Some (dev, applied) ->
+    Diag.emit b ?span:sp.pragma_span Diag.Hint "MDH121"
+      "the default plan for %s admits %d structural rewrite%s (%s): `mdhc \
+       optimize` applies them and reports the cost-model delta"
+      dev.Device.device_name (List.length applied)
+      (if List.length applied = 1 then "" else "s")
+      (String.concat ", " (rewrite_rules applied))
+  | None -> ()
 
 (* --- driver ------------------------------------------------------------- *)
 
-let of_validate_error sp (e : Validate.error) =
-  let subject = Validate.error_subject e.Validate.kind in
-  let span =
-    match subject with
-    | Some s -> (
-      match sp.loop_span s with Some sp' -> Some sp' | None -> sp.buffer_span s)
-    | None -> sp.pragma_span
-  in
-  { Diag.code = Validate.error_code e.Validate.kind;
-    severity = Diag.Error;
-    span;
-    subject;
-    message = e.Validate.message }
+let span_of_site sp = function
+  | Validate.Nest -> sp.pragma_span
+  | Loop i -> sp.loop_span i
+  | Combine_ops -> sp.op_span 0
+  | Buffer name -> sp.buffer_span name
+  | Stmt i -> sp.stmt_span i
 
 let directive ?spans ?(verify_ops = true) (dir : D.t) =
   Metrics.incr c_directives;
   let sp = match spans with Some s -> span_env_of s | None -> no_spans in
   let b = Diag.create () in
-  let perfect = structure_pass b sp dir in
-  decl_pass b sp dir;
-  if perfect then begin
-    let loops = D.loops dir in
-    let stmts = D.stmts dir in
-    body_pass b sp dir loops stmts;
-    if Diag.error_count (Diag.contents b) = 0 then
-      shapes_pass b sp dir loops stmts
-  end;
-  match Validate.elaborate dir with
+  (match Validate.elaborate dir with
+  | Error errors ->
+    List.iter
+      (fun (e : Validate.error) ->
+        Diag.emit b ?span:(span_of_site sp e.site) ?subject:e.subject Diag.Error
+          (Validate.error_code e.kind) "%s" e.message)
+      errors
   | Ok elab ->
+    let md = Mdh_directive.Transform.of_elab ~name:dir.D.dir_name elab in
     if verify_ops then opcheck_pass b sp elab;
     lint_pass b sp elab;
-    plan_pass b sp dir;
-    rewrite_pass b sp ~verify_ops dir;
-    Diag.contents b
-  | Error e -> (
-    (* the analyzer's passes mirror Validate's checks, so its first error
-       should agree with the fail-fast validator; if a pass missed the
-       problem, surface Validate's own error first rather than under-report *)
-    let ds = Diag.contents b in
-    let code = Validate.error_code e.Validate.kind in
-    match List.find_opt (fun d -> d.Diag.severity = Diag.Error) ds with
-    | Some first when String.equal first.Diag.code code -> ds
-    | _ -> of_validate_error sp e :: ds)
+    plan_pass b sp md;
+    rewrite_pass b sp ~verify_ops md);
+  Diag.contents b
 
 let pragma ?name ?(params = []) ?verify_ops src =
   match Lexer.tokenize src with

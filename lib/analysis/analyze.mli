@@ -1,23 +1,14 @@
 (** The multi-pass static analyzer behind [mdhc check].
 
-    Where [Mdh_directive.Validate] is fail-fast — the first violation wins,
-    which is what [Transform.to_md_hom] needs — this module runs the same
-    checks as accumulating passes and keeps going, so one invocation reports
-    every problem it can see. The pass order mirrors [Validate.elaborate]'s
-    check order, which makes the first error-severity diagnostic agree with
-    [Validate.check]'s verdict (the suite's fuzz harness cross-checks this
-    on random directives):
+    The directive rules MDH001–MDH015 live in one place,
+    [Mdh_directive.Validate.elaborate], which returns every violation
+    (structure, declarations, the body statement by statement, then shapes
+    and output views). This module elaborates once and turns each of those
+    errors into a diagnostic, resolving its site to a clause span; its first
+    error-severity diagnostic is therefore [Validate.run]'s error. On a
+    valid directive it then runs its own passes over the one elaboration
+    and its [Md_hom]:
 
-    + structure — perfect nest, loop variables, extents, combine_ops arity,
-      pw/ps mixing (MDH001–MDH005);
-    + declarations — duplicate buffers (MDH006);
-    + body — purity, assignment discipline, typing, one diagnostic per
-      offending statement (MDH007–MDH012);
-    + shapes and output views — run only on otherwise-clean directives,
-      mirroring the state in which [Validate] reaches them; the out-view
-      pass names every breaking dimension and exhibits a concrete pair of
-      colliding iteration points when an output access is not injective
-      (MDH013–MDH015);
     + combine-operator verification ({!Opcheck}) — falsified declarations
       are errors (MDH020–MDH022), operators that raise on samples are
       warnings (MDH023), verified-but-undeclared properties are hints
@@ -25,7 +16,9 @@
     + semantic lints on the elaborated directive — unused inputs (MDH101),
       schedule pre-checks shared with [Mdh_lowering.Schedule]
       (MDH102/MDH103), degenerate extent-1 dimensions (MDH110), and
-      stride/locality interchange hints (MDH111).
+      stride/locality interchange hints (MDH111);
+    + plan-level lints (MDH113) and verified-rewrite hints (MDH120/MDH121)
+      on the default lowering.
 
     When the directive came from the pragma frontend, pass the parser's
     clause {!Mdh_pragma.Parser.spans} so diagnostics point at the offending

@@ -9,7 +9,7 @@
     combine-operator the finding is about), and a message.
 
     Severity policy (see docs/DIAGNOSTICS.md):
-    - [Error]: the directive is rejected — [Validate.check] fails, or a
+    - [Error]: the directive is rejected — [Validate.run] fails, or a
       combine operator's declared algebraic property was falsified.
       Errors always fail [mdhc check].
     - [Warning]: the directive is accepted but something will bite later

@@ -7,8 +7,12 @@
     function and the [combine_ops] clause. The result feeds the existing
     MDH pipeline (lowering, auto-tuning, execution). *)
 
+val of_elab : name:string -> Validate.elab -> Mdh_core.Md_hom.t
+(** The [md_hom] named [name] for an elaborated directive. *)
+
 val to_md_hom : Directive.t -> (Mdh_core.Md_hom.t, Validate.error) result
-(** Validates and transforms; errors are validation errors. *)
+(** Validates and transforms; on failure, the first violation
+    [Validate.elaborate] reports. *)
 
 val to_md_hom_exn : Directive.t -> Mdh_core.Md_hom.t
 (** Raises [Invalid_argument] with the rendered validation error. *)

@@ -23,12 +23,17 @@ type error_kind =
   | Opaque_access_needs_shape of string
   | Invalid_out_view of string
 
-type error = { kind : error_kind; message : string }
+type site = Nest | Loop of int | Combine_ops | Buffer of string | Stmt of int
+
+type error = {
+  kind : error_kind;
+  message : string;
+  subject : string option;
+  site : site;
+}
 
 let pp_error ppf { message; _ } = Format.fprintf ppf "directive error: %s" message
 let error_to_string e = Format.asprintf "%a" pp_error e
-
-let fail kind fmt = Format.kasprintf (fun message -> Error { kind; message }) fmt
 
 type eout = {
   eo_name : string;
@@ -54,51 +59,86 @@ type elab = {
   el_inps : einp list;
 }
 
+(* Violations accumulate in a sink, newest first. [reject] also returns
+   [Error ()], so a check that stops at its first violation can bind it. *)
+let record sink ?subject site kind message =
+  sink := { kind; message; subject; site } :: !sink
+
+let report sink ?subject site kind fmt =
+  Format.kasprintf (record sink ?subject site kind) fmt
+
+let reject sink ?subject site kind fmt =
+  Format.kasprintf
+    (fun message ->
+      record sink ?subject site kind message;
+      Error ())
+    fmt
+
 let ( let* ) = Result.bind
 
-(* --- loop-nest extraction --- *)
+let rec all_ok f = function
+  | [] -> Ok ()
+  | x :: rest ->
+    let* () = f x in
+    all_ok f rest
 
-let extract_loops nest =
-  let rec go acc = function
-    | Directive.For { var; extent; body } -> go ((var, extent) :: acc) body
-    | Body stmts -> Ok (List.rev acc, stmts)
-    | Seq _ ->
-      fail Imperfect_nest
-        "the loop nest is not perfect: statements or multiple loops at the same level"
+(* positions and names of the first occurrence of every name that recurs *)
+let first_duplicates names =
+  let rec go i seen = function
+    | [] -> []
+    | n :: rest ->
+      let dup = (not (List.mem n seen)) && List.mem n rest in
+      (if dup then [ (i, n) ] else []) @ go (i + 1) (n :: seen) rest
   in
-  go [] nest
+  go 0 [] names
 
-let check_loops loops =
-  let rec distinct = function
-    | [] -> Ok ()
-    | (var, _) :: rest ->
-      if List.mem_assoc var rest then
-        fail (Duplicate_loop_var var) "loop variable %S bound twice" var
-      else distinct rest
-  in
-  let* () = distinct loops in
-  let rec positive = function
-    | [] -> Ok ()
-    | (var, extent) :: rest ->
+(* --- pass 1: loop-nest structure (MDH001-MDH005) --- *)
+
+let rec is_perfect = function
+  | Directive.For { body; _ } -> is_perfect body
+  | Body _ -> true
+  | Seq _ -> false
+
+let check_structure sink (dir : Directive.t) ~perfect loops =
+  if not perfect then
+    report sink Nest Imperfect_nest
+      "the loop nest is not perfect: statements or multiple loops at the same level";
+  List.iter
+    (fun (i, var) ->
+      report sink ~subject:var (Loop i) (Duplicate_loop_var var)
+        "loop variable %S bound twice" var)
+    (first_duplicates (List.map fst loops));
+  List.iteri
+    (fun i (var, extent) ->
       if extent <= 0 then
-        fail (Nonpositive_extent var) "loop %S has non-positive extent %d" var extent
-      else positive rest
-  in
-  positive loops
+        report sink ~subject:var (Loop i) (Nonpositive_extent var)
+          "loop %S has non-positive extent %d" var extent)
+    loops;
+  let dims = List.length loops and ops = List.length dir.combine_ops in
+  if perfect && dims <> ops then
+    report sink Combine_ops (Combine_op_arity { dims; ops })
+      "combine_ops has %d entries but the loop nest has depth %d" ops dims;
+  let has pred = List.exists pred dir.combine_ops in
+  if
+    has (function Combine.Pw _ -> true | _ -> false)
+    && has (function Combine.Ps _ -> true | _ -> false)
+  then
+    report sink Combine_ops Mixed_reduction_kinds
+      "pw and ps combine operators cannot be mixed in one computation: their \
+       nesting does not satisfy the interchange law the MDH decomposition relies \
+       on"
 
-(* --- buffer declarations --- *)
+(* --- pass 2: buffer declarations (MDH006) --- *)
 
-let check_decl_names (dir : Directive.t) =
-  let rec distinct seen = function
-    | [] -> Ok ()
-    | (d : Directive.buffer_decl) :: rest ->
-      if List.mem d.buf_name seen then
-        fail (Duplicate_buffer d.buf_name) "buffer %S declared twice" d.buf_name
-      else distinct (d.buf_name :: seen) rest
-  in
-  distinct [] (dir.outs @ dir.inps)
+let check_decls sink (dir : Directive.t) =
+  List.iter
+    (fun (_, name) ->
+      report sink ~subject:name (Buffer name) (Duplicate_buffer name)
+        "buffer %S declared twice" name)
+    (first_duplicates
+       (List.map (fun (d : Directive.buffer_decl) -> d.buf_name) (dir.outs @ dir.inps)))
 
-(* --- body walk: purity, assignment discipline, typing --- *)
+(* --- pass 3: body discipline and typing (MDH007-MDH012) --- *)
 
 let fold_lets lets value =
   List.fold_right (fun (name, e) acc -> Expr.Let (name, e, acc)) lets value
@@ -122,135 +162,139 @@ let fold_lets_if_needed lets value =
 let find_decl decls name =
   List.find_opt (fun (d : Directive.buffer_decl) -> String.equal d.buf_name name) decls
 
-let check_reads (dir : Directive.t) e =
+(* the first buffer [e] reads that is an output or undeclared *)
+let bad_read (dir : Directive.t) e =
   let bad = ref None in
   Expr.iter_reads e (fun buf _ ->
-      if !bad = None then
-        if find_decl dir.outs buf <> None then
-          bad := Some { kind = Read_of_output buf;
-                        message =
-                          Printf.sprintf
-                            "output buffer %S is read in the body: the scalar function \
-                             must be reduction-free (use `=`, not `+=`; reductions are \
-                             expressed by combine_ops)"
-                            buf }
-        else if find_decl dir.inps buf = None then
-          bad := Some { kind = Unknown_buffer buf;
-                        message = Printf.sprintf "read of undeclared buffer %S" buf });
-  match !bad with Some e -> Error e | None -> Ok ()
+      if !bad = None && (find_decl dir.outs buf <> None || find_decl dir.inps buf = None)
+      then bad := Some buf);
+  !bad
 
-let typecheck_env (dir : Directive.t) loops =
-  { Typecheck.iter_vars = List.map fst loops;
-    buffer_ty =
-      (fun name ->
-        match find_decl dir.inps name with
-        | Some d -> Some d.buf_ty
-        | None -> None) }
-
-let walk_body (dir : Directive.t) loops stmts =
-  let env = typecheck_env dir loops in
-  let typecheck wrapped =
-    match Typecheck.infer env wrapped with
-    | Ok ty -> Ok ty
-    | Error e ->
-      let msg = Format.asprintf "%a" Typecheck.pp_error e in
-      fail (Type_error msg) "%s" msg
+(* Statement by statement: within a statement the first failing check wins,
+   but the walk goes on with the next one. Returns every assignment to a
+   declared output, with the preceding lets folded into its indices and
+   value — recorded even when a later check fails, so one broken assignment
+   does not cascade into MDH010/MDH011 noise. *)
+let check_body sink (dir : Directive.t) loops stmts =
+  let env =
+    { Typecheck.iter_vars = List.map fst loops;
+      buffer_ty =
+        (fun name ->
+          Option.map (fun (d : Directive.buffer_decl) -> d.buf_ty) (find_decl dir.inps name)) }
   in
-  let rec go lets assigned = function
-    | [] -> Ok (List.rev assigned)
-    | Directive.Let_stmt (name, e) :: rest ->
-      let wrapped = fold_lets (List.rev lets) e in
-      let* () = check_reads dir wrapped in
-      let* _ty = typecheck wrapped in
-      go ((name, e) :: lets) assigned rest
-    | Assign { target; indices; value } :: rest ->
-      let* decl =
-        match find_decl dir.outs target with
-        | Some d -> Ok d
-        | None ->
-          if find_decl dir.inps target <> None then
-            fail (Assign_to_input target) "assignment to input buffer %S" target
-          else fail (Unknown_buffer target) "assignment to undeclared buffer %S" target
-      in
-      let* () =
-        if List.mem_assoc target assigned then
-          fail (Multiple_assignment target)
-            "output buffer %S assigned more than once per iteration point" target
-        else Ok ()
-      in
-      let wrapped_value = fold_lets_if_needed (List.rev lets) value in
-      let wrapped_indices = List.map (fold_lets_if_needed (List.rev lets)) indices in
-      let* () = check_reads dir wrapped_value in
-      let* () =
-        Mdh_support.Util.list_result_all (List.map (check_reads dir) wrapped_indices)
-        |> Result.map ignore
-      in
-      let* vty = typecheck wrapped_value in
-      let* () =
-        if Scalar.equal_ty vty decl.buf_ty then Ok ()
-        else
-          fail
-            (Type_error
-               (Printf.sprintf "assignment to %S: value type mismatch" target))
-            "assignment to %S has type %s, buffer has type %s" target
-            (Scalar.ty_to_string vty) (Scalar.ty_to_string decl.buf_ty)
-      in
-      let* () =
-        let rec all_integral = function
-          | [] -> Ok ()
-          | ie :: more -> (
-            let* ity = typecheck ie in
-            match ity with
-            | Scalar.Int32 | Int64 -> all_integral more
-            | _ ->
-              fail (Type_error "non-integral index")
-                "index expression `%s` of %S has non-integral type %s" (Expr.to_string ie)
-                target (Scalar.ty_to_string ity))
-        in
-        all_integral wrapped_indices
-      in
-      go lets ((target, (decl, wrapped_indices, wrapped_value)) :: assigned) rest
+  let assigned_to target =
+    List.exists (fun ((d : Directive.buffer_decl), _, _) -> String.equal d.buf_name target)
   in
-  let* assigned = go [] [] stmts in
-  let* () =
-    let rec all_assigned = function
-      | [] -> Ok ()
-      | (d : Directive.buffer_decl) :: rest ->
-        if List.mem_assoc d.buf_name assigned then all_assigned rest
-        else
-          fail (Missing_assignment d.buf_name) "output buffer %S is never assigned"
-            d.buf_name
+  let walk (i, lets, assigned) stmt =
+    let reject ?subject kind fmt = reject sink ?subject (Stmt i) kind fmt in
+    let check_reads e =
+      match bad_read dir e with
+      | None -> Ok ()
+      | Some buf when find_decl dir.outs buf <> None ->
+        reject ~subject:buf (Read_of_output buf)
+          "output buffer %S is read in the body: the scalar function must be \
+           reduction-free (use `=`, not `+=`; reductions are expressed by combine_ops)"
+          buf
+      | Some buf -> reject ~subject:buf (Unknown_buffer buf) "read of undeclared buffer %S" buf
     in
-    all_assigned dir.outs
+    let typecheck e =
+      match Typecheck.infer env e with
+      | Ok ty -> Ok ty
+      | Error err ->
+        let msg = Format.asprintf "%a" Typecheck.pp_error err in
+        reject (Type_error msg) "%s" msg
+    in
+    (* a failed check has already recorded its violation: [ignore] drops
+       only the [Error ()] that stopped this statement *)
+    match stmt with
+    | Directive.Let_stmt (name, e) ->
+      ignore
+        (let wrapped = fold_lets lets e in
+         let* () = check_reads wrapped in
+         typecheck wrapped);
+      (i + 1, lets @ [ (name, e) ], assigned)
+    | Assign { target; indices; value } ->
+      let decl = find_decl dir.outs target in
+      let value = fold_lets_if_needed lets value in
+      let indices = List.map (fold_lets_if_needed lets) indices in
+      ignore
+        (let* (decl : Directive.buffer_decl) =
+           match decl with
+           | Some d -> Ok d
+           | None when find_decl dir.inps target <> None ->
+             reject ~subject:target (Assign_to_input target)
+               "assignment to input buffer %S" target
+           | None ->
+             reject ~subject:target (Unknown_buffer target)
+               "assignment to undeclared buffer %S" target
+         in
+         let* () =
+           if assigned_to target assigned then
+             reject ~subject:target (Multiple_assignment target)
+               "output buffer %S assigned more than once per iteration point" target
+           else Ok ()
+         in
+         let* () = check_reads value in
+         let* () = all_ok check_reads indices in
+         let* vty = typecheck value in
+         let* () =
+           if Scalar.equal_ty vty decl.buf_ty then Ok ()
+           else
+             reject ~subject:target
+               (Type_error (Printf.sprintf "assignment to %S: value type mismatch" target))
+               "assignment to %S has type %s, buffer has type %s" target
+               (Scalar.ty_to_string vty) (Scalar.ty_to_string decl.buf_ty)
+         in
+         all_ok
+           (fun ie ->
+             let* ity = typecheck ie in
+             match ity with
+             | Scalar.Int32 | Int64 -> Ok ()
+             | _ ->
+               reject ~subject:target (Type_error "non-integral index")
+                 "index expression `%s` of %S has non-integral type %s"
+                 (Expr.to_string ie) target (Scalar.ty_to_string ity))
+           indices);
+      let assigned =
+        match decl with Some d -> assigned @ [ (d, indices, value) ] | None -> assigned
+      in
+      (i + 1, lets, assigned)
   in
-  Ok assigned
+  let _, _, assigned = List.fold_left walk (0, [], []) stmts in
+  List.iter
+    (fun (d : Directive.buffer_decl) ->
+      if not (assigned_to d.buf_name assigned) then
+        report sink ~subject:d.buf_name (Buffer d.buf_name) (Missing_assignment d.buf_name)
+          "output buffer %S is never assigned" d.buf_name)
+    dir.outs;
+  assigned
 
-(* --- shape inference and checking (footnote 7) --- *)
+(* --- pass 4: shape inference (footnote 7) and the out-view discipline
+   (MDH013-MDH015) --- *)
 
-let infer_shape ~what ~name ~declared ~sizes accesses =
+let infer_shape sink ~what ~name ~declared ~sizes accesses =
   (* [accesses]: (index exprs, index fn) pairs for one buffer *)
+  let reject kind fmt = reject sink ~subject:name (Buffer name) kind fmt in
   let opaque = List.exists (fun (_, fn) -> not (Index_fn.is_affine fn)) accesses in
   if opaque then
     match declared with
     | Some shape -> Ok shape
     | None ->
-      fail (Opaque_access_needs_shape name)
+      reject (Opaque_access_needs_shape name)
         "%s buffer %S has a non-affine access; its size cannot be inferred and must be \
          declared"
         what name
-  else begin
-    let ranks = List.map (fun (_, fn) -> Index_fn.out_rank fn) accesses in
-    match ranks with
+  else
+    match List.map (fun (_, fn) -> Index_fn.out_rank fn) accesses with
     | [] -> (
       match declared with
       | Some shape -> Ok shape
-      | None -> fail (Shape_error name) "%s buffer %S is never accessed" what name)
+      | None -> reject (Shape_error name) "%s buffer %S is never accessed" what name)
     | r0 :: rest when List.for_all (( = ) r0) rest ->
       let mins = List.map (fun (_, fn) -> Index_fn.min_index fn sizes) accesses in
       let maxs = List.map (fun (_, fn) -> Index_fn.max_index fn sizes) accesses in
-      let neg = List.exists (Array.exists (fun x -> x < 0)) mins in
-      if neg then
-        fail (Shape_error name) "%s buffer %S is accessed at negative indices" what name
+      if List.exists (Array.exists (fun x -> x < 0)) mins then
+        reject (Shape_error name) "%s buffer %S is accessed at negative indices" what name
       else begin
         let inferred = Array.make r0 0 in
         List.iter
@@ -260,124 +304,161 @@ let infer_shape ~what ~name ~declared ~sizes accesses =
         | None -> Ok inferred
         | Some shape ->
           if Array.length shape <> r0 then
-            fail (Shape_error name)
+            reject (Shape_error name)
               "%s buffer %S declared with rank %d but accessed with rank %d" what name
               (Array.length shape) r0
           else if Array.exists2 (fun s i -> s < i) shape inferred then
-            fail (Shape_error name)
-              "%s buffer %S declared as %s but accesses reach %s" what name
-              (Shape.to_string shape) (Shape.to_string inferred)
+            reject (Shape_error name) "%s buffer %S declared as %s but accesses reach %s"
+              what name (Shape.to_string shape) (Shape.to_string inferred)
           else Ok shape
       end
-    | _ ->
-      fail (Shape_error name) "%s buffer %S accessed with inconsistent ranks" what name
-  end
+    | _ -> reject (Shape_error name) "%s buffer %S accessed with inconsistent ranks" what name
 
-(* --- output-view discipline --- *)
+let iter_points shape ~cap f =
+  (* visit up to [cap] points of [shape] in row-major order *)
+  let rank = Array.length shape in
+  let idx = Array.make rank 0 in
+  let n = min (Array.fold_left ( * ) 1 shape) cap in
+  let rec bump d =
+    if d >= 0 then begin
+      idx.(d) <- idx.(d) + 1;
+      if idx.(d) >= shape.(d) then begin
+        idx.(d) <- 0;
+        bump (d - 1)
+      end
+    end
+  in
+  for _ = 1 to n do
+    f (Array.copy idx);
+    bump (rank - 1)
+  done
 
-let check_out_view ~sizes ~combine_ops name fn =
+let collision_witness fn subspace =
+  let seen = Hashtbl.create 256 in
+  let witness = ref None in
+  iter_points subspace ~cap:4096 (fun pt ->
+      if !witness = None then begin
+        let image = Index_fn.apply fn pt in
+        match Hashtbl.find_opt seen image with
+        | Some prev -> witness := Some (prev, pt, image)
+        | None -> Hashtbl.add seen image pt
+      end);
+  !witness
+
+let string_of_point dims pt =
+  String.concat ", "
+    (Array.to_list (Array.mapi (fun d v -> Printf.sprintf "%s=%d" dims.(d) v) pt))
+
+(* Every dimension that breaks the discipline is reported; an access that is
+   not injective comes with a concrete pair of colliding iteration points. *)
+let check_out_view sink ~dims ~sizes ~combine_ops name fn =
+  let report fmt = report sink ~subject:name (Buffer name) (Invalid_out_view name) fmt in
   match fn with
-  | Index_fn.Opaque _ ->
-    fail (Invalid_out_view name) "output access of %S must be affine" name
-  | Index_fn.Affine _ ->
-    let rank = Array.length sizes in
-    let rec check_dims d =
-      if d = rank then Ok ()
-      else if
-        Combine.collapses combine_ops.(d)
-        && Index_fn.uses_dim fn d = Some true
-      then
-        fail (Invalid_out_view name)
-          "output access of %S depends on dimension %d, which is collapsed by %s" name d
-          (Combine.name combine_ops.(d))
-      else check_dims (d + 1)
+  | Index_fn.Opaque _ -> report "output access of %S must be affine" name
+  | Index_fn.Affine _ -> (
+    let breaking =
+      List.filter
+        (fun d -> Combine.collapses combine_ops.(d) && Index_fn.uses_dim fn d = Some true)
+        (List.init (Array.length sizes) Fun.id)
     in
-    let* () = check_dims 0 in
-    let subspace =
-      Array.mapi (fun d n -> if Combine.collapses combine_ops.(d) then 1 else n) sizes
-    in
-    (match Index_fn.injective_on fn subspace with
-    | Some true -> Ok ()
-    | Some false ->
-      fail (Invalid_out_view name)
-        "output access of %S is not injective on the non-collapsed subspace: combined \
-         results would overwrite each other"
-        name
-    | None ->
-      fail (Invalid_out_view name) "could not prove injectivity of output access of %S"
-        name)
+    List.iter
+      (fun d ->
+        report
+          "output access of %S depends on dimension %d (loop %S), which is collapsed by \
+           %s: the dimension's partial results all target the same cells"
+          name d dims.(d) (Combine.name combine_ops.(d)))
+      breaking;
+    if breaking = [] then
+      let subspace =
+        Array.mapi (fun d n -> if Combine.collapses combine_ops.(d) then 1 else n) sizes
+      in
+      match Index_fn.injective_on fn subspace with
+      | Some true -> ()
+      | Some false -> (
+        match collision_witness fn subspace with
+        | Some (p1, p2, image) ->
+          (* name the first dimension on which the colliding points differ *)
+          let d =
+            let rec first i = if p1.(i) <> p2.(i) then i else first (i + 1) in
+            first 0
+          in
+          report
+            "output access of %S is not injective on the non-collapsed subspace: \
+             iteration points (%s) and (%s) — first differing in dimension %d (loop \
+             %S) — both write %s[%s]"
+            name (string_of_point dims p1) (string_of_point dims p2) d dims.(d) name
+            (String.concat ", " (Array.to_list (Array.map string_of_int image)))
+        | None ->
+          report
+            "output access of %S is not injective on the non-collapsed subspace: \
+             combined results would overwrite each other"
+            name)
+      | None -> report "could not prove injectivity of output access of %S" name)
 
 (* --- top level --- *)
 
 let elaborate (dir : Directive.t) =
-  let* loops, stmts = extract_loops dir.nest in
-  let* () = check_loops loops in
-  let dims = Array.of_list (List.map fst loops) in
-  let sizes = Array.of_list (List.map snd loops) in
-  let* () =
-    let dims_n = Array.length dims and ops_n = List.length dir.combine_ops in
-    if dims_n = ops_n then Ok ()
-    else
-      fail
-        (Combine_op_arity { dims = dims_n; ops = ops_n })
-        "combine_ops has %d entries but the loop nest has depth %d" ops_n dims_n
-  in
-  let combine_ops = Array.of_list dir.combine_ops in
-  let* () =
-    let has_pw = Array.exists (function Combine.Pw _ -> true | _ -> false) combine_ops in
-    let has_ps = Array.exists (function Combine.Ps _ -> true | _ -> false) combine_ops in
-    if has_pw && has_ps then
-      fail Mixed_reduction_kinds
-        "pw and ps combine operators cannot be mixed in one computation: their \
-         nesting does not satisfy the interchange law the MDH decomposition relies on"
-    else Ok ()
-  in
-  let* () = check_decl_names dir in
-  let* assigned = walk_body dir loops stmts in
-  (* outputs *)
-  let* outs =
-    Mdh_support.Util.list_result_all
-      (List.map
-         (fun (name, ((decl : Directive.buffer_decl), indices, value)) ->
-           let fn = Analysis.index_fn_of_exprs ~dims indices in
-           let* shape =
-             infer_shape ~what:"output" ~name ~declared:decl.buf_shape ~sizes
-               [ (indices, fn) ]
-           in
-           let* () = check_out_view ~sizes ~combine_ops name fn in
-           Ok { eo_name = name; eo_ty = decl.buf_ty; eo_shape = shape;
-                eo_indices = indices; eo_fn = fn; eo_value = value })
-         assigned)
-  in
-  (* inputs: distinct textual accesses over all assigned values *)
-  let* inps =
-    Mdh_support.Util.list_result_all
-      (List.map
-         (fun (decl : Directive.buffer_decl) ->
-           let name = decl.buf_name in
-           let accesses = ref [] in
-           List.iter
-             (fun (_, (_, _, value)) ->
-               Expr.iter_reads value (fun buf idxs ->
-                   if String.equal buf name && not (List.mem idxs !accesses) then
-                     accesses := idxs :: !accesses))
-             assigned;
-           let accesses =
-             List.rev_map (fun idxs -> (idxs, Analysis.index_fn_of_exprs ~dims idxs))
-               !accesses
-           in
-           let* shape =
-             infer_shape ~what:"input" ~name ~declared:decl.buf_shape ~sizes accesses
-           in
-           Ok { ei_name = name; ei_ty = decl.buf_ty; ei_shape = shape;
-                ei_accesses = accesses })
-         dir.inps)
-  in
-  Ok { el_dims = dims; el_sizes = sizes; el_combine_ops = combine_ops;
-       el_outs = outs; el_inps = inps }
+  let sink = ref [] in
+  let loops = Directive.loops dir in
+  let perfect = is_perfect dir.nest in
+  check_structure sink dir ~perfect loops;
+  check_decls sink dir;
+  let assigned = if perfect then check_body sink dir loops (Directive.stmts dir) else [] in
+  match !sink with
+  | _ :: _ -> Error (List.rev !sink)
+  | [] -> (
+    (* shapes and out-views are only meaningful on an otherwise clean directive *)
+    let dims = Array.of_list (List.map fst loops) in
+    let sizes = Array.of_list (List.map snd loops) in
+    let combine_ops = Array.of_list dir.combine_ops in
+    let outs =
+      List.filter_map
+        (fun ((decl : Directive.buffer_decl), indices, value) ->
+          let name = decl.buf_name in
+          let fn = Analysis.index_fn_of_exprs ~dims indices in
+          match
+            infer_shape sink ~what:"output" ~name ~declared:decl.buf_shape ~sizes
+              [ (indices, fn) ]
+          with
+          | Error () -> None
+          | Ok shape ->
+            check_out_view sink ~dims ~sizes ~combine_ops name fn;
+            Some { eo_name = name; eo_ty = decl.buf_ty; eo_shape = shape;
+                   eo_indices = indices; eo_fn = fn; eo_value = value })
+        assigned
+    in
+    (* inputs: distinct textual accesses over all assigned values *)
+    let inps =
+      List.filter_map
+        (fun (decl : Directive.buffer_decl) ->
+          let name = decl.buf_name in
+          let accesses = ref [] in
+          List.iter
+            (fun (_, _, value) ->
+              Expr.iter_reads value (fun buf idxs ->
+                  if String.equal buf name && not (List.mem idxs !accesses) then
+                    accesses := idxs :: !accesses))
+            assigned;
+          let accesses =
+            List.rev_map (fun idxs -> (idxs, Analysis.index_fn_of_exprs ~dims idxs))
+              !accesses
+          in
+          match
+            infer_shape sink ~what:"input" ~name ~declared:decl.buf_shape ~sizes accesses
+          with
+          | Error () -> None
+          | Ok shape ->
+            Some { ei_name = name; ei_ty = decl.buf_ty; ei_shape = shape;
+                   ei_accesses = accesses })
+        dir.inps
+    in
+    match List.rev !sink with
+    | [] ->
+      Ok { el_dims = dims; el_sizes = sizes; el_combine_ops = combine_ops;
+           el_outs = outs; el_inps = inps }
+    | errors -> Error errors)
 
-let run dir = Result.map ignore (elaborate dir)
-let check = run
+let run dir = Result.map ignore (elaborate dir) |> Result.map_error List.hd
 
 (* Stable diagnostic codes, shared with Mdh_analysis.Diagnostic.code_table —
    both sides are pinned by tests, so a mismatch fails the suite. *)
@@ -397,11 +478,3 @@ let error_code = function
   | Shape_error _ -> "MDH013"
   | Opaque_access_needs_shape _ -> "MDH014"
   | Invalid_out_view _ -> "MDH015"
-
-let error_subject = function
-  | Imperfect_nest | Mixed_reduction_kinds | Combine_op_arity _
-  | Type_error _ | Shape_error _ | Invalid_out_view _ -> None
-  | Duplicate_loop_var s | Nonpositive_extent s | Duplicate_buffer s
-  | Unknown_buffer s | Assign_to_input s | Read_of_output s
-  | Multiple_assignment s | Missing_assignment s
-  | Opaque_access_needs_shape s -> Some s

@@ -1,4 +1,8 @@
-(** Static validation and elaboration of MDH directives (Section 4.2).
+(** Static validation and elaboration of MDH directives (Section 4.2): the
+    one implementation of the directive rules MDH001–MDH015. The fail-fast
+    callers ({!run}, [Transform.to_md_hom]) and the accumulating analyzer
+    [Mdh_analysis.Analyze] both read the same error list, so they cannot
+    disagree.
 
     A directive is well-formed when:
     - the loop nest is perfect (no statements or sequencing between loops);
@@ -41,7 +45,23 @@ type error_kind =
   | Opaque_access_needs_shape of string
   | Invalid_out_view of string
 
-type error = { kind : error_kind; message : string }
+(** Where in the directive a violation sits; the analyzer resolves it to a
+    source span when the directive came from the pragma frontend. *)
+type site =
+  | Nest  (** the directive as a whole *)
+  | Loop of int  (** the i-th loop of the nest, outermost first *)
+  | Combine_ops  (** the [combine_ops] clause *)
+  | Buffer of string  (** the named buffer's (first) declaration *)
+  | Stmt of int  (** the i-th statement of the innermost body *)
+
+type error = {
+  kind : error_kind;
+  message : string;
+  subject : string option;
+      (** the buffer or loop variable the violation is about, when there is
+          one *)
+  site : site;
+}
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
@@ -75,21 +95,23 @@ type elab = {
   el_inps : einp list;
 }
 
-val elaborate : Directive.t -> (elab, error) result
-(** Full validation; the first violation (checked roughly in the order of
-    the list above) wins. *)
+val elaborate : Directive.t -> (elab, error list) result
+(** Full validation. On failure, every violation in pass order:
+    + structure — perfect nest, loop variables (one error per duplicated
+      variable, at its first occurrence), extents, [combine_ops] arity,
+      [pw]/[ps] mixing (MDH001–MDH005);
+    + declarations — one error per duplicated buffer (MDH006);
+    + the body, statement by statement — within a statement the first
+      failing check wins, then the walk continues (MDH007–MDH012);
+    + shapes and output views, only when nothing above failed — every
+      breaking dimension is named, and a non-injective output access comes
+      with a concrete pair of colliding iteration points (MDH013–MDH015).
+
+    The list is never empty. *)
 
 val run : Directive.t -> (unit, error) result
-
-val check : Directive.t -> (unit, error) result
-(** Alias of {!run}; the fail-fast counterpart of the accumulating analyzer
-    in [Mdh_analysis] — a directive passes [check] iff the analyzer reports
-    no error-severity diagnostic for codes MDH001–MDH015. *)
+(** Fail-fast validation: the first violation {!elaborate} reports. *)
 
 val error_code : error_kind -> string
 (** The stable diagnostic code ([MDH001]..[MDH015]) for an error kind, as
     listed in [Mdh_analysis.Diagnostic.code_table] and docs/DIAGNOSTICS.md. *)
-
-val error_subject : error_kind -> string option
-(** The buffer or loop-variable name the error is about, when it carries
-    one. *)

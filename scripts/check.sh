@@ -28,6 +28,12 @@
 #     second printer for daemon replies (both go through Mdh_serve.Op),
 #   - the cache-accounting pin fails: hit/miss counters under lib/ are
 #     registered only by Mdh_support.Memo (and the persistent tuning db),
+#   - the directive-rules pin fails: the codes MDH001-MDH015 are spelled
+#     out under lib/ only by Validate (the rules) and Diagnostic (the code
+#     table), so the rules cannot grow a second copy,
+#   - the diagnostics golden fails: `mdhc check` output over the catalogue,
+#     the test fixtures and the example pragmas must match
+#     scripts/check_diagnostics.golden,
 #   - the differential stage fails: the plan-compiled specializer and (when
 #     gcc is on PATH) the compiled OpenMP C must reproduce the reference
 #     interpreter's results; without gcc the C half prints an explicit SKIP
@@ -126,6 +132,18 @@ if [ -n "$cache_leaks" ]; then
     exit 1
 fi
 
+# directive-rules pin: Validate is the one implementation of MDH001-MDH015.
+# The analyzer turns its errors into diagnostics; it must not re-check the
+# rules itself, so no other module under lib/ names those codes.
+rule_leaks=$(grep -rnE --include='*.ml' '"MDH0(0[1-9]|1[0-5])"' lib \
+    | grep -vE '^lib/(directive/validate|analysis/diagnostic)\.ml:' || true)
+if [ -n "$rule_leaks" ]; then
+    echo "error: directive-rule codes MDH001-MDH015 outside Validate:" >&2
+    echo "$rule_leaks" | head -10 >&2
+    echo "(report the violation from Mdh_directive.Validate.elaborate instead)" >&2
+    exit 1
+fi
+
 chaos_dir=$(mktemp -d)
 mdhd_pid=
 # a failing stage exits with its daemon still up: stop it with the rest
@@ -139,6 +157,15 @@ dune exec bin/mdhc.exe -- plan --digest > "$chaos_dir/plan_digests.txt"
 diff -u scripts/plan_digests.golden "$chaos_dir/plan_digests.txt" || {
     echo "error: plan digests diverge from scripts/plan_digests.golden" >&2
     echo "(an intentional plan/schedule change must update the golden file)" >&2
+    exit 1; }
+
+# diagnostics golden: the diagnostics `mdhc check` prints (codes, spans,
+# messages, exit status) must match the committed file (regenerate
+# deliberately with: sh scripts/check_diagnostics.sh > scripts/check_diagnostics.golden)
+sh scripts/check_diagnostics.sh > "$chaos_dir/diagnostics.txt"
+diff -u scripts/check_diagnostics.golden "$chaos_dir/diagnostics.txt" || {
+    echo "error: mdhc check output diverges from scripts/check_diagnostics.golden" >&2
+    echo "(an intentional diagnostics change must update the golden file)" >&2
     exit 1; }
 
 # differential stage: execute what we generate. The specializer backend

@@ -38,7 +38,15 @@ let test_accumulation_ordering () =
       check Alcotest.bool
         (Printf.sprintf "%s has a span" d.Diag.code)
         true (d.Diag.span <> None))
-    (errors ds)
+    (errors ds);
+  (* both loops bind "i": MDH002 points at the first occurrence, MDH003 at
+     the zero-extent loop itself *)
+  check
+    (Alcotest.list (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int)))
+    "spans" [ Some (2, 1); Some (3, 3); Some (1, 63) ]
+    (List.map
+       (fun d -> Option.map (fun { Diag.line; col } -> (line, col)) d.Diag.span)
+       (errors ds))
 
 let test_first_error_matches_validate () =
   (* the analyzer's first error-severity code must agree with the fail-fast
@@ -75,7 +83,7 @@ let test_first_error_matches_validate () =
   in
   List.iter
     (fun dir ->
-      match Validate.check dir with
+      match Validate.run dir with
       | Ok () -> Alcotest.failf "case %s unexpectedly valid" dir.D.dir_name
       | Error e -> (
         let ds = Analyze.directive dir in
@@ -317,7 +325,7 @@ let test_directive_rejects_misdeclared_operator () =
                    (Expr.read "x" [ Expr.idx "k" ]) ])))
   in
   check Alcotest.bool "Validate accepts (it trusts declarations)" true
-    (Result.is_ok (Validate.check dir));
+    (Result.is_ok (Validate.run dir));
   let ds = Analyze.directive dir in
   check (Alcotest.list Alcotest.string) "MDH021 fires" [ "MDH021" ]
     (codes (errors ds));
@@ -450,14 +458,16 @@ let test_pragma_lex_and_parse_errors () =
 
 (* --- the hints fixture: one pragma firing every hint code with its span --- *)
 
-let test_hints_fixture_spans () =
+let fixture_diagnostics name =
   (* runtest runs in test/, `dune exec` in the workspace root: accept both *)
   let path =
-    if Sys.file_exists "fixtures/hints.mdh" then "fixtures/hints.mdh"
-    else "test/fixtures/hints.mdh"
+    if Sys.file_exists ("fixtures/" ^ name) then "fixtures/" ^ name
+    else "test/fixtures/" ^ name
   in
-  let src = In_channel.with_open_text path In_channel.input_all in
-  let ds = Analyze.pragma src in
+  Analyze.pragma (In_channel.with_open_text path In_channel.input_all)
+
+let test_hints_fixture_spans () =
+  let ds = fixture_diagnostics "hints.mdh" in
   check Alcotest.int "fixture errors" 0 (Diag.error_count ds);
   check Alcotest.int "fixture warnings" 0 (Diag.warning_count ds);
   check Alcotest.int "fixture hints" 6 (List.length ds);
@@ -476,6 +486,26 @@ let test_hints_fixture_spans () =
       ("MDH113", 1, 77);  (* 1-way cc vs 60-way tree reduction *)
       ("MDH120", 1, 17);  (* (a[k]+1)^2 CSE: flops 4 -> 3 *)
       ("MDH121", 1, 1) ]  (* int32 bor tree-balance 60 -> 32 *)
+
+(* --- the errors fixture: one statement per body error, each at its span --- *)
+
+let test_errors_fixture_spans () =
+  let ds = fixture_diagnostics "errors.mdh" in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.pair Alcotest.int Alcotest.int)))
+    "codes at their statements"
+    [ ("MDH012", (4, 5));   (* let s = v[k] && M[i, k] *)
+      ("MDH007", (5, 5));   (* ghost[i] = ... *)
+      ("MDH008", (6, 5));   (* M[i, k] = ... *)
+      ("MDH009", (7, 5));   (* y[i] = w[i] * ... *)
+      ("MDH010", (9, 5));   (* second w[i] = ... *)
+      ("MDH011", (1, 37)) ] (* z : fp32, never assigned *)
+    (List.map
+       (fun d ->
+         match d.Diag.span with
+         | Some { Diag.line; col } -> (d.Diag.code, (line, col))
+         | None -> (d.Diag.code, (0, 0)))
+       ds)
 
 (* --- whole-catalogue cleanliness (mirrors scripts/check.sh's gate) --- *)
 
@@ -523,4 +553,6 @@ let suite =
         test_pragma_lex_and_parse_errors;
       Alcotest.test_case "hints fixture spans pinned" `Quick
         test_hints_fixture_spans;
+      Alcotest.test_case "errors fixture spans pinned" `Quick
+        test_errors_fixture_spans;
       Alcotest.test_case "catalogue clean" `Quick test_catalogue_clean ] )

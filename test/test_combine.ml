@@ -180,9 +180,9 @@ let test_catalogue_ops_verified () =
     (fun (w : Mdh_workloads.Workload.t) ->
       let dir = w.make w.test_params in
       match Validate.elaborate dir with
-      | Error e ->
+      | Error errors ->
         Alcotest.failf "catalogue workload %s no longer validates: %s" w.wl_name
-          (Validate.error_to_string e)
+          (String.concat "; " (List.map Validate.error_to_string errors))
       | Ok elab ->
         let ty =
           match elab.Validate.el_outs with

@@ -215,7 +215,53 @@ let test_out_view_not_injective () =
       ~combine_ops:[ Combine.cc; Combine.cc ] nest
   in
   check Alcotest.bool "not injective" true
-    (kind_of dir = Some (Validate.Invalid_out_view "w"))
+    (kind_of dir = Some (Validate.Invalid_out_view "w"));
+  (* the fail-fast error carries the collision witness *)
+  let message = match Validate.run dir with Error e -> e.message | Ok () -> "" in
+  check Alcotest.bool "names the colliding points" true
+    (Test_util.contains message "iteration points (i=0, j=0) and (i=0, j=1)");
+  check Alcotest.bool "names the written cell" true
+    (Test_util.contains message "both write w[0]")
+
+let test_elaborate_reports_every_violation () =
+  (* test/fixtures/broken.mdh plus two assignments to undeclared buffers:
+     elaborate reports all five in pass order, run the first *)
+  let dir =
+    Directive.make ~name:"several"
+      ~out:[ Directive.buffer "w" Scalar.Fp32 ]
+      ~inp:[ Directive.buffer "M" Scalar.Fp32; Directive.buffer "v" Scalar.Fp32 ]
+      ~combine_ops:
+        [ Combine.cc; Combine.pw (Combine.add Scalar.Fp32);
+          Combine.pw (Combine.mul Scalar.Fp32) ]
+      (Directive.for_ "i" 4
+         (Directive.for_ "i" 0
+            (Directive.body
+               [ Directive.assign "w" [ Expr.idx "i" ]
+                   Expr.(read "M" [ idx "i"; idx "i" ] * read "v" [ idx "i" ]);
+                 Directive.assign "g1" [ Expr.idx "i" ] (Expr.f32 1.0);
+                 Directive.assign "g2" [ Expr.idx "i" ] (Expr.f32 2.0) ])))
+  in
+  let errors =
+    match Validate.elaborate dir with
+    | Ok _ -> Alcotest.fail "broken directive elaborated"
+    | Error errors -> errors
+  in
+  check Alcotest.bool "kinds in pass order" true
+    (List.map (fun (e : Validate.error) -> e.kind) errors
+    = [ Validate.Duplicate_loop_var "i"; Validate.Nonpositive_extent "i";
+        Validate.Combine_op_arity { dims = 2; ops = 3 };
+        Validate.Unknown_buffer "g1"; Validate.Unknown_buffer "g2" ]);
+  check Alcotest.bool "sites" true
+    (List.map (fun (e : Validate.error) -> e.site) errors
+    = [ Validate.Loop 0; Validate.Loop 1; Validate.Combine_ops; Validate.Stmt 1;
+        Validate.Stmt 2 ]);
+  check
+    (Alcotest.list (Alcotest.option Alcotest.string))
+    "subjects"
+    [ Some "i"; Some "i"; None; Some "g1"; Some "g2" ]
+    (List.map (fun (e : Validate.error) -> e.subject) errors);
+  check Alcotest.bool "run returns the first" true
+    (Validate.run dir = Error (List.hd errors))
 
 let test_let_bindings_supported () =
   let nest =
@@ -304,6 +350,8 @@ let suite =
       tc "opaque access needs shape" `Quick test_opaque_access_needs_shape;
       tc "out view uses collapsed dim" `Quick test_out_view_uses_collapsed_dim;
       tc "out view not injective" `Quick test_out_view_not_injective;
+      tc "elaborate reports every violation" `Quick
+        test_elaborate_reports_every_violation;
       tc "let bindings" `Quick test_let_bindings_supported;
       tc "transform views" `Quick test_transform_views;
       tc "transform dedupes accesses" `Quick test_transform_dedupes_accesses;

@@ -226,11 +226,11 @@ let prop_validation_total =
 
 let prop_analyzer_agrees_with_validate =
   (* the accumulating analyzer and the fail-fast validator must agree:
-     an analysis without error-severity diagnostics means Validate.check
+     an analysis without error-severity diagnostics means Validate.run
      passes, and a Validate failure means the analyzer reports it — with
      the validator's own code first (generator operators are honestly
      declared builtins, so operator verification cannot diverge) *)
-  QCheck2.Test.make ~name:"fuzz: analyzer agrees with Validate.check" ~count:300
+  QCheck2.Test.make ~name:"fuzz: analyzer agrees with Validate.run" ~count:300
     qcheck_sample
     (fun (_, sample) ->
       let module Diag = Mdh_analysis.Diagnostic in
@@ -238,7 +238,7 @@ let prop_analyzer_agrees_with_validate =
       let first_error =
         List.find_opt (fun d -> d.Diag.severity = Diag.Error) ds
       in
-      match (Mdh_directive.Validate.check sample.dir, first_error) with
+      match (Mdh_directive.Validate.run sample.dir, first_error) with
       | Ok (), None -> true
       | Ok (), Some _ -> false
       | Error _, None -> false
