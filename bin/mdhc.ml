@@ -727,7 +727,7 @@ let optimize_cmd =
 let plan_cmd =
   let doc =
     "Print the execution-plan IR — the single structure the executor, cost \
-     model, simulator and code generators all consume — for one workload (or \
+     model and code generators all consume — for one workload (or \
      the whole catalogue) on one device (or both). Schedules default to the \
      deterministic per-device lowering default, so the output is stable; \
      $(b,--schedule) plans an explicit schedule instead, and $(b,--digest) \

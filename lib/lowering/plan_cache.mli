@@ -1,7 +1,7 @@
 (** Process-wide memoized plan construction.
 
     Every downstream consumer of {!Plan.t} — the executor, the cost model,
-    the simulator, and the code generators — obtains plans through this
+    and the code generators — obtains plans through this
     cache, keyed on (hom, device, schedule), so the tuner's inner loop
     stops rebuilding identical plans. It is the {!Mdh_support.Memo} table
     [lowering.plan_cache]: hit/miss counters live in the

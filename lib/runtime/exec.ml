@@ -58,16 +58,6 @@ let run_seq md env =
     ~args:[ ("hom", md.Md_hom.hom_name) ]
     (fun () -> Semantics.exec md env)
 
-let default_chunks_per_worker = 2
-
-(* [lo, lo+extent) cut into at most [pieces] equal chunks (the last may be
-   short); empty chunks are dropped. *)
-let split_range ~extent ~pieces =
-  let n = max 1 (min extent pieces) in
-  let chunk = (extent + n - 1) / n in
-  List.init n (fun c -> (c * chunk, min chunk (extent - (c * chunk))))
-  |> List.filter (fun (_, sz) -> sz > 0)
-
 (* Spend the chunk budget on the plan's parallel levels: distributed (cc)
    dimensions first, in dimension order, then the tree-reduce dimension
    with whatever budget remains. *)
@@ -78,13 +68,13 @@ let decompose plan ~target =
       (fun (d, extent) ->
         let pieces = max 1 (min extent !remaining) in
         remaining := max 1 (!remaining / pieces);
-        (d, split_range ~extent ~pieces))
+        (d, Pool.split_range ~extent ~pieces))
       (Plan.distributed plan)
   in
   let tree =
     match Plan.tree plan with
     | Some (d, extent, _items) when !remaining > 1 ->
-      Some (d, split_range ~extent ~pieces:!remaining)
+      Some (d, Pool.split_range ~extent ~pieces:!remaining)
     | _ -> None
   in
   (cc, tree)
@@ -106,8 +96,8 @@ let box_tiles (md : Md_hom.t) plan =
   List.iter (fun (dim, tile) -> tiles.(dim) <- tile) (Plan.tiled plan);
   tiles
 
-let run_with_plan ?(chunks_per_worker = default_chunks_per_worker)
-    ?(fastpath = true) ?(specialize = true) pool plan (md : Md_hom.t) env =
+let run_with_plan ?(fastpath = true) ?(specialize = true) pool plan
+    (md : Md_hom.t) env =
   if Array.exists (fun s -> s = 0) md.Md_hom.sizes then
     (* an empty dimension means zero jobs after decomposition, which would
        leave allocated outputs unwritten; parallel execution is pinned to
@@ -132,8 +122,7 @@ let run_with_plan ?(chunks_per_worker = default_chunks_per_worker)
         with
         | Some env -> Ok env
         | None ->
-          let target = Pool.num_workers pool * chunks_per_worker in
-          let cc, tree = decompose plan ~target in
+          let cc, tree = decompose plan ~target:(Pool.chunk_budget pool) in
           if cc = [] && tree = None then Ok (run_seq md env)
           else begin
             (* profiled walker attribution is coarse by nature: the box
@@ -263,11 +252,10 @@ let run_with_plan ?(chunks_per_worker = default_chunks_per_worker)
           end)
   end
 
-let run ?device ?chunks_per_worker ?fastpath ?specialize pool (md : Md_hom.t)
-    sched env =
+let run ?device ?fastpath ?specialize pool (md : Md_hom.t) sched env =
   if Array.exists (fun s -> s = 0) md.Md_hom.sizes then Ok (run_seq md env)
   else
     let dev = match device with Some d -> d | None -> host_device pool in
     match Plan_cache.build md dev sched with
     | Error _ as e -> e
-    | Ok plan -> run_with_plan ?chunks_per_worker ?fastpath ?specialize pool plan md env
+    | Ok plan -> run_with_plan ?fastpath ?specialize pool plan md env

@@ -1,11 +1,12 @@
 (** Plan-driven parallel execution of scheduled MDH computations on the
     host, using the domain pool.
 
-    The executor walks the same {!Mdh_lowering.Plan.t} the cost model,
-    simulator, and code generators consume. The plan's [Distribute] level
-    splits *all* parallel concatenation dimensions into boxes (not just
-    one), the [Tree_reduce] level splits the parallelised reduction
-    dimension with the leftover chunk budget, each box is evaluated
+    The executor walks the same {!Mdh_lowering.Plan.t} the cost model and
+    code generators consume. The plan's [Distribute] level splits *all*
+    parallel concatenation dimensions into boxes (not just one), the
+    [Tree_reduce] level splits the parallelised reduction dimension with
+    the leftover chunk budget ({!Pool.chunk_budget}, which the
+    {!Specializer} splits by too), each box is evaluated
     independently with the plan's cache tiles honored inside the box
     ({!Mdh_core.Semantics.eval_box_tiled}), and partial results are
     recombined in index order with the dimension's combine operator —
@@ -24,7 +25,6 @@
 
 val run :
   ?device:Mdh_machine.Device.t ->
-  ?chunks_per_worker:int ->
   ?fastpath:bool ->
   ?specialize:bool ->
   Pool.t ->
@@ -35,17 +35,15 @@ val run :
 (** Fails iff the schedule is illegal for [device] (default: a single-layer
     description of the pool, one unit per worker — a schedule whose
     [used_layers] do not fit is rejected, not silently accepted; pass the
-    device the schedule was tuned for to run it). [chunks_per_worker]
-    (default 2) scales the chunk budget: the decomposition targets
-    [workers * chunks_per_worker] boxes. [fastpath] (default true) allows
-    kernel dispatch; [specialize] (default true) allows plan-compiled
-    execution. When the plan exposes no parallel level, runs sequentially.
+    device the schedule was tuned for to run it). [fastpath] (default
+    true) allows kernel dispatch; [specialize] (default true) allows
+    plan-compiled execution. When the plan exposes no parallel level, runs
+    sequentially.
     A zero-extent dimension short-circuits to {!run_seq} — parallel
     execution of an empty iteration space is defined to be the sequential
     semantics. *)
 
 val run_with_plan :
-  ?chunks_per_worker:int ->
   ?fastpath:bool ->
   ?specialize:bool ->
   Pool.t ->

@@ -308,6 +308,14 @@ let scan_inclusive t f xs =
     out
   end
 
+let chunk_budget t = num_workers t * 2
+
+let split_range ~extent ~pieces =
+  let n = max 1 (min extent pieces) in
+  let chunk = (extent + n - 1) / n in
+  List.init n (fun c -> (c * chunk, min chunk (extent - (c * chunk))))
+  |> List.filter (fun (_, sz) -> sz > 0)
+
 let run_in_parallel t thunks =
   let n = Array.length thunks in
   if n = 0 then [||]

@@ -65,6 +65,15 @@ val scan_inclusive : t -> ('a -> 'a -> 'a) -> 'a array -> 'a array
     per-block scans, a sequential block-total scan, then a parallel carry
     pass. *)
 
+val chunk_budget : t -> int
+(** How many jobs the plan executors cut a parallel level into: two per
+    worker, caller included. *)
+
+val split_range : extent:int -> pieces:int -> (int * int) list
+(** [\[0, extent)] cut into at most [pieces] ceil-sized [(lo, size)]
+    chunks in index order (the last may be short); empty chunks are
+    dropped. *)
+
 val run_in_parallel : t -> (unit -> 'a) array -> 'a array
 (** Execute independent thunks across the pool, returning their results in
     order. *)

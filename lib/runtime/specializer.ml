@@ -491,13 +491,32 @@ let mk_state c bufs =
     icells = Array.make (max 1 c.slots.ni) 0;
     bcells = Array.make (max 1 c.slots.nb) false }
 
-(* Run the sequential nest with the state's current outer coordinates,
-   accumulating into [acc]. *)
-let run_nest c st pf acc =
-  let nest = c.nest in
-  let n = Array.length nest in
+(* Per-job level timers: [tot.(l)] accumulates the inclusive wall time of
+   nest step [l] (deeper levels included) and [cnt.(l)] its entries; slot
+   [n] is the point computation itself. *)
+type timers = { tot : float array; cnt : int array }
+
+(* [f] with a clock around every call, charged to slot [l]. Self time
+   telescopes exactly — self(l) = tot(l) - tot(l+1) — because clock reads
+   at a child's boundary land in the parent's self time, which is what
+   keeps the per-level sum equal to the in-nest time. The overhead (two
+   clock reads per level entry, the innermost per point) is the
+   documented price of a profiled run. *)
+let timed tm l f () =
+  let t0 = Clock.now_ns () in
+  f ();
+  tm.tot.(l) <- tm.tot.(l) +. Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0);
+  tm.cnt.(l) <- tm.cnt.(l) + 1
+
+(* Stage the sequential nest for one job as closures, outermost level
+   first: the returned thunk runs the whole nest at the state's current
+   outer coordinates, accumulating into [acc]. Only with [timers] is a
+   level (or the point body) wrapped in [timed]; unprofiled closures read
+   no clock. *)
+let stage_nest c st pf acc timers =
   let astride = c.astride and rank = c.rank in
   let point = st.point in
+  let wrap l f = match timers with Some tm -> timed tm l f | None -> f in
   let body =
     match c.pw with
     | Some (_, op) ->
@@ -515,92 +534,39 @@ let run_nest c st pf acc =
         done;
         acc.(!ai) <- pf ()
   in
-  let rec go l =
-    if l = n then body ()
+  let n = Array.length c.nest in
+  let rec stage l =
+    if l = n then wrap n body
     else
-      match nest.(l) with
-      | S_loop { dim; extent } ->
-        for x = 0 to extent - 1 do
-          point.(dim) <- x;
-          go (l + 1)
-        done
-      | S_tile_outer { tile; extent; slot } ->
-        let b = ref 0 in
-        while !b < extent do
-          st.base.(slot) <- !b;
-          go (l + 1);
-          b := !b + tile
-        done
-      | S_tile_inner { dim; tile; extent; slot } ->
-        let b = st.base.(slot) in
-        let hi = min (b + tile) extent in
-        for x = b to hi - 1 do
-          point.(dim) <- x;
-          go (l + 1)
-        done
+      let inner = stage (l + 1) in
+      wrap l
+        (match c.nest.(l) with
+        | S_loop { dim; extent } ->
+          fun () ->
+            for x = 0 to extent - 1 do
+              point.(dim) <- x;
+              inner ()
+            done
+        | S_tile_outer { tile; extent; slot } ->
+          fun () ->
+            let b = ref 0 in
+            while !b < extent do
+              st.base.(slot) <- !b;
+              inner ();
+              b := !b + tile
+            done
+        | S_tile_inner { dim; tile; extent; slot } ->
+          fun () ->
+            let b = st.base.(slot) in
+            let hi = min (b + tile) extent in
+            for x = b to hi - 1 do
+              point.(dim) <- x;
+              inner ()
+            done)
   in
-  go 0
+  stage 0
 
 (* --- per-level profiling ---------------------------------------------- *)
-
-(* [run_nest] with a clock around every level entry: [tot.(l)] accumulates
-   the inclusive wall time of nest step [l] (deeper levels included), so
-   self time telescopes exactly — self(l) = tot(l) - tot(l+1), and slot
-   [n] is the point computation itself. Clock reads at a child's boundary
-   land in the parent's self time; the totals still telescope, which is
-   what keeps the per-level sum equal to the in-nest time. Only used when
-   profiling is on: the overhead (two clock reads per level entry, the
-   innermost per point) is the documented price of a profiled run. *)
-let run_nest_timed c st pf acc tot cnt =
-  let nest = c.nest in
-  let n = Array.length nest in
-  let astride = c.astride and rank = c.rank in
-  let point = st.point in
-  let body =
-    match c.pw with
-    | Some (_, op) ->
-      fun () ->
-        let ai = ref 0 in
-        for d = 0 to rank - 1 do
-          ai := !ai + (astride.(d) * point.(d))
-        done;
-        acc.(!ai) <- op acc.(!ai) (pf ())
-    | None ->
-      fun () ->
-        let ai = ref 0 in
-        for d = 0 to rank - 1 do
-          ai := !ai + (astride.(d) * point.(d))
-        done;
-        acc.(!ai) <- pf ()
-  in
-  let rec go l =
-    let t0 = Clock.now_ns () in
-    (if l = n then body ()
-     else
-       match nest.(l) with
-       | S_loop { dim; extent } ->
-         for x = 0 to extent - 1 do
-           point.(dim) <- x;
-           go (l + 1)
-         done
-       | S_tile_outer { tile; extent; slot } ->
-         let b = ref 0 in
-         while !b < extent do
-           st.base.(slot) <- !b;
-           go (l + 1);
-           b := !b + tile
-         done
-       | S_tile_inner { dim; tile; extent; slot } ->
-         let b = st.base.(slot) in
-         let hi = min (b + tile) extent in
-         for x = b to hi - 1 do
-           point.(dim) <- x;
-           go (l + 1)
-         done);
-    tot.(l) <- tot.(l) +. Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0);
-    cnt.(l) <- cnt.(l) + 1
-  in
-  go 0
 
 let level_path l = "L" ^ string_of_int l
 
@@ -618,7 +584,7 @@ let driver_level c =
    residue under the driving parallel level, and the job wall under the
    enclosing "exec" cell — so the per-level times of a run sum to its
    exec cell by construction, which the tests pin. *)
-let flush_profile c ~wall tot cnt =
+let flush_profile c ~wall { tot; cnt } =
   let digest = c.digest in
   let n = Array.length c.nest in
   for l = 0 to n - 1 do
@@ -635,12 +601,15 @@ let flush_profile c ~wall tot cnt =
 (* Attribute a coordinator-side segment (partial combine, post-scan,
    write-back) to a level path and to the enclosing exec cell. *)
 let profile_segment c path f =
-  let t0 = Clock.now_ns () in
-  let r = f () in
-  let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
-  Profile.add ~digest:c.digest ~path dt;
-  Profile.add ~digest:c.digest ~path:"exec" dt;
-  r
+  if not (Profile.enabled ()) then f ()
+  else begin
+    let t0 = Clock.now_ns () in
+    let r = f () in
+    let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
+    Profile.add ~digest:c.digest ~path dt;
+    Profile.add ~digest:c.digest ~path:"exec" dt;
+    r
+  end
 
 let decode_dist dist point lin =
   let rest = ref lin in
@@ -650,156 +619,98 @@ let decode_dist dist point lin =
     rest := !rest / extent
   done
 
-let split_range ~extent ~pieces =
-  let n = max 1 (min extent pieces) in
-  let chunk = (extent + n - 1) / n in
-  List.init n (fun c -> (c * chunk, min chunk (extent - (c * chunk))))
-  |> List.filter (fun (_, sz) -> sz > 0)
+(* One job: the distributed points [dlo, dlo + dsz) and, under a tree
+   level, the indices [tlo, tlo + tsz) of tree dimension [td], running the
+   staged nest at each into [acc], which it returns. A profiled job
+   flushes its level times once, at the end. *)
+let run_job c bufs pf ~profiling (dlo, dsz) tree acc () =
+  let st = mk_state c bufs in
+  let n = Array.length c.nest in
+  let timers =
+    if profiling then
+      Some { tot = Array.make (n + 1) 0.0; cnt = Array.make (n + 1) 0 }
+    else None
+  in
+  let nest = stage_nest c st (pf st) acc timers in
+  let sweep =
+    match tree with
+    | Some (td, tlo, tsz) ->
+      fun () ->
+        for x = tlo to tlo + tsz - 1 do
+          st.point.(td) <- x;
+          nest ()
+        done
+    | None -> nest
+  in
+  let t0 = if profiling then Clock.now_ns () else 0L in
+  for i = dlo to dlo + dsz - 1 do
+    decode_dist c.dist st.point i;
+    sweep ()
+  done;
+  Option.iter
+    (flush_profile c ~wall:(Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0)))
+    timers;
+  acc
 
 let exec_output c pool bufs op =
-  (* sampled once per output: the unprofiled paths below are byte-for-byte
-     the previous hot loops, so a disabled profiler costs one atomic load *)
+  (* sampled once per output, so every job of one run agrees *)
   let profiling = Profile.enabled () in
-  let nest_n = Array.length c.nest in
-  let acc = Array.make c.acc_size (match c.pw with Some (id, _) -> id | None -> 0.0) in
-  let pf = op.build_point in
+  let fresh () =
+    Array.make c.acc_size (match c.pw with Some (id, _) -> id | None -> 0.0)
+  in
+  let acc = fresh () in
   let dist_points =
     Array.fold_left (fun a (_, extent) -> a * extent) 1 c.dist
   in
-  let workers = Pool.num_workers pool in
-  let parallel = workers > 1 && (Array.length c.dist > 0 || c.tree <> None) in
+  let all_points = (0, dist_points) in
+  let job = run_job c bufs op.build_point ~profiling in
+  let chunks extent =
+    Array.of_list (Pool.split_range ~extent ~pieces:(Pool.chunk_budget pool))
+  in
+  let parallel =
+    Pool.num_workers pool > 1 && (Array.length c.dist > 0 || c.tree <> None)
+  in
   (match (parallel, c.tree) with
   | true, Some (td, extent) ->
     (* tree reduction: per-chunk private accumulators over the whole
        result, combined in chunk order so associativity suffices *)
     let _, combine = Option.get c.pw in
-    let ranges = Array.of_list (split_range ~extent ~pieces:(workers * 2)) in
     let partials =
       Pool.run_in_parallel pool
         (Array.map
-           (fun (lo, sz) () ->
-             let part =
-               Array.make c.acc_size
-                 (match c.pw with Some (id, _) -> id | None -> 0.0)
-             in
-             let st = mk_state c bufs in
-             let pt = pf st in
-             if profiling then begin
-               let t0 = Clock.now_ns () in
-               let tot = Array.make (nest_n + 1) 0.0 in
-               let cnt = Array.make (nest_n + 1) 0 in
-               for i = 0 to dist_points - 1 do
-                 decode_dist c.dist st.point i;
-                 for x = lo to lo + sz - 1 do
-                   st.point.(td) <- x;
-                   run_nest_timed c st pt part tot cnt
-                 done
-               done;
-               flush_profile c
-                 ~wall:(Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0))
-                 tot cnt
-             end
-             else
-               for i = 0 to dist_points - 1 do
-                 decode_dist c.dist st.point i;
-                 for x = lo to lo + sz - 1 do
-                   st.point.(td) <- x;
-                   run_nest c st pt part
-                 done
-               done;
-             part)
-           ranges)
+           (fun (lo, sz) () -> job all_points (Some (td, lo, sz)) (fresh ()) ())
+           (chunks extent))
     in
-    let combine_partials () =
-      Array.iter
-        (fun part ->
-          for i = 0 to c.acc_size - 1 do
-            acc.(i) <- combine acc.(i) part.(i)
-          done)
-        partials
-    in
-    if profiling then
-      profile_segment c (level_path c.tree_level) combine_partials
-    else combine_partials ()
+    profile_segment c (level_path c.tree_level) (fun () ->
+        Array.iter
+          (fun part ->
+            for i = 0 to c.acc_size - 1 do
+              acc.(i) <- combine acc.(i) part.(i)
+            done)
+          partials)
   | true, None ->
     (* distributed cc dims: disjoint accumulator slabs, shared array *)
-    let ranges =
-      Array.of_list (split_range ~extent:dist_points ~pieces:(workers * 2))
-    in
-    let jobs =
-      Array.map
-        (fun (lo, sz) () ->
-          let st = mk_state c bufs in
-          let pt = pf st in
-          if profiling then begin
-            let t0 = Clock.now_ns () in
-            let tot = Array.make (nest_n + 1) 0.0 in
-            let cnt = Array.make (nest_n + 1) 0 in
-            for i = lo to lo + sz - 1 do
-              decode_dist c.dist st.point i;
-              run_nest_timed c st pt acc tot cnt
-            done;
-            flush_profile c
-              ~wall:(Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0))
-              tot cnt
-          end
-          else
-            for i = lo to lo + sz - 1 do
-              decode_dist c.dist st.point i;
-              run_nest c st pt acc
-            done)
-        ranges
-    in
-    ignore (Pool.run_in_parallel pool jobs)
-  | false, _ ->
-    let st = mk_state c bufs in
-    let pt = pf st in
-    let tree_loop k =
-      match c.tree with
-      | Some (td, extent) ->
-        for x = 0 to extent - 1 do
-          st.point.(td) <- x;
-          k ()
-        done
-      | None -> k ()
-    in
-    if profiling then begin
-      let t0 = Clock.now_ns () in
-      let tot = Array.make (nest_n + 1) 0.0 in
-      let cnt = Array.make (nest_n + 1) 0 in
-      for i = 0 to dist_points - 1 do
-        decode_dist c.dist st.point i;
-        tree_loop (fun () -> run_nest_timed c st pt acc tot cnt)
-      done;
-      flush_profile c
-        ~wall:(Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0))
-        tot cnt
-    end
-    else
-      for i = 0 to dist_points - 1 do
-        decode_dist c.dist st.point i;
-        tree_loop (fun () -> run_nest c st pt acc)
-      done);
+    ignore
+      (Pool.run_in_parallel pool
+         (Array.map (fun r -> job r None acc) (chunks dist_points)))
+  | false, tree ->
+    let tree = Option.map (fun (td, extent) -> (td, 0, extent)) tree in
+    ignore (job all_points tree acc ()));
   (* post-scan ps dimensions, innermost first, over the accumulator *)
   let sstride = row_major_strides c.acc_shape in
   Array.iteri
     (fun k (d, op) ->
       let stride = sstride.(d) and extent = c.acc_shape.(d) in
-      if extent > 1 then begin
-        let pass () =
-          for lin = 0 to c.acc_size - 1 do
-            if lin / stride mod extent > 0 then
-              acc.(lin) <- op acc.(lin - stride) acc.(lin)
-          done
+      if extent > 1 then
+        let path =
+          if c.scan_levels.(k) >= 0 then level_path c.scan_levels.(k)
+          else "scan"
         in
-        if profiling then
-          let path =
-            if c.scan_levels.(k) >= 0 then level_path c.scan_levels.(k)
-            else "scan"
-          in
-          profile_segment c path pass
-        else pass ()
-      end)
+        profile_segment c path (fun () ->
+            for lin = 0 to c.acc_size - 1 do
+              if lin / stride mod extent > 0 then
+                acc.(lin) <- op acc.(lin - stride) acc.(lin)
+            done))
     c.scans;
   acc
 
@@ -895,10 +806,8 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
             List.iter
               (fun op ->
                 let acc = exec_output c pool bufs op in
-                if Profile.enabled () then
-                  profile_segment c "writeback" (fun () ->
-                      write_back c env op acc)
-                else write_back c env op acc)
+                profile_segment c "writeback" (fun () ->
+                    write_back c env op acc))
               c.outs;
             let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
             Metrics.observe h_run dt;

@@ -1,12 +1,12 @@
 (** Plan-compiled fp32 execution: the generic counterpart of the
     hand-written {!Fastpath} kernels.
 
-    [compile] turns any fp32 [Plan.t] into a closure once — the loop nest
-    is driven by the plan's Distribute/Tile/Seq/Accumulate/Scan levels,
-    buffer reads go through precomputed row-major strides into flat
-    [float array]s, and the point expression is staged into unboxed
-    thunks — so executing a plan costs no per-point tensor boxing or
-    environment lookups. Compiled plans are memoized process-wide under
+    Any fp32 [Plan.t] is compiled once — the loop nest is driven by the
+    plan's Distribute/Tile/Seq/Accumulate/Scan levels, buffer reads go
+    through precomputed row-major strides into flat [float array]s, and
+    the point expression is staged into unboxed thunks — so executing a
+    plan costs no per-point tensor boxing or environment lookups. Compiled
+    plans are memoized process-wide under
     {!Mdh_lowering.Plan.digest} (plus a fingerprint of the computation),
     in the {!Mdh_support.Memo} table [runtime.specializer], with cache
     traffic on [runtime.specializer.hits|misses|compiles].
@@ -21,17 +21,11 @@
     element, so results are tolerance-equal — not bit-equal — to the
     per-op-rounding interpreter, exactly like the fast-path kernels. *)
 
-type compiled
-
-val compile :
-  Mdh_lowering.Plan.t -> Mdh_core.Md_hom.t -> (compiled, string) result
-(** Compile without consulting the cache. The error is the reason the
-    computation is not specializable. *)
-
 val supported :
   Mdh_lowering.Plan.t -> Mdh_core.Md_hom.t -> (unit, string) result
 (** Cached eligibility check: [Ok ()] iff {!try_run} would execute this
-    plan (buffer bindings aside). *)
+    plan (buffer bindings aside); the error is the reason the computation
+    is not specializable. *)
 
 val try_run :
   Pool.t ->
@@ -42,7 +36,8 @@ val try_run :
 (** [Some env'] iff the plan compiled (possibly from cache) and the
     supplied buffers match the declared fp32 shapes; parallel over the
     plan's Distribute/Tree_reduce levels when the pool has more than one
-    worker. [None] means the generic walker should run — unsupported
+    worker, cut into {!Pool.chunk_budget} jobs as the walker's boxes
+    are. [None] means the generic walker should run — unsupported
     computation, zero-extent iteration space, or mismatched buffers. *)
 
 type stats = { hits : int; misses : int; compiles : int }

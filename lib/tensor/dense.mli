@@ -1,7 +1,7 @@
 (** Dense multi-dimensional tensors of dynamically-typed scalar values.
 
     This is the generic value store used by the reference semantics, the
-    directive interpreter and the plan simulator. Wall-clock benchmarks use
+    directive interpreter and the plan walker. Wall-clock benchmarks use
     the specialised float kernels in [Mdh_runtime] instead. *)
 
 type t

@@ -21,8 +21,9 @@
 #     must resume bit-identically,
 #   - the plan-consistency stage fails: every Plan consumer must go through
 #     the Plan IR (no Schedule internals in the executor / cost model /
-#     simulator / kernel codegen / plan specializer) and the catalogue's
-#     default-schedule plan digests must match scripts/plan_digests.golden,
+#     kernel codegen / plan specializer, each of which must exist) and the
+#     catalogue's default-schedule plan digests must match
+#     scripts/plan_digests.golden,
 #   - the operation-table pin fails: lib/serve/server.ml decodes no
 #     workload/device/input/strategy itself and bin/mdhc.ml carries no
 #     second printer for daemon replies (both go through Mdh_serve.Op),
@@ -97,7 +98,14 @@ dune exec scripts/gen_diagnostics.exe -- --check
 # plan-consistency stage, part 1: Plan.t is the single executable IR.
 # The four consumers must not reach back into Schedule internals — a
 # match on Schedule fields in any of them means the refactor regressed.
-plan_consumers="lib/runtime/exec.ml lib/runtime/specializer.ml lib/lowering/cost.ml lib/lowering/simulate.ml lib/codegen/kernel.ml"
+# A consumer that is renamed or deleted must be taken off the list here,
+# not silently dropped from the pin.
+plan_consumers="lib/runtime/exec.ml lib/runtime/specializer.ml lib/lowering/cost.ml lib/codegen/kernel.ml"
+for f in $plan_consumers; do
+    [ -f "$f" ] || {
+        echo "error: plan consumer $f is missing (update plan_consumers)" >&2
+        exit 1; }
+done
 schedule_leaks=$(grep -nE \
     'Schedule\.(clamp|legal|tile_sizes|parallel_dims|used_layers|innermost_parallel_dim|parallel_iterations)' \
     $plan_consumers || true)

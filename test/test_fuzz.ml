@@ -153,11 +153,12 @@ let prop_simulation_matches =
         List.for_all
           (fun dev ->
             let sched = Mdh_lowering.Lower.mdh_default md dev in
-            match
-              Mdh_lowering.Simulate.run md dev Mdh_lowering.Cost.tuned_codegen sched env
-            with
+            match Mdh_lowering.Plan_cache.build md dev sched with
             | Error _ -> false
-            | Ok r -> Dense.equal reference (out_tensor r.Mdh_lowering.Simulate.env))
+            | Ok plan ->
+              let tile_sizes = plan.Mdh_lowering.Plan.tile_sizes in
+              Dense.equal reference
+                (out_tensor (Semantics.eval_tiled md env ~tile_sizes)))
           [ Mdh_machine.Device.a100_like; Mdh_machine.Device.xeon6140_like ])
 
 let prop_parallel_exec_matches =

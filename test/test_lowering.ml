@@ -352,7 +352,7 @@ let test_plan_parallelism_matches_cost () =
         [ cpu; gpu ])
     Catalog.all
 
-(* --- Simulate: any legal schedule computes the reference result --- *)
+(* --- any legal schedule's plan tiling computes the reference result --- *)
 
 let test_simulate_matches_reference () =
   List.iter
@@ -361,16 +361,19 @@ let test_simulate_matches_reference () =
       let env = w.W.gen w.W.test_params ~seed:42 in
       let expected = Mdh_core.Semantics.reference md env in
       let sched = Lower.mdh_default md cpu in
-      match Simulate.run md cpu Cost.tuned_codegen sched env with
+      match Plan_cache.build md cpu sched with
       | Error e -> Alcotest.failf "%s: %s" w.W.wl_name e
-      | Ok r ->
+      | Ok plan ->
+        let got =
+          Mdh_core.Semantics.eval_tiled md env ~tile_sizes:plan.Plan.tile_sizes
+        in
         List.iter
           (fun (o : Mdh_core.Md_hom.output) ->
             check Alcotest.bool
               (Printf.sprintf "%s/%s" w.W.wl_name o.Mdh_core.Md_hom.out_name)
               true
               (Mdh_tensor.Dense.approx_equal ~rel:1e-4 ~abs:1e-5
-                 (Buffer.data (Buffer.env_find r.Simulate.env o.Mdh_core.Md_hom.out_name))
+                 (Buffer.data (Buffer.env_find got o.Mdh_core.Md_hom.out_name))
                  (Buffer.data (Buffer.env_find expected o.Mdh_core.Md_hom.out_name))))
           md.Mdh_core.Md_hom.outputs)
     Catalog.all

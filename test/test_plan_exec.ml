@@ -1,7 +1,7 @@
 (* Properties of the plan-driven executor.
 
-   The executor walks Plan.t — the same IR the cost model, simulator and
-   code generators consume — so these tests pin the contract that matters
+   The executor walks Plan.t — the same IR the cost model and code
+   generators consume — so these tests pin the contract that matters
    after the refactor: any legal schedule computes the reference result;
    with the fast path and the specializer off, the walker reproduces the
    pre-refactor single-dim chunked executor bit-for-bit on the default
@@ -241,31 +241,32 @@ let test_fastpath_hit_counted () =
       check Alcotest.int "no false match" (before + 1)
         (Mdh_obs.Metrics.value c))
 
-(* --- chunking policy is a parameter (satellite 1) --- *)
+(* --- the chunk budget follows the pool size --- *)
 
-let test_chunks_per_worker_param () =
-  with_pool (fun pool ->
-      let w = Option.get (Catalog.find "matmul") in
-      let md = W.to_md_hom w w.W.test_params in
-      let env = w.W.gen w.W.test_params ~seed:13 in
-      let sched =
-        { (Schedule.sequential md) with
-          Schedule.parallel_dims = Lower.parallelisable_dims md }
-      in
-      let expected = Semantics.exec md env in
-      List.iter
-        (fun cpw ->
+let test_chunk_budget_per_pool_size () =
+  let w = Option.get (Catalog.find "matmul") in
+  let md = W.to_md_hom w w.W.test_params in
+  let env = w.W.gen w.W.test_params ~seed:13 in
+  let sched =
+    { (Schedule.sequential md) with
+      Schedule.parallel_dims = Lower.parallelisable_dims md }
+  in
+  let expected = Semantics.exec md env in
+  List.iter
+    (fun workers ->
+      Pool.with_pool ~num_domains:(workers - 1) (fun pool ->
+          let budget = Pool.chunk_budget pool in
+          check Alcotest.int "two chunks per worker" (2 * workers) budget;
           match
-            Exec.run ~chunks_per_worker:cpw ~fastpath:false ~specialize:false
-              pool md sched env
+            Exec.run ~fastpath:false ~specialize:false pool md sched env
           with
-          | Error e -> Alcotest.failf "chunks_per_worker=%d: %s" cpw e
+          | Error e -> Alcotest.failf "chunk budget %d: %s" budget e
           | Ok got ->
             check Alcotest.bool
-              (Printf.sprintf "chunks_per_worker=%d" cpw)
+              (Printf.sprintf "chunk budget %d" budget)
               true
-              (outputs_agree ~bitwise:false md got expected))
-        [ 1; 4; 16 ])
+              (outputs_agree ~bitwise:false md got expected)))
+    [ 1; 2; 8 ]
 
 let suite =
   let tc = Alcotest.test_case in
@@ -277,4 +278,4 @@ let suite =
       tc "used_layers rejected, not masked" `Quick
         test_used_layers_rejected_not_masked;
       tc "fastpath hits counted" `Quick test_fastpath_hit_counted;
-      tc "chunks_per_worker parameter" `Quick test_chunks_per_worker_param ] )
+      tc "chunk budget per pool size" `Quick test_chunk_budget_per_pool_size ] )

@@ -40,10 +40,10 @@ let find name =
    deterministic per-device lowering default pinned to the pool's layer *)
 let host_schedule md = { (Lower.mdh_default md cpu) with Schedule.used_layers = [ 0 ] }
 
-let run_profiled pool (w : W.t) =
+let run_profiled ?(schedule = host_schedule) pool (w : W.t) =
   let md = W.to_md_hom w w.W.test_params in
   let env = w.W.gen w.W.test_params ~seed:5 in
-  let sched = host_schedule md in
+  let sched = schedule md in
   let plan =
     match Plan_cache.build md (Exec.host_device pool) sched with
     | Ok p -> p
@@ -59,9 +59,16 @@ let test_disabled_no_cells () =
   Pool.with_pool (fun pool -> ignore (run_profiled pool (find "matmul")));
   check Alcotest.(list string) "no cells appear" [] (Profile.digests ())
 
+(* exact value equality (not tolerance) on every output buffer *)
+let outputs_equal md a b =
+  List.for_all
+    (fun (o : Mdh_core.Md_hom.output) ->
+      let data e = Buffer.data (Buffer.env_find e o.Mdh_core.Md_hom.out_name) in
+      Dense.equal (data a) (data b))
+    md.Mdh_core.Md_hom.outputs
+
 (* profiling must never change what a run computes: execute the whole
-   catalogue with the flag off and on and require exact value equality
-   (not tolerance) on every output buffer *)
+   catalogue with the flag off and on *)
 let test_catalogue_bit_identity () =
   Pool.with_pool (fun pool ->
       List.iter
@@ -70,41 +77,67 @@ let test_catalogue_bit_identity () =
           Profile.set_enabled false;
           let _, off = run_profiled pool w in
           let _, on = with_profiling (fun () -> run_profiled pool w) in
-          List.iter
-            (fun (o : Mdh_core.Md_hom.output) ->
-              let data e = Buffer.data (Buffer.env_find e o.Mdh_core.Md_hom.out_name) in
-              check Alcotest.bool
-                (String.lowercase_ascii w.W.wl_name ^ " bit-identical")
-                true
-                (Dense.equal (data off) (data on)))
-            md.Mdh_core.Md_hom.outputs)
+          check Alcotest.bool
+            (String.lowercase_ascii w.W.wl_name ^ " bit-identical")
+            true (outputs_equal md off on))
         Mdh_workloads.Catalog.all)
 
 (* the tree view's invariant: level self times (everything that is not a
    phase) sum to the enclosing exec cell — the telescoping is exact by
    construction, so 5% headroom only covers float summation order *)
+let check_level_sum name plan =
+  let entries = Profile.snapshot (Plan.digest plan) in
+  check Alcotest.bool (name ^ " has cells") true (entries <> []);
+  let is_phase p = String.length p > 6 && String.sub p 0 6 = "phase:" in
+  let exec = ref 0.0 and levels = ref 0.0 in
+  List.iter
+    (fun (e : Profile.entry) ->
+      if e.Profile.path = "exec" then exec := e.Profile.total_s
+      else if not (is_phase e.Profile.path) then
+        levels := !levels +. e.Profile.total_s)
+    entries;
+  check Alcotest.bool (name ^ " exec cell recorded") true (!exec > 0.0);
+  let err = Float.abs (!levels -. !exec) /. !exec in
+  if err > 0.05 then
+    Alcotest.failf "%s: level sum %.9f vs exec %.9f (%.1f%% off)" name !levels
+      !exec (100.0 *. err)
+
 let sum_matches_exec name =
   Pool.with_pool (fun pool ->
       with_profiling (fun () ->
           let plan, _ = run_profiled pool (find name) in
-          let entries = Profile.snapshot (Plan.digest plan) in
-          check Alcotest.bool (name ^ " has cells") true (entries <> []);
-          let is_phase p = String.length p > 6 && String.sub p 0 6 = "phase:" in
-          let exec = ref 0.0 and levels = ref 0.0 in
-          List.iter
-            (fun (e : Profile.entry) ->
-              if e.Profile.path = "exec" then exec := e.Profile.total_s
-              else if not (is_phase e.Profile.path) then
-                levels := !levels +. e.Profile.total_s)
-            entries;
-          check Alcotest.bool (name ^ " exec cell recorded") true (!exec > 0.0);
-          let err = Float.abs (!levels -. !exec) /. !exec in
-          if err > 0.05 then
-            Alcotest.failf "%s: level sum %.9f vs exec %.9f (%.1f%% off)" name
-              !levels !exec (100.0 *. err)))
+          check_level_sum name plan))
 
 let test_sum_specializer () = sum_matches_exec "matmul"
 let test_sum_walker () = sum_matches_exec "prl"
+
+(* the default pool has no worker domain on a one-core host, so pin a
+   pool with workers: every parallel job of a profiled run must flush its
+   own level times without moving the outputs or breaking the sum *)
+let test_parallel_jobs_profiled () =
+  let is_tree = function Plan.Tree_reduce _ -> true | _ -> false in
+  let is_dist = function Plan.Distribute _ -> true | _ -> false in
+  Pool.with_pool ~num_domains:3 (fun pool ->
+      List.iter
+        (fun (name, dims, shape_ok) ->
+          let w = find name in
+          let md = W.to_md_hom w w.W.test_params in
+          let schedule md =
+            { (host_schedule md) with Schedule.parallel_dims = dims }
+          in
+          Profile.set_enabled false;
+          let _, off = run_profiled ~schedule pool w in
+          with_profiling (fun () ->
+              let plan, on = run_profiled ~schedule pool w in
+              check Alcotest.bool (name ^ " plan shape") true
+                (shape_ok plan.Plan.levels);
+              check Alcotest.bool (name ^ " bit-identical off vs on") true
+                (outputs_equal md off on);
+              check_level_sum name plan))
+        [ ("dot", [ 0 ], List.exists is_tree);
+          ( "matmul",
+            [ 0; 1 ],
+            fun ls -> List.exists is_dist ls && not (List.exists is_tree ls) ) ])
 
 let test_digest_accumulation () =
   Pool.with_pool (fun pool ->
@@ -182,6 +215,7 @@ let suite =
       tc "catalogue bit-identity off vs on" `Slow test_catalogue_bit_identity;
       tc "level sum = exec cell (specializer)" `Quick test_sum_specializer;
       tc "level sum = exec cell (walker)" `Quick test_sum_walker;
+      tc "profiled parallel jobs" `Quick test_parallel_jobs_profiled;
       tc "digest-keyed accumulation" `Quick test_digest_accumulation;
       tc "add/add_n/time primitives" `Quick test_add_and_time_primitives;
       tc "cost attribution paths and sum" `Quick test_level_attribution_paths ] )

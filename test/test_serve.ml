@@ -289,7 +289,18 @@ let test_load_shedding () =
       | Some (Ok sr) -> check Alcotest.bool "slow request served" true sr.Client.ok
       | Some (Error e) -> Alcotest.fail ("slow request: " ^ e)
       | None -> Alcotest.fail "slow request never finished");
-      (* capacity freed: the next request is admitted again *)
+      (* capacity freed: the next request is admitted again. The client
+         closes after reading its reply, but the worker keeps its
+         in-flight slot until it reads that EOF, so wait (bounded) for the
+         slot to free before asking again *)
+      let in_flight = Mdh_obs.Metrics.gauge "serve.in_flight" in
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while
+        Mdh_obs.Metrics.gauge_value in_flight > 0.0
+        && Unix.gettimeofday () < deadline
+      do
+        Thread.delay 0.01
+      done;
       let h = expect_ok (rpc ~socket {|{"op":"health"}|}) in
       check Alcotest.string "recovered" "ok" (rstr h "status"))
 
