@@ -8,13 +8,12 @@ type ctx = {
   md : Md_hom.t;
   dev : Device.t;
   cg : Cost.codegen;
-  include_transfers : bool option;
   prefix : string;
 }
 
 let cache : (float, string) result Memo.t = Memo.create "atf.cost_cache"
 
-let context ?include_transfers md dev cg =
+let context md dev cg =
   let prefix =
     Memo.key
       [ Format.asprintf "%a" Md_hom.pp md;
@@ -22,11 +21,10 @@ let context ?include_transfers md dev cg =
         cg.Cost.cg_name;
         Printf.sprintf "%h" cg.Cost.base_compute_eff;
         Printf.sprintf "%h" cg.Cost.base_bw_eff;
-        (match include_transfers with
-        | None -> "default-transfers"
-        | Some b -> string_of_bool b) ]
+        (* a fixed component: tuning databases keyed with it stay valid *)
+        "default-transfers" ]
   in
-  { md; dev; cg; include_transfers; prefix }
+  { md; dev; cg; prefix }
 
 let context_key ctx = ctx.prefix
 
@@ -37,8 +35,7 @@ let seconds ctx schedule =
   Mdh_fault.Fault.hit "cost.eval";
   let key = Memo.key [ ctx.prefix; Schedule.to_string schedule ] in
   Memo.find_or_add cache key (fun () ->
-      Cost.seconds ?include_transfers:ctx.include_transfers ctx.md ctx.dev ctx.cg
-        schedule)
+      Cost.seconds ctx.md ctx.dev ctx.cg schedule)
 
 type stats = Memo.stats = { n_hits : int; n_misses : int; n_entries : int }
 

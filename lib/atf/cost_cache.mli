@@ -18,15 +18,14 @@ type ctx
 (** Everything but the schedule, pre-digested once per tuning run. *)
 
 val context :
-  ?include_transfers:bool ->
   Mdh_core.Md_hom.t ->
   Mdh_machine.Device.t ->
   Mdh_lowering.Cost.codegen ->
   ctx
 
 val context_key : ctx -> string
-(** The canonical digest of [(md_hom, device, codegen, transfers)] — the
-    tuning database builds its keys on top of this. *)
+(** The canonical digest of [(md_hom, device, codegen)] — the tuning
+    database builds its keys on top of this. *)
 
 val seconds : ctx -> Mdh_lowering.Schedule.t -> (float, string) result
 (** Memoized [Cost.seconds]. *)

@@ -313,7 +313,7 @@ type outcome =
   | Suspended of { checkpoint : string; evaluations : int }
 
 let tune_resumable ?(strategy = Auto) ?(budget = 400) ?(seed = 1) ?(chains = 1)
-    ?pool ?include_transfers ?parallel_options ?db ?deadline_s ?checkpoint
+    ?pool ?parallel_options ?db ?deadline_s ?checkpoint
     ?(checkpoint_every = 64) ?(resume = false) ?should_stop ?(saturate = false)
     md dev cg =
   let chains = max 1 chains in
@@ -332,7 +332,7 @@ let tune_resumable ?(strategy = Auto) ?(budget = 400) ?(seed = 1) ?(chains = 1)
           ("strategy", strategy_name strategy);
           ("budget", string_of_int budget) ]
     @@ fun () ->
-    let ctx = Cost_cache.context ?include_transfers md dev cg in
+    let ctx = Cost_cache.context md dev cg in
     let db = match db with Some _ as d -> d | None -> Tuning_db.ambient () in
     let key =
       db_key ~ctx ~strategy ~budget ~seed ~chains ~parallel_options ~saturate
@@ -488,11 +488,11 @@ let tune_resumable ?(strategy = Auto) ?(budget = 400) ?(seed = 1) ?(chains = 1)
   Metrics.observe m_tune_s (Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t_start));
   result
 
-let tune ?strategy ?budget ?seed ?chains ?pool ?include_transfers
-    ?parallel_options ?db ?saturate md dev cg =
+let tune ?strategy ?budget ?seed ?chains ?pool ?parallel_options ?db ?saturate
+    md dev cg =
   match
-    tune_resumable ?strategy ?budget ?seed ?chains ?pool ?include_transfers
-      ?parallel_options ?db ?saturate md dev cg
+    tune_resumable ?strategy ?budget ?seed ?chains ?pool ?parallel_options ?db
+      ?saturate md dev cg
   with
   | Ok (Tuned t) -> Ok t
   | Ok (Suspended _) -> assert false (* no deadline or stop was supplied *)

@@ -48,7 +48,6 @@ val tune :
   ?seed:int ->
   ?chains:int ->
   ?pool:Mdh_runtime.Pool.t ->
-  ?include_transfers:bool ->
   ?parallel_options:int list list ->
   ?db:Tuning_db.t ->
   ?saturate:bool ->
@@ -86,7 +85,6 @@ val tune_resumable :
   ?seed:int ->
   ?chains:int ->
   ?pool:Mdh_runtime.Pool.t ->
-  ?include_transfers:bool ->
   ?parallel_options:int list list ->
   ?db:Tuning_db.t ->
   ?deadline_s:float ->

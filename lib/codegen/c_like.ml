@@ -130,7 +130,7 @@ let type_of ctx locals e =
          Typecheck.pp_error err)
 
 let emit_expr ctx ~fresh ~index_of root =
-  let root = Mdh_expr.Analysis.simplify root in
+  let root = Mdh_rewrite.Rewrite.simplify_expr root in
   let decls = ref [] in
   let rec go locals e =
     match e with

@@ -31,11 +31,14 @@ type emitted = {
 val emit_expr :
   ctx -> fresh:(unit -> string) -> index_of:(string -> string) ->
   Mdh_expr.Expr.t -> emitted
-(** Translate a scalar-function expression: buffer reads become row-major
+(** Translate a scalar-function expression, first simplified by the
+    rewriter's tier-1 rules ({!Mdh_rewrite.Rewrite.simplify_expr}). That
+    simplification introduces no [let]s (no CSE), because callers drop
+    [decls] for index expressions. Buffer reads become row-major
     linearised accesses, [let] bindings become typed [const] declarations,
     conditionals become ternaries. [index_of] renders an iteration variable
-    (e.g. a tile-local name). Raises [Invalid_argument] on expressions that
-    do not type-check. *)
+    (e.g. a tile-local name, or [0] for a collapsed dimension). Raises
+    [Invalid_argument] on expressions that do not type-check. *)
 
 val linearize : string -> Mdh_tensor.Shape.t -> string list -> string
 (** [linearize "M" [|r;c|] ["i"; "k"]] is ["M[(i) * c + (k)]"]. *)

@@ -64,7 +64,7 @@ let cuda_host (md : Md_hom.t) ctx ~kernel_source ~groups ~items =
     (fun (name, ty, count, is_input) ->
       let cty = C_like.c_type ctx ty in
       line "  %s *h_%s = (%s *)malloc(%d * sizeof(%s));" cty name cty count cty;
-      if is_input then line "%s" (Str_replace.replace_word (fill_stmt ctx name ty count) name ("h_" ^ name));
+      if is_input then line "%s" (fill_stmt ctx ("h_" ^ name) ty count);
       line "  %s *d_%s = NULL;" cty name;
       line "  MDH_CHECK(cudaMalloc(&d_%s, %d * sizeof(%s)));" name count cty;
       if is_input then
@@ -92,9 +92,7 @@ let cuda_host (md : Md_hom.t) ctx ~kernel_source ~groups ~items =
       let count = elems o.out_shape in
       line "  MDH_CHECK(cudaMemcpy(h_%s, d_%s, %d * sizeof(%s), cudaMemcpyDeviceToHost));"
         o.out_name o.out_name count cty;
-      line "%s"
-        (Str_replace.replace_word (checksum_stmt ctx o.out_name o.out_ty count) o.out_name
-           ("h_" ^ o.out_name)))
+      line "%s" (checksum_stmt ctx ("h_" ^ o.out_name) o.out_ty count))
     md.outputs;
   line "  printf(\"%s: %%0.3f ms, checksum %%0.6f\\n\", mdh_ms, mdh_checksum);" md.hom_name;
   List.iter
@@ -155,7 +153,7 @@ let opencl_host (md : Md_hom.t) ctx ~kernel_file ~groups ~items =
       let cty = C_like.c_type ctx ty in
       line "  %s *h_%s = (%s *)malloc(%d * sizeof(%s));" cty name cty count cty;
       if is_input then
-        line "%s" (Str_replace.replace_word (fill_stmt ctx name ty count) name ("h_" ^ name));
+        line "%s" (fill_stmt ctx ("h_" ^ name) ty count);
       line "  cl_mem d_%s = clCreateBuffer(context, %s, %d * sizeof(%s), %s, &mdh_err); MDH_CHECK(mdh_err);"
         name
         (if is_input then "CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR" else "CL_MEM_WRITE_ONLY")
@@ -178,9 +176,7 @@ let opencl_host (md : Md_hom.t) ctx ~kernel_file ~groups ~items =
       let count = elems o.out_shape in
       line "  MDH_CHECK(clEnqueueReadBuffer(queue, d_%s, CL_TRUE, 0, %d * sizeof(%s), h_%s, 0, NULL, NULL));"
         o.out_name count cty o.out_name;
-      line "%s"
-        (Str_replace.replace_word (checksum_stmt ctx o.out_name o.out_ty count) o.out_name
-           ("h_" ^ o.out_name)))
+      line "%s" (checksum_stmt ctx ("h_" ^ o.out_name) o.out_ty count))
     md.outputs;
   line "  printf(\"%s: %%0.3f ms, checksum %%0.6f\\n\", (mdh_t1 - mdh_t0) * 1e-6, mdh_checksum);" md.hom_name;
   List.iter (fun (name, _, _, _) -> line "  clReleaseMemObject(d_%s); free(h_%s);" name name) all;

@@ -267,6 +267,19 @@ let generate dialect (md : Md_hom.t) (dev : Device.t) sched =
         emit "%s" (locals_target expr)
       in
       let index_identity name = name in
+      (* the output element written: collapsed (pw) dimensions index at
+         zero, since their iteration variables are not in scope there *)
+      let index_out name =
+        match Array.find_index (String.equal name) dims with
+        | Some d when Combine.collapses md.combine_ops.(d) -> "0"
+        | _ -> name
+      in
+      let out_ref (o : Md_hom.output) =
+        C_like.linearize o.out_name o.out_shape
+          (List.map
+             (fun e -> (C_like.emit_expr emit_ctx ~fresh ~index_of:index_out e).C_like.expr)
+             o.out_access.exprs)
+      in
 
       (match (tree_dim, scan_dims) with
       | Some td, _ ->
@@ -323,28 +336,7 @@ let generate dialect (md : Md_hom.t) (dev : Device.t) sched =
             close 1;
             emit "if (mdh_t == 0) {";
             incr depth;
-            let out_idx =
-              List.map
-                (fun e ->
-                  (C_like.emit_expr emit_ctx ~fresh ~index_of:index_identity e).C_like.expr)
-                o.out_access.exprs
-            in
-            (* collapsed dimensions index at zero: the iteration variables of
-               pw dims are not in scope at the write, so rewrite them to 0 *)
-            let out_idx =
-              List.map
-                (fun s ->
-                  Array.to_list md.dims
-                  |> List.mapi (fun d name -> (d, name))
-                  |> List.fold_left
-                       (fun acc (d, name) ->
-                         if Combine.collapses md.combine_ops.(d) then
-                           Str_replace.replace_word acc name "0"
-                         else acc)
-                       s)
-                out_idx
-            in
-            emit "%s = %s[0];" (C_like.linearize o.out_name o.out_shape out_idx) shmem;
+            emit "%s = %s[0];" (out_ref o) shmem;
             close 1)
           md.outputs
       | None, [] when seq_red <> [] || not has_pw ->
@@ -361,17 +353,7 @@ let generate dialect (md : Md_hom.t) (dev : Device.t) sched =
           (fun (o : Md_hom.output) ->
             if seq_red = [] then
               emit_value_into
-                (fun expr ->
-                  let out_idx =
-                    List.map
-                      (fun e ->
-                        (C_like.emit_expr emit_ctx ~fresh ~index_of:index_identity e)
-                          .C_like.expr)
-                      o.out_access.exprs
-                  in
-                  Printf.sprintf "%s = %s;"
-                    (C_like.linearize o.out_name o.out_shape out_idx)
-                    expr)
+                (fun expr -> Printf.sprintf "%s = %s;" (out_ref o) expr)
                 o index_identity
             else begin
               let fn =
@@ -396,28 +378,7 @@ let generate dialect (md : Md_hom.t) (dev : Device.t) sched =
         List.iter close red_opened;
         if seq_red <> [] then
           List.iter
-            (fun (o : Md_hom.output) ->
-              let out_idx =
-                List.map
-                  (fun e ->
-                    (C_like.emit_expr emit_ctx ~fresh ~index_of:index_identity e)
-                      .C_like.expr)
-                  o.out_access.exprs
-              in
-              let out_idx =
-                List.map
-                  (fun s ->
-                    Array.to_list md.dims
-                    |> List.mapi (fun d name -> (d, name))
-                    |> List.fold_left
-                         (fun acc (d, name) ->
-                           if Combine.collapses md.combine_ops.(d) then
-                             Str_replace.replace_word acc name "0"
-                           else acc)
-                         s)
-                  out_idx
-              in
-              emit "%s = %s;" (C_like.linearize o.out_name o.out_shape out_idx) (acc_name o))
+            (fun (o : Md_hom.output) -> emit "%s = %s;" (out_ref o) (acc_name o))
             md.outputs
       | None, sd :: _ ->
         (* running scan over the ps dimension *)
@@ -436,16 +397,7 @@ let generate dialect (md : Md_hom.t) (dev : Device.t) sched =
                 Printf.sprintf "%s = (%s == 0) ? %s : %s;" (acc_name o) dims.(sd) expr
                   (C_like.combine_exprs fn (acc_name o) expr))
               o index_identity;
-            let out_idx =
-              List.map
-                (fun e ->
-                  (C_like.emit_expr emit_ctx ~fresh ~index_of:index_identity e)
-                    .C_like.expr)
-                o.out_access.exprs
-            in
-            emit "%s = %s;  /* inclusive scan */"
-              (C_like.linearize o.out_name o.out_shape out_idx)
-              (acc_name o))
+            emit "%s = %s;  /* inclusive scan */" (out_ref o) (acc_name o))
           md.outputs;
         close 1
       | None, [] -> assert false);

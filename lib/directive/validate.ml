@@ -146,18 +146,10 @@ let fold_lets lets value =
 (* Wrap an expression in the preceding lets only when it actually uses one of
    the bound names; index expressions that do not depend on local bindings
    stay raw, keeping them amenable to affine extraction. *)
-let rec uses_vars names = function
-  | Expr.Var v -> List.mem v names
-  | Const _ | Idx _ -> false
-  | Read (_, idxs) -> List.exists (uses_vars names) idxs
-  | Binop (_, a, b) -> uses_vars names a || uses_vars names b
-  | Unop (_, a) | Field (a, _) | Cast (_, a) -> uses_vars names a
-  | If (c, a, b) -> uses_vars names c || uses_vars names a || uses_vars names b
-  | Let (n, a, b) -> uses_vars names a || uses_vars (List.filter (( <> ) n) names) b
-  | MkRecord fields -> List.exists (fun (_, e) -> uses_vars names e) fields
-
 let fold_lets_if_needed lets value =
-  if uses_vars (List.map fst lets) value then fold_lets lets value else value
+  if List.exists (fun (name, _) -> Analysis.uses_var name value) lets then
+    fold_lets lets value
+  else value
 
 let find_decl decls name =
   List.find_opt (fun (d : Directive.buffer_decl) -> String.equal d.buf_name name) decls

@@ -79,125 +79,27 @@ let reads e =
   List.rev !acc
 
 let rec flops = function
-  | Expr.Const _ | Idx _ | Var _ -> 0
-  | Read (_, idxs) -> List.fold_left (fun acc i -> acc + flops i) 0 idxs
-  | Binop (_, a, b) -> 1 + flops a + flops b
-  | Unop (_, a) -> 1 + flops a
-  | If (c, a, b) -> 1 + flops c + max (flops a) (flops b)
-  | Let (_, e1, e2) -> flops e1 + flops e2
-  | Field (a, _) | Cast (_, a) -> flops a
-  | MkRecord fields -> List.fold_left (fun acc (_, e) -> acc + flops e) 0 fields
-
-(* --- simplification --- *)
-
-let is_int_const n = function
-  | Expr.Const (Scalar.I32 x) -> Int32.to_int x = n
-  | Expr.Const (Scalar.I64 x) -> Int64.to_int x = n
-  | _ -> false
-
-let int_consts a b =
-  match (a, b) with
-  | Expr.Const (Scalar.I32 x), Expr.Const (Scalar.I32 y) ->
-    Some (Int32.to_int x, Int32.to_int y, fun n -> Expr.Const (Scalar.i32 n))
-  | Expr.Const (Scalar.I64 x), Expr.Const (Scalar.I64 y) ->
-    Some (Int64.to_int x, Int64.to_int y, fun n -> Expr.Const (Scalar.i64 n))
-  | _ -> None
+  | Expr.If (c, a, b) -> 1 + flops c + max (flops a) (flops b)
+  | e ->
+    let own = match e with Expr.Binop _ | Unop _ -> 1 | _ -> 0 in
+    List.fold_left (fun acc c -> acc + flops c) own (Expr.children e)
 
 let rec uses_var name = function
   | Expr.Var v -> String.equal v name
-  | Const _ | Idx _ -> false
-  | Read (_, idxs) -> List.exists (uses_var name) idxs
-  | Binop (_, a, b) -> uses_var name a || uses_var name b
-  | Unop (_, a) | Field (a, _) | Cast (_, a) -> uses_var name a
-  | If (c, a, b) -> uses_var name c || uses_var name a || uses_var name b
   | Let (n, a, b) -> uses_var name a || ((not (String.equal n name)) && uses_var name b)
-  | MkRecord fields -> List.exists (fun (_, e) -> uses_var name e) fields
-
-let rec simplify e =
-  match e with
-  | Expr.Const _ | Idx _ | Var _ -> e
-  | Read (buf, idxs) -> Read (buf, List.map simplify idxs)
-  | Binop (op, a, b) -> simplify_binop op (simplify a) (simplify b)
-  | Unop (Expr.Neg, a) -> (
-    match simplify a with
-    | Expr.Unop (Expr.Neg, inner) -> inner
-    | a' -> Unop (Expr.Neg, a'))
-  | Unop (Expr.Not, a) -> (
-    match simplify a with
-    | Expr.Const (Scalar.B b) -> Const (Scalar.B (not b))
-    | Expr.Unop (Expr.Not, inner) -> inner
-    | a' -> Unop (Expr.Not, a'))
-  | If (c, a, b) -> (
-    match simplify c with
-    | Expr.Const (Scalar.B true) -> simplify a
-    | Expr.Const (Scalar.B false) -> simplify b
-    | c' -> If (c', simplify a, simplify b))
-  | Let (name, value, body) ->
-    let body' = simplify body in
-    if uses_var name body' then Let (name, simplify value, body')
-    else body' (* the binding is pure by construction *)
-  | Field (a, name) -> Field (simplify a, name)
-  | MkRecord fields -> MkRecord (List.map (fun (n, fe) -> (n, simplify fe)) fields)
-  | Cast (ty, a) -> Cast (ty, simplify a)
-
-and simplify_binop op a b =
-  let default = Expr.Binop (op, a, b) in
-  match op with
-  | Expr.Add -> (
-    if is_int_const 0 a then b
-    else if is_int_const 0 b then a
-    else
-      match int_consts a b with
-      | Some (x, y, mk) -> mk (x + y)
-      | None -> default)
-  | Sub -> (
-    if is_int_const 0 b then a
-    else
-      match int_consts a b with
-      | Some (x, y, mk) -> mk (x - y)
-      | None -> default)
-  | Mul -> (
-    if is_int_const 1 a then b
-    else if is_int_const 1 b then a
-    else if is_int_const 0 a then a
-    else if is_int_const 0 b then b
-    else
-      match int_consts a b with
-      | Some (x, y, mk) -> mk (x * y)
-      | None -> default)
-  | And -> (
-    match (a, b) with
-    | Expr.Const (Scalar.B true), other | other, Expr.Const (Scalar.B true) -> other
-    | (Expr.Const (Scalar.B false) as f), _ -> f
-    | _ -> default)
-  | Or -> (
-    match (a, b) with
-    | Expr.Const (Scalar.B false), other | other, Expr.Const (Scalar.B false) -> other
-    | (Expr.Const (Scalar.B true) as t), _ -> t
-    | _ -> default)
-  | Div | Min | Max | Eq | Ne | Lt | Le | Gt | Ge -> default
+  | e -> List.exists (uses_var name) (Expr.children e)
 
 let rec reads_buffer tainted = function
   | Expr.Read _ -> true
-  | Const _ | Idx _ -> false
   | Var name -> List.mem name tainted
-  | Binop (_, a, b) -> reads_buffer tainted a || reads_buffer tainted b
-  | Unop (_, a) | Field (a, _) | Cast (_, a) -> reads_buffer tainted a
-  | If (c, a, b) ->
-    reads_buffer tainted c || reads_buffer tainted a || reads_buffer tainted b
-  | Let (_, e1, e2) -> reads_buffer tainted e1 || reads_buffer tainted e2
-  | MkRecord fields -> List.exists (fun (_, e) -> reads_buffer tainted e) fields
+  | e -> List.exists (reads_buffer tainted) (Expr.children e)
 
 let contains_data_dependent_branch e =
   let rec go tainted = function
     | Expr.If (c, a, b) -> reads_buffer tainted c || go tainted a || go tainted b
-    | Const _ | Idx _ | Var _ -> false
-    | Read (_, idxs) -> List.exists (go tainted) idxs
-    | Binop (_, a, b) -> go tainted a || go tainted b
-    | Unop (_, a) | Field (a, _) | Cast (_, a) -> go tainted a
     | Let (name, e1, e2) ->
       let tainted' = if reads_buffer tainted e1 then name :: tainted else tainted in
       go tainted e1 || go tainted' e2
-    | MkRecord fields -> List.exists (fun (_, fe) -> go tainted fe) fields
+    | e -> List.exists (go tainted) (Expr.children e)
   in
   go [] e

@@ -23,24 +23,8 @@ val flops : Expr.t -> int
 (** Arithmetic/comparison operation count of one evaluation: worst case over
     conditional branches. *)
 
-val is_int_const : int -> Expr.t -> bool
-(** The expression is an integer constant (either width) with this value. *)
-
-val int_consts : Expr.t -> Expr.t -> (int * int * (int -> Expr.t)) option
-(** Both expressions are integer constants of the same width: their values
-    plus a constructor rebuilding a constant of that width. *)
-
 val uses_var : string -> Expr.t -> bool
 (** A free [Var] occurrence of the name exists (respects [Let] shadowing). *)
-
-val simplify : Expr.t -> Expr.t
-(** Semantics-preserving clean-up: constant folding on integer arithmetic
-    and booleans, and the unit/absorbing laws [e + 0], [0 + e], [e * 1],
-    [1 * e], [e * 0] (integers only), [e - 0], double negation, conditional
-    with a constant condition, and [let]s whose body ignores the binding
-    (the binding is pure by construction). Floating-point expressions are
-    left untouched except for exact structural no-ops, so rounding
-    behaviour is preserved. Property-tested against the evaluator. *)
 
 val contains_data_dependent_branch : Expr.t -> bool
 (** True when an [If] condition reads a buffer element (directly or through

@@ -21,6 +21,51 @@ type t =
   | MkRecord of (string * t) list
   | Cast of Mdh_tensor.Scalar.ty * t
 
+(* Child traversal. Defined before the operator constructors below, which
+   shadow [||], [&&], [=] and friends. *)
+
+let children = function
+  | Const _ | Idx _ | Var _ -> []
+  | Read (_, idxs) -> idxs
+  | Binop (_, a, b) | Let (_, a, b) -> [ a; b ]
+  | Unop (_, a) | Field (a, _) | Cast (_, a) -> [ a ]
+  | If (c, a, b) -> [ c; a; b ]
+  | MkRecord fields -> List.map snd fields
+
+let map_children f e =
+  match e with
+  | Const _ | Idx _ | Var _ -> e
+  | Read (buf, idxs) -> Read (buf, List.map f idxs)
+  | Binop (op, a, b) ->
+    let b = f b in
+    Binop (op, f a, b)
+  | Unop (op, a) -> Unop (op, f a)
+  | If (c, a, b) ->
+    let b = f b in
+    let a = f a in
+    If (f c, a, b)
+  | Let (name, v, body) ->
+    let body = f body in
+    Let (name, f v, body)
+  | Field (a, name) -> Field (f a, name)
+  | MkRecord fields -> MkRecord (List.map (fun (name, fe) -> (name, f fe)) fields)
+  | Cast (ty, a) -> Cast (ty, f a)
+
+let rec iter f e =
+  f e;
+  List.iter (iter f) (children e)
+
+let iter_reads e f = iter (function Read (buf, idxs) -> f buf idxs | _ -> ()) e
+
+let free_idx_vars e =
+  let order = ref [] in
+  iter
+    (function
+      | Idx name when not (List.mem name !order) -> order := name :: !order
+      | _ -> ())
+    e;
+  List.rev !order
+
 let binop_symbol = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
   | Min -> "min" | Max -> "max"
@@ -76,42 +121,3 @@ let if_ c a b = If (c, a, b)
 let let_ name e body = Let (name, e, body)
 let field e name = Field (e, name)
 let cast ty e = Cast (ty, e)
-
-let rec iter_reads e f =
-  match e with
-  | Const _ | Idx _ | Var _ -> ()
-  | Read (buf, idxs) ->
-    f buf idxs;
-    List.iter (fun i -> iter_reads i f) idxs
-  | Binop (_, a, b) ->
-    iter_reads a f;
-    iter_reads b f
-  | Unop (_, a) | Field (a, _) | Cast (_, a) -> iter_reads a f
-  | If (c, a, b) ->
-    iter_reads c f;
-    iter_reads a f;
-    iter_reads b f
-  | Let (_, e1, e2) ->
-    iter_reads e1 f;
-    iter_reads e2 f
-  | MkRecord fields -> List.iter (fun (_, e) -> iter_reads e f) fields
-
-let free_idx_vars e =
-  let seen = Hashtbl.create 8 in
-  let order = ref [] in
-  let rec go = function
-    | Idx name ->
-      if not (Hashtbl.mem seen name) then begin
-        Hashtbl.add seen name ();
-        order := name :: !order
-      end
-    | Const _ | Var _ -> ()
-    | Read (_, idxs) -> List.iter go idxs
-    | Binop (_, a, b) -> go a; go b
-    | Unop (_, a) | Field (a, _) | Cast (_, a) -> go a
-    | If (c, a, b) -> go c; go a; go b
-    | Let (_, e1, e2) -> go e1; go e2
-    | MkRecord fields -> List.iter (fun (_, e) -> go e) fields
-  in
-  go e;
-  List.rev !order

@@ -57,8 +57,33 @@ val let_ : string -> t -> t -> t
 val field : t -> string -> t
 val cast : Mdh_tensor.Scalar.ty -> t -> t
 
+(** {1 Traversal}
+
+    Structural recursions over [t] go through {!children} or
+    {!map_children}. Only the printer, the evaluator, the type checker and
+    the C and specializer backends, which give each constructor its own
+    meaning, match on every constructor ([scripts/check.sh] pins this). *)
+
+val children : t -> t list
+(** The immediate subexpressions in evaluation order: [Read] indices and
+    [MkRecord] fields first to last, [Binop] operands left then right, the
+    [If] condition then its branches, the [Let] value then its body. Leaves
+    ([Const], [Idx], [Var]) have none. [Let] scoping is not reflected:
+    analyses that care about binders match [Let] first. *)
+
+val map_children : (t -> t) -> t -> t
+(** [e] with every immediate child [c] replaced by [f c]; [f] is applied
+    once per child. Lists ([Read] indices, [MkRecord] fields) are mapped
+    first to last, the fixed operands of [Binop], [If] and [Let] last to
+    first. The rewriter's provenance log records rules in this order. *)
+
+val iter : (t -> unit) -> t -> unit
+(** Pre-order visit of the node and all its descendants, children in
+    {!children} order. *)
+
 val iter_reads : t -> (string -> t list -> unit) -> unit
-(** Visit every [Read] node (including reads nested in index expressions). *)
+(** Visit every [Read] node (including reads nested in index expressions),
+    in pre-order — the syntactic order {!Analysis.reads} reports. *)
 
 val free_idx_vars : t -> string list
-(** Iteration variables referenced, in first-use order. *)
+(** Iteration variables referenced, in first-use (pre-order) order. *)

@@ -62,18 +62,27 @@ let rec exact_scalar_domain = function
    evaluate a subexpression require this. *)
 let rec total = function
   | Expr.Binop (Expr.Div, _, _) -> false
-  | Expr.Const _ | Expr.Idx _ | Expr.Var _ -> true
-  | Expr.Read (_, idxs) -> List.for_all total idxs
-  | Expr.Binop (_, a, b) -> total a && total b
-  | Expr.Unop (_, a) | Expr.Field (a, _) | Expr.Cast (_, a) -> total a
-  | Expr.If (c, a, b) -> total c && total a && total b
-  | Expr.Let (_, a, b) -> total a && total b
-  | Expr.MkRecord fields -> List.for_all (fun (_, e) -> total e) fields
+  | e -> List.for_all total (Expr.children e)
 
 let shorten s =
   if String.length s <= 64 then s else String.sub s 0 61 ^ "..."
 
 let estr e = shorten (Expr.to_string e)
+
+let is_int_const n = function
+  | Expr.Const (Scalar.I32 x) -> Int32.to_int x = n
+  | Expr.Const (Scalar.I64 x) -> Int64.to_int x = n
+  | _ -> false
+
+(* both operands are integer constants of the same width: their values and
+   a constructor rebuilding a constant of that width *)
+let int_consts a b =
+  match (a, b) with
+  | Expr.Const (Scalar.I32 x), Expr.Const (Scalar.I32 y) ->
+    Some (Int32.to_int x, Int32.to_int y, fun n -> Expr.Const (Scalar.i32 n))
+  | Expr.Const (Scalar.I64 x), Expr.Const (Scalar.I64 y) ->
+    Some (Int64.to_int x, Int64.to_int y, fun n -> Expr.Const (Scalar.i64 n))
+  | _ -> None
 
 let is_fp_const x = function
   | Expr.Const (Scalar.F32 v) | Expr.Const (Scalar.F64 v) -> Float.equal v x
@@ -98,54 +107,54 @@ let rw_binop (emit : emitter) op a b =
   let fold mk n why = fire "const-fold" why (mk n) in
   match op with
   | Expr.Add -> (
-    if Eanalysis.is_int_const 0 a then
+    if is_int_const 0 a then
       fire "add-zero" "adding integer zero is the identity" b
-    else if Eanalysis.is_int_const 0 b then
+    else if is_int_const 0 b then
       fire "add-zero" "adding integer zero is the identity" a
     else
-      match Eanalysis.int_consts a b with
+      match int_consts a b with
       | Some (x, y, mk) -> fold mk (x + y) "integer addition of constants"
       | None -> default)
   | Expr.Sub -> (
-    if Eanalysis.is_int_const 0 b then
+    if is_int_const 0 b then
       fire "sub-zero" "subtracting integer zero is the identity" a
     else
-      match Eanalysis.int_consts a b with
+      match int_consts a b with
       | Some (x, y, mk) -> fold mk (x - y) "integer subtraction of constants"
       | None -> default)
   | Expr.Mul -> (
-    if Eanalysis.is_int_const 1 a then
+    if is_int_const 1 a then
       fire "mul-one" "multiplying by integer one is the identity" b
-    else if Eanalysis.is_int_const 1 b then
+    else if is_int_const 1 b then
       fire "mul-one" "multiplying by integer one is the identity" a
     else if is_fp_const 1.0 a then
       fire "mul-one" "IEEE-754 multiplication by one is exact for every value" b
     else if is_fp_const 1.0 b then
       fire "mul-one" "IEEE-754 multiplication by one is exact for every value" a
-    else if Eanalysis.is_int_const 0 a && total b then
+    else if is_int_const 0 a && total b then
       fire "mul-zero" "integer multiplication by zero absorbs (dropped operand is total)" a
-    else if Eanalysis.is_int_const 0 b && total a then
+    else if is_int_const 0 b && total a then
       fire "mul-zero" "integer multiplication by zero absorbs (dropped operand is total)" b
     else
-      match Eanalysis.int_consts a b with
+      match int_consts a b with
       | Some (x, y, mk) -> fold mk (x * y) "integer multiplication of constants"
       | None ->
-        if (Eanalysis.is_int_const 2 a || is_fp_const 2.0 a) && leafy b then
+        if (is_int_const 2 a || is_fp_const 2.0 a) && leafy b then
           fire "strength-reduce"
             "x + x computes 2*x exactly (wrap-around and IEEE-754 included)"
             (Expr.Binop (Expr.Add, b, b))
-        else if (Eanalysis.is_int_const 2 b || is_fp_const 2.0 b) && leafy a then
+        else if (is_int_const 2 b || is_fp_const 2.0 b) && leafy a then
           fire "strength-reduce"
             "x + x computes 2*x exactly (wrap-around and IEEE-754 included)"
             (Expr.Binop (Expr.Add, a, a))
         else default)
   | Expr.Div -> (
-    if Eanalysis.is_int_const 1 b then
+    if is_int_const 1 b then
       fire "div-one" "integer division by one is the identity" a
     else if is_fp_const 1.0 b then
       fire "div-one" "IEEE-754 division by one is exact for every value" a
     else
-      match Eanalysis.int_consts a b with
+      match int_consts a b with
       | Some (x, y, mk) when y <> 0 ->
         fold mk (x / y) "integer division of constants (non-zero divisor)"
       | _ -> default)
@@ -222,41 +231,32 @@ let rw_let (emit : emitter) name value body =
     body)
   else default
 
+(* one bottom-up pass: children first (in [Expr.map_children] order, which
+   fixes the order of the provenance log), then the node's own rules *)
 let rec pass emit e =
-  match e with
-  | Expr.Const _ | Expr.Idx _ | Expr.Var _ -> e
-  | Expr.Read (buf, idxs) -> Expr.Read (buf, List.map (pass emit) idxs)
-  | Expr.Binop (op, a, b) -> rw_binop emit op (pass emit a) (pass emit b)
-  | Expr.Unop (op, a) -> rw_unop emit op (pass emit a)
-  | Expr.If (c, a, b) -> rw_if emit (pass emit c) (pass emit a) (pass emit b)
-  | Expr.Let (n, v, body) -> rw_let emit n (pass emit v) (pass emit body)
-  | Expr.Field (a, f) -> Expr.Field (pass emit a, f)
-  | Expr.MkRecord fields ->
-    Expr.MkRecord (List.map (fun (n, fe) -> (n, pass emit fe)) fields)
-  | Expr.Cast (ty, a) -> Expr.Cast (ty, pass emit a)
+  match Expr.map_children (pass emit) e with
+  | Expr.Binop (op, a, b) -> rw_binop emit op a b
+  | Expr.Unop (op, a) -> rw_unop emit op a
+  | Expr.If (c, a, b) -> rw_if emit c a b
+  | Expr.Let (n, v, body) -> rw_let emit n v body
+  | e' -> e'
+
+let fixpoint emit e0 =
+  let rec fix n e =
+    if n = 0 then e
+    else
+      let e' = pass emit e in
+      if Stdlib.( = ) e' e then e else fix (n - 1) e'
+  in
+  fix 8 e0
+
+let simplify_expr = fixpoint (fun ~rule:_ ~detail:_ ~just:_ -> ())
 
 (* --- common-subexpression elimination --- *)
 
-let rec esize = function
-  | Expr.Const _ | Expr.Idx _ | Expr.Var _ -> 1
-  | Expr.Read (_, idxs) -> List.fold_left (fun a i -> a + esize i) 1 idxs
-  | Expr.Binop (_, a, b) -> 1 + esize a + esize b
-  | Expr.Unop (_, a) | Expr.Field (a, _) | Expr.Cast (_, a) -> 1 + esize a
-  | Expr.If (c, a, b) -> 1 + esize c + esize a + esize b
-  | Expr.Let (_, a, b) -> 1 + esize a + esize b
-  | Expr.MkRecord fields -> List.fold_left (fun a (_, e) -> a + esize e) 1 fields
+let rec esize e = List.fold_left (fun acc c -> acc + esize c) 1 (Expr.children e)
 
-let rec contains p e =
-  p e
-  ||
-  match e with
-  | Expr.Const _ | Expr.Idx _ | Expr.Var _ -> false
-  | Expr.Read (_, idxs) -> List.exists (contains p) idxs
-  | Expr.Binop (_, a, b) -> contains p a || contains p b
-  | Expr.Unop (_, a) | Expr.Field (a, _) | Expr.Cast (_, a) -> contains p a
-  | Expr.If (c, a, b) -> contains p c || contains p a || contains p b
-  | Expr.Let (_, a, b) -> contains p a || contains p b
-  | Expr.MkRecord fields -> List.exists (fun (_, fe) -> contains p fe) fields
+let rec contains p e = p e || List.exists (contains p) (Expr.children e)
 
 let contains_var = contains (function Expr.Var _ -> true | _ -> false)
 let contains_let = contains (function Expr.Let _ -> true | _ -> false)
@@ -264,37 +264,21 @@ let contains_read = contains (function Expr.Read _ -> true | _ -> false)
 
 let subtree_counts root =
   let tbl = Hashtbl.create 64 in
-  let rec go e =
-    (match e with
-    | Expr.Const _ | Expr.Idx _ | Expr.Var _ -> ()
-    | _ ->
-      Hashtbl.replace tbl e (1 + Option.value ~default:0 (Hashtbl.find_opt tbl e)));
-    match e with
-    | Expr.Const _ | Expr.Idx _ | Expr.Var _ -> ()
-    | Expr.Read (_, idxs) -> List.iter go idxs
-    | Expr.Binop (_, a, b) -> go a; go b
-    | Expr.Unop (_, a) | Expr.Field (a, _) | Expr.Cast (_, a) -> go a
-    | Expr.If (c, a, b) -> go c; go a; go b
-    | Expr.Let (_, a, b) -> go a; go b
-    | Expr.MkRecord fields -> List.iter (fun (_, fe) -> go fe) fields
-  in
-  go root;
+  Expr.iter
+    (function
+      | Expr.Const _ | Expr.Idx _ | Expr.Var _ -> ()
+      | e -> Hashtbl.replace tbl e (1 + Option.value ~default:0 (Hashtbl.find_opt tbl e)))
+    root;
   tbl
 
 let used_names root =
   let tbl = Hashtbl.create 16 in
-  let add n = Hashtbl.replace tbl n () in
-  let rec go = function
-    | Expr.Const _ -> ()
-    | Expr.Idx n | Expr.Var n -> add n
-    | Expr.Read (buf, idxs) -> add buf; List.iter go idxs
-    | Expr.Binop (_, a, b) -> go a; go b
-    | Expr.Unop (_, a) | Expr.Field (a, _) | Expr.Cast (_, a) -> go a
-    | Expr.If (c, a, b) -> go c; go a; go b
-    | Expr.Let (n, a, b) -> add n; go a; go b
-    | Expr.MkRecord fields -> List.iter (fun (_, fe) -> go fe) fields
-  in
-  go root;
+  Expr.iter
+    (function
+      | Expr.Idx n | Expr.Var n | Expr.Read (n, _) | Expr.Let (n, _, _) ->
+        Hashtbl.replace tbl n ()
+      | _ -> ())
+    root;
   tbl
 
 let fresh_name used =
@@ -306,20 +290,7 @@ let fresh_name used =
 
 let rec subst ~target ~name e =
   if Stdlib.( = ) e target then Expr.Var name
-  else
-    match e with
-    | Expr.Const _ | Expr.Idx _ | Expr.Var _ -> e
-    | Expr.Read (buf, idxs) -> Expr.Read (buf, List.map (subst ~target ~name) idxs)
-    | Expr.Binop (op, a, b) ->
-      Expr.Binop (op, subst ~target ~name a, subst ~target ~name b)
-    | Expr.Unop (op, a) -> Expr.Unop (op, subst ~target ~name a)
-    | Expr.If (c, a, b) ->
-      Expr.If (subst ~target ~name c, subst ~target ~name a, subst ~target ~name b)
-    | Expr.Let (n, a, b) -> Expr.Let (n, subst ~target ~name a, subst ~target ~name b)
-    | Expr.Field (a, f) -> Expr.Field (subst ~target ~name a, f)
-    | Expr.MkRecord fields ->
-      Expr.MkRecord (List.map (fun (n, fe) -> (n, subst ~target ~name fe)) fields)
-    | Expr.Cast (ty, a) -> Expr.Cast (ty, subst ~target ~name a)
+  else Expr.map_children (subst ~target ~name) e
 
 (* One CSE hoist: pick the most valuable repeated total subtree, bind it
    once at the outermost scope, replace every occurrence with the binding.
@@ -379,13 +350,7 @@ let saturate_expr ?(site = "expr") e0 =
         ap_just = just }
       :: !log
   in
-  let rec fix n e =
-    if n = 0 then e
-    else
-      let e' = pass emit e in
-      if Stdlib.( = ) e' e then e else fix (n - 1) e'
-  in
-  let e1 = fix 8 e0 in
+  let e1 = fixpoint emit e0 in
   let rec cse n e =
     if n = 0 then e
     else match cse_step emit e with Some e' -> cse (n - 1) e' | None -> e

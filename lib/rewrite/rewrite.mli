@@ -77,11 +77,22 @@ val exact_scalar_domain : Scalar.ty -> bool
 
 (** {1 Tier 1: expression saturation} *)
 
+val simplify_expr : Expr.t -> Expr.t
+(** The tier-1 rules without CSE and without provenance: a bounded
+    rewrite-to-fixpoint of constant folding, algebraic identities,
+    strength reduction and dead-[let] removal. A rule that drops or
+    unconditionally evaluates a subexpression fires only when that
+    subexpression is total (cannot raise), so the result evaluates to the
+    same value as the input, and raises exactly when the input raises.
+    This is the project's one expression simplifier: {!saturate_expr} runs
+    it before its CSE steps, and the C emitters
+    ({!Mdh_codegen.C_like.emit_expr}) run it on every expression they
+    print. *)
+
 val saturate_expr : ?site:string -> Expr.t -> Expr.t * applied list
-(** Bounded rewrite-to-fixpoint (identities, folding, strength reduction)
-    followed by CSE hoisting. Every rule applied is [Pure]; the result is
-    bit-identical to the input under evaluation. [site] labels the
-    provenance records. *)
+(** {!simplify_expr}, recording every rule it applies, followed by CSE
+    hoisting. Every rule applied is [Pure]; the result is bit-identical to
+    the input under evaluation. [site] labels the provenance records. *)
 
 val saturate_outputs : Md_hom.t -> Md_hom.t * applied list
 (** [saturate_expr] over every output's combine body. The returned

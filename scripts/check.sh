@@ -32,6 +32,12 @@
 #   - the directive-rules pin fails: the codes MDH001-MDH015 are spelled
 #     out under lib/ only by Validate (the rules) and Diagnostic (the code
 #     table), so the rules cannot grow a second copy,
+#   - the expression-toolkit pin fails: generated C is patched as text
+#     (replace_word / Str_replace under lib/), or a lib/ module other than
+#     Expr, the four backends that give each constructor its own meaning
+#     (Eval, Typecheck, C_like, Specializer) and the two record-building
+#     workloads (PRL, KMeans) matches on MkRecord — every other structural
+#     recursion goes through Expr.children / Expr.map_children,
 #   - the diagnostics golden fails: `mdhc check` output over the catalogue,
 #     the test fixtures and the example pragmas must match
 #     scripts/check_diagnostics.golden,
@@ -149,6 +155,22 @@ if [ -n "$rule_leaks" ]; then
     echo "error: directive-rule codes MDH001-MDH015 outside Validate:" >&2
     echo "$rule_leaks" | head -10 >&2
     echo "(report the violation from Mdh_directive.Validate.elaborate instead)" >&2
+    exit 1
+fi
+
+# expression-toolkit pin: Expr.children / Expr.map_children are the one
+# child traversal and the rewriter's tier-1 rules the one simplifier, which
+# the C emitters call instead of editing their output as text. A new
+# MkRecord match outside the allow-list is a hand-written recursion that
+# restates which children a node has.
+expr_leaks=$( { grep -rnE 'replace_word|Str_replace' lib
+    grep -rlE --include='*.ml' 'MkRecord' lib \
+        | grep -vE '^lib/(expr/(expr|eval|typecheck)|codegen/c_like|runtime/specializer|workloads/(prl|kmeans))\.ml$'
+    } || true)
+if [ -n "$expr_leaks" ]; then
+    echo "error: expression code bypasses the Expr traversal or patches C as text:" >&2
+    echo "$expr_leaks" | head -10 >&2
+    echo "(recurse with Expr.children / Expr.map_children; render indices through emit_expr's ~index_of)" >&2
     exit 1
 fi
 

@@ -218,11 +218,6 @@ let test_openmp_c_rejects_multi_reduction () =
   | Error (Kernel.Unsupported _) -> ()
   | _ -> Alcotest.fail "expected Unsupported for the 3-reduction MCC"
 
-let test_replace_word () =
-  check Alcotest.string "word" "0 + ki" (Str_replace.replace_word "k + ki" "k" "0");
-  check Alcotest.string "multiple" "(0)*(0)" (Str_replace.replace_word "(p)*(p)" "p" "0");
-  check Alcotest.string "untouched" "alpha" (Str_replace.replace_word "alpha" "a" "0")
-
 let suite =
   let tc = Alcotest.test_case in
   ( "codegen",
@@ -246,5 +241,4 @@ let suite =
       tc "openmp-c PRL inexpressible" `Quick test_openmp_c_prl_inexpressible;
       tc "openmp-c MBBS scan inexpressible" `Quick test_openmp_c_mbbs_scan_inexpressible;
       tc "openmp-c stencil plain" `Quick test_openmp_c_stencil_plain;
-      tc "openmp-c rejects multi-reduction" `Quick test_openmp_c_rejects_multi_reduction;
-      tc "replace_word" `Quick test_replace_word ] )
+      tc "openmp-c rejects multi-reduction" `Quick test_openmp_c_rejects_multi_reduction ] )
