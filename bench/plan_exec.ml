@@ -26,7 +26,7 @@ module Buffer = Mdh_tensor.Buffer
 module Dense = Mdh_tensor.Dense
 module Schedule = Mdh_lowering.Schedule
 module Lower = Mdh_lowering.Lower
-module Plan_cache = Mdh_lowering.Plan_cache
+module Plan = Mdh_lowering.Plan
 module Pool = Mdh_runtime.Pool
 module Exec = Mdh_runtime.Exec
 module Specializer = Mdh_runtime.Specializer
@@ -86,7 +86,7 @@ let bench_one pool (w : W.t) params =
   in
   let sched = tiled_schedule md in
   let plan =
-    match Plan_cache.build md cpu sched with
+    match Plan.build md cpu sched with
     | Ok p -> p
     | Error e -> failwith (name ^ ": plan build: " ^ e)
   in

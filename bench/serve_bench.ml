@@ -1,8 +1,8 @@
 (* Load generator for the mdhd daemon: boots an in-process Server on its
    default config, then drives it with client threads at increasing
    concurrency levels over a fixed wall-time window each. Every request
-   is a [plan] op (heavier than [health], but plan-cache-warm after the
-   first hit, so the bench measures the serving path, not lowering).
+   is a [plan] op (heavier than [health], but one plan builds in a few
+   microseconds, so the bench measures the serving path, not lowering).
 
    Per level it reports requests served, p50/p99 latency, throughput and
    the shed rate (structured [overloaded] replies / attempts) — the
@@ -108,8 +108,8 @@ let run () =
   @@ fun () ->
   Printf.printf "[serve] in-process mdhd on %s, %.1fs per level\n%!" socket
     wall_s;
-  (* Warm the plan cache outside the timed windows so level 1 is not
-     dominated by the one cold lowering. *)
+  (* Serve one request outside the timed windows so level 1 is not
+     dominated by the daemon's first, cold request. *)
   (match
      Client.request ~timeout_s:10.0 ~socket ~op:"plan"
        [ ("workload", J.quote "matvec"); ("device", J.quote "cpu") ]

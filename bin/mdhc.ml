@@ -296,7 +296,7 @@ let show_cmd =
       List.iter
         (fun dev ->
           let t = or_die (Mdh_atf.Tuner.tune md dev Cost.tuned_codegen) in
-          let plan = or_die (Mdh_lowering.Plan_cache.build md dev t.Mdh_atf.Tuner.schedule) in
+          let plan = or_die (Mdh_lowering.Plan.build md dev t.Mdh_atf.Tuner.schedule) in
           Format.printf "@.execution plan on %s (parallelism %d):@.%a@."
             dev.Device.device_name (Mdh_lowering.Plan.parallelism plan)
             Mdh_lowering.Plan.pp plan)
@@ -462,7 +462,7 @@ let profile_cmd =
         { (Mdh_lowering.Lower.mdh_default md Device.xeon6140_like) with
           Schedule.used_layers = [ 0 ] }
     in
-    let plan = or_die (Mdh_lowering.Plan_cache.build md dev sched) in
+    let plan = or_die (Mdh_lowering.Plan.build md dev sched) in
     let digest = Mdh_lowering.Plan.digest plan in
     let backend_name =
       match backend with

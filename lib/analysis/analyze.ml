@@ -180,8 +180,8 @@ let plan_pass b sp (md : Mdh_core.Md_hom.t) =
             full.Schedule.parallel_dims }
     in
     match
-      ( Mdh_lowering.Plan_cache.build md dev full,
-        Mdh_lowering.Plan_cache.build md dev cc_only )
+      ( Mdh_lowering.Plan.build md dev full,
+        Mdh_lowering.Plan.build md dev cc_only )
     with
     | Ok fp, Ok cp ->
       let fpar = Mdh_lowering.Plan.parallelism fp in
@@ -242,7 +242,7 @@ let rewrite_pass b sp ~verify_ops (md : Mdh_core.Md_hom.t) =
   in
   let hint_for dev =
     let sched = Mdh_lowering.Lower.mdh_default md dev in
-    match Mdh_lowering.Plan_cache.build md dev sched with
+    match Mdh_lowering.Plan.build md dev sched with
     | Error _ -> None
     | Ok plan -> (
       match Rw.saturate_plan ~oracle md dev Mdh_lowering.Cost.tuned_codegen plan with

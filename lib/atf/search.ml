@@ -249,9 +249,6 @@ let anneal_chain ?(should_stop = fun () -> false) ?on_progress
       if final.cs_done then notify true;
       final
 
-let simulated_annealing ?should_stop space ~seed ~budget ~cost =
-  chain_result (anneal_chain ?should_stop space ~budget ~cost (chain_start ~seed))
-
 (* combine chain results: keep the best chain; ties go to the earliest
    seed in the list, so the winner is a function of the seed list alone,
    parallel or sequential; evaluations sum over every chain that
@@ -310,14 +307,3 @@ let anneal_portfolio ?pool ?should_stop ?on_progress ?progress_every space
   in
   if Array.exists (fun s -> not s.cs_done) states then Portfolio_paused states
   else Portfolio_done (combine_chain_results (Array.map chain_result states))
-
-let simulated_annealing_portfolio ?pool space ~seeds ~budget ~cost =
-  match seeds with
-  | [] -> None
-  | seeds -> (
-    let chains =
-      Array.of_list (List.map (fun seed -> chain_start ~seed) seeds)
-    in
-    match anneal_portfolio ?pool space ~chains ~budget ~cost with
-    | Portfolio_done r -> r
-    | Portfolio_paused _ -> assert false (* no should_stop was supplied *))

@@ -84,18 +84,12 @@ val anneal_chain :
   ?progress_every:int ->
   Space.t -> budget:int -> cost:(Param.config -> float option) ->
   chain_state -> chain_state
-(** Advance one chain until its budget is consumed, no legal start is
-    found, or [should_stop] fires between evaluations. [on_progress] is
+(** Advance one chain — a random start, then a neighbourhood walk with
+    exponential cooling — until its budget is consumed, no legal start is
+    found, or [should_stop] fires between evaluations. A chain is
+    inherently sequential; {!anneal_portfolio} runs several in parallel. [on_progress] is
     invoked with a resumable snapshot every [progress_every] (default 64)
     evaluations and once on completion — the checkpoint hook. *)
-
-val simulated_annealing :
-  ?should_stop:(unit -> bool) ->
-  Space.t -> seed:int -> budget:int -> cost:(Param.config -> float option) ->
-  result option
-(** Random restart + neighbourhood walk with exponential cooling. A single
-    chain is inherently sequential; for parallelism use
-    {!simulated_annealing_portfolio}. *)
 
 type portfolio_outcome =
   | Portfolio_done of result option
@@ -117,9 +111,3 @@ val anneal_portfolio :
     [on_progress] receives the chain index alongside each snapshot.
     Combination is deterministic in the chain list (ties to the earliest),
     with [evaluations] summed over chains that produced a result. *)
-
-val simulated_annealing_portfolio :
-  ?pool:Mdh_runtime.Pool.t -> Space.t -> seeds:int list -> budget:int ->
-  cost:(Param.config -> float option) -> result option
-(** K independent fresh annealing chains, one per seed — deterministic
-    given the seed list, parallel or sequential. *)

@@ -371,10 +371,6 @@ let tune_resumable ?(strategy = Auto) ?(budget = 400) ?(seed = 1) ?(chains = 1)
         | (Some _ as s), None | None, (Some _ as s) -> s
         | Some f, Some g -> Some (fun () -> f () || g ())
       in
-      (* with neither a deadline, a stop predicate, an explicit checkpoint
-         path nor a resume request, the search takes the historic
-         no-checkpoint path: zero extra i/o, bit-identical output *)
-      let checkpointing = resume || Option.is_some stop || Option.is_some checkpoint in
       (* batch strategies stop between evaluation chunks: the partial best
          is a valid (if under-searched) result, but is not recorded in the
          database, where it would shadow the full search forever *)
@@ -382,71 +378,68 @@ let tune_resumable ?(strategy = Auto) ?(budget = 400) ?(seed = 1) ?(chains = 1)
         match stop with Some f -> not (f ()) | None -> true
       in
       let per_budget = max 1 (budget / chains) in
-      let fresh_chains () =
-        Array.init chains (fun i -> Search.chain_start ~seed:(seed + i))
-      in
       let anneal () =
         (* K independent chains splitting the budget; the seed list depends
            only on (seed, chains), so the outcome is identical with or
-           without a pool *)
-        if not checkpointing then
-          `Done
-            ( Search.simulated_annealing_portfolio ?pool sp
-                ~seeds:(List.init chains (fun i -> seed + i))
-                ~budget:per_budget ~cost,
-              true )
-        else begin
-          let ckpt_path =
-            match checkpoint with
-            | Some p -> p
-            | None -> default_checkpoint_path ~db key
-          in
-          let initial =
-            if not resume then fresh_chains ()
-            else
-              match read_checkpoint ~path:ckpt_path ~key ~chains with
-              | Ck_ok states ->
-                Metrics.incr m_ckpt_resumes;
-                states
-              | Ck_missing -> fresh_chains ()
-              | Ck_stale ->
-                Printf.eprintf
-                  "mdh: checkpoint %s belongs to a different tuning request; \
-                   starting fresh\n%!"
-                  ckpt_path;
-                fresh_chains ()
-              | Ck_corrupt ->
-                Metrics.incr m_ckpt_corrupt;
-                Printf.eprintf "mdh: checkpoint %s is corrupt; starting fresh\n%!"
-                  ckpt_path;
-                fresh_chains ()
-          in
-          let slots = Array.copy initial in
-          let slots_mutex = Mutex.create () in
-          let save () =
-            write_checkpoint ~path:ckpt_path ~key ~budget:per_budget ~chains
-              ~seed slots
-          in
-          let on_progress i s =
-            Mutex.protect slots_mutex (fun () ->
-                slots.(i) <- s;
-                save ())
-          in
-          match
-            Search.anneal_portfolio ?pool ?should_stop:stop ~on_progress
-              ~progress_every:checkpoint_every sp ~chains:initial
-              ~budget:per_budget ~cost
-          with
-          | Search.Portfolio_done r ->
-            remove_checkpoint ckpt_path;
-            `Done (r, true)
-          | Search.Portfolio_paused states ->
-            Array.blit states 0 slots 0 chains;
-            save ();
-            `Paused
-              ( ckpt_path,
-                Array.fold_left (fun acc s -> acc + s.Search.cs_evals) 0 states )
-        end
+           without a pool. Checkpoints are read and written only while a
+           deadline, stop predicate, checkpoint path or resume request is
+           in effect; otherwise the search does no i/o at all. *)
+        let checkpointing = resume || Option.is_some stop || Option.is_some checkpoint in
+        let ckpt_path =
+          match checkpoint with
+          | Some p -> p
+          | None -> default_checkpoint_path ~db key
+        in
+        let fresh_chains () =
+          Array.init chains (fun i -> Search.chain_start ~seed:(seed + i))
+        in
+        let initial =
+          if not resume then fresh_chains ()
+          else
+            match read_checkpoint ~path:ckpt_path ~key ~chains with
+            | Ck_ok states ->
+              Metrics.incr m_ckpt_resumes;
+              states
+            | Ck_missing -> fresh_chains ()
+            | Ck_stale ->
+              Printf.eprintf
+                "mdh: checkpoint %s belongs to a different tuning request; \
+                 starting fresh\n%!"
+                ckpt_path;
+              fresh_chains ()
+            | Ck_corrupt ->
+              Metrics.incr m_ckpt_corrupt;
+              Printf.eprintf "mdh: checkpoint %s is corrupt; starting fresh\n%!"
+                ckpt_path;
+              fresh_chains ()
+        in
+        let slots = Array.copy initial in
+        let slots_mutex = Mutex.create () in
+        let save () =
+          write_checkpoint ~path:ckpt_path ~key ~budget:per_budget ~chains ~seed
+            slots
+        in
+        let on_progress i s =
+          Mutex.protect slots_mutex (fun () ->
+              slots.(i) <- s;
+              save ())
+        in
+        match
+          Search.anneal_portfolio ?pool ?should_stop:stop
+            ?on_progress:(if checkpointing then Some on_progress else None)
+            ~progress_every:checkpoint_every sp ~chains:initial
+            ~budget:per_budget ~cost
+        with
+        | Search.Portfolio_done r ->
+          if checkpointing then remove_checkpoint ckpt_path;
+          `Done (r, true)
+        | Search.Portfolio_paused states ->
+          (* only a stop predicate pauses a chain, so checkpointing is on *)
+          Array.blit states 0 slots 0 chains;
+          save ();
+          `Paused
+            ( ckpt_path,
+              Array.fold_left (fun acc s -> acc + s.Search.cs_evals) 0 states )
       in
       let batch r = `Done (r, ran_to_completion ()) in
       let search_result =

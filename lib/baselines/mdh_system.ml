@@ -3,7 +3,9 @@ module Cost = Mdh_lowering.Cost
 module Lower = Mdh_lowering.Lower
 module Tuner = Mdh_atf.Tuner
 
-let tune_budget = ref 400
+(* cost-model evaluations per tuning run: the stand-in for the paper's
+   12-hour tuning budget *)
+let tune_budget = 400
 
 let compile ~tuned md dev =
   if tuned then begin
@@ -13,9 +15,9 @@ let compile ~tuned md dev =
        the parallel set pinned to all parallelisable dimensions, the
        reduction-sequential (polyhedral-style) optimum, and the untuned
        heuristic. *)
-    let full = Tuner.tune ~budget:!tune_budget md dev Cost.tuned_codegen in
+    let full = Tuner.tune ~budget:tune_budget md dev Cost.tuned_codegen in
     let pinned =
-      Tuner.tune ~budget:!tune_budget
+      Tuner.tune ~budget:tune_budget
         ~parallel_options:[ Lower.parallelisable_dims md ]
         md dev Cost.tuned_codegen
     in

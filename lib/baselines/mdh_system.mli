@@ -10,9 +10,6 @@
 
 val system : Common.system
 (** [compile ~tuned:false] uses the untuned heuristic schedule (the ablation
-    baseline); [~tuned:true] runs the ATF search. *)
-
-val tune_budget : int ref
-(** Cost-model evaluations per tuning run (default 400) — the stand-in for
-    the paper's 12-hour tuning budget; the tuning-budget ablation sweeps
-    it. *)
+    baseline); [~tuned:true] runs the ATF search at 400 cost-model
+    evaluations per search, the stand-in for the paper's 12-hour tuning
+    budget. *)

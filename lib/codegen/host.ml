@@ -191,7 +191,7 @@ let generate dialect (md : Md_hom.t) dev sched =
   | Ok kernel_source ->
     let ctx = C_like.prepare md in
     (* Kernel.generate just validated this exact (md, dev, sched) *)
-    match Mdh_lowering.Plan_cache.build md dev sched with
+    match Mdh_lowering.Plan.build md dev sched with
     | Error msg -> Error (Kernel.Illegal_schedule msg)
     | Ok plan ->
     let groups, items = Kernel.launch_config plan in

@@ -3,7 +3,6 @@ module Index_fn = Mdh_tensor.Index_fn
 module Md_hom = Mdh_core.Md_hom
 module Combine = Mdh_combine.Combine
 module Plan = Mdh_lowering.Plan
-module Plan_cache = Mdh_lowering.Plan_cache
 module Device = Mdh_machine.Device
 
 type dialect = {
@@ -90,7 +89,7 @@ let sanitize name =
 let kernel_name (md : Md_hom.t) = "mdh_" ^ sanitize md.hom_name
 
 let generate dialect (md : Md_hom.t) (dev : Device.t) sched =
-  match Plan_cache.build md dev sched with
+  match Plan.build md dev sched with
   | Error msg -> Result.error (Illegal_schedule msg)
   | Ok plan -> (
     try

@@ -253,7 +253,7 @@ let level_attribution (plan : Plan.t) =
 let analyse ?include_transfers (md : Md_hom.t) (dev : Device.t) cg sched =
   Result.map
     (fun plan -> analyse_plan ?include_transfers md dev cg plan)
-    (Plan_cache.build md dev sched)
+    (Plan.build md dev sched)
 
 let seconds ?include_transfers md dev cg sched =
   Result.map

@@ -62,7 +62,7 @@ val analyse :
   codegen ->
   Schedule.t ->
   (analysis, string) result
-(** [analyse_plan] over the schedule's plan (built through {!Plan_cache});
+(** [analyse_plan] over the schedule's plan (built by {!Plan.build});
     [Error] iff the schedule is illegal for the computation. *)
 
 type level_share = {

@@ -3,9 +3,10 @@
 
     [mdh_default] mirrors what the MDH pipeline does before tuning: tile all
     dimensions to a modest cache block, parallelise every parallelisable
-    dimension, use every device layer. [candidate_space] enumerates the
-    tuning parameters (per-dimension tile sizes, parallel-dimension subsets)
-    that [Mdh_atf] searches. *)
+    dimension, use every device layer. [tile_options] and
+    [parallel_dim_options] supply the per-dimension tile sizes and the
+    parallel-dimension subsets from which [Mdh_atf.Tuner.space] builds the
+    search space. *)
 
 val parallelisable_dims : Mdh_core.Md_hom.t -> int list
 (** Dimensions whose combine operator permits parallelisation: all [cc]

@@ -54,8 +54,10 @@ type role =
   | Role_scan  (** sequential prefix scan *)
 
 val build : Mdh_core.Md_hom.t -> Mdh_machine.Device.t -> Schedule.t -> (t, string) result
-(** Fails iff the schedule is illegal. Counts under [lowering.plan.builds];
-    go through {!Plan_cache.build} to avoid rebuilding in hot loops. *)
+(** Fails iff the schedule is illegal. The one place a plan is made:
+    every consumer calls it directly, since building a plan is cheaper
+    than computing a cache key for one. Counts under
+    [lowering.plan.builds]. *)
 
 val sequential : Mdh_core.Md_hom.t -> t
 (** The device-free all-sequential plan: every cc dim a [Seq] level, every

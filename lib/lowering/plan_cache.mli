@@ -1,12 +1,13 @@
-(** Process-wide memoized plan construction.
+(** Memoized {!Plan.build}, kept only for the benchmark harness under
+    [perf/], which still calls it; no library path, front end, bench or
+    example uses it. Computing its key (printed hom, device name, schedule
+    string, MD5) costs more than the {!Plan.build} it saves, so every
+    consumer builds its plan directly. Delete this module once [perf/]
+    calls {!Plan.build} instead.
 
-    Every downstream consumer of {!Plan.t} — the executor, the cost model,
-    and the code generators — obtains plans through this
-    cache, keyed on (hom, device, schedule), so the tuner's inner loop
-    stops rebuilding identical plans. It is the {!Mdh_support.Memo} table
-    [lowering.plan_cache]: hit/miss counters live in the
-    {!Mdh_obs.Metrics} registry under [lowering.plan_cache.*] and show up
-    in every [--metrics] summary. *)
+    It is the {!Mdh_support.Memo} table [lowering.plan_cache]: its
+    hit/miss counters live in the {!Mdh_obs.Metrics} registry under
+    [lowering.plan_cache.*]. *)
 
 val build :
   Mdh_core.Md_hom.t ->

@@ -8,7 +8,6 @@ module Roofline = Mdh_machine.Roofline
 module Plan = Mdh_lowering.Plan
 module Cost = Mdh_lowering.Cost
 module Schedule = Mdh_lowering.Schedule
-module Plan_cache = Mdh_lowering.Plan_cache
 module Json = Mdh_obs.Json
 
 type property = Associative | Commutative
@@ -606,11 +605,11 @@ type report = {
 }
 
 let optimize ?(oracle = pure_oracle) (md : Md_hom.t) dev cg sched =
-  match Plan_cache.build md dev sched with
+  match Plan.build md dev sched with
   | Error e -> Error e
   | Ok raw_plan -> (
     let md', expr_applied = saturate_outputs md in
-    match Plan_cache.build md' dev sched with
+    match Plan.build md' dev sched with
     | Error e -> Error e
     | Ok plan0 ->
       let plan', plan_applied = saturate_plan ~oracle md' dev cg plan0 in

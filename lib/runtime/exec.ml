@@ -3,7 +3,6 @@ module Semantics = Mdh_core.Semantics
 module Buffer = Mdh_tensor.Buffer
 module Combine = Mdh_combine.Combine
 module Plan = Mdh_lowering.Plan
-module Plan_cache = Mdh_lowering.Plan_cache
 
 let host_device pool =
   let workers = Pool.num_workers pool in
@@ -256,6 +255,6 @@ let run ?device ?fastpath ?specialize pool (md : Md_hom.t) sched env =
   if Array.exists (fun s -> s = 0) md.Md_hom.sizes then Ok (run_seq md env)
   else
     let dev = match device with Some d -> d | None -> host_device pool in
-    match Plan_cache.build md dev sched with
+    match Plan.build md dev sched with
     | Error _ as e -> e
     | Ok plan -> run_with_plan ?fastpath ?specialize pool plan md env

@@ -52,9 +52,9 @@ val run_with_plan :
   Mdh_tensor.Buffer.env ->
   (Mdh_tensor.Buffer.env, string) result
 (** Execute an already-built plan directly, bypassing schedule legality
-    checks and the plan cache. This is how rewritten plans — which have no
-    originating schedule — are run: {!run} is [Plan_cache.build] followed
-    by this function. The plan must belong to [md] (same dimensions and
+    checks. This is how rewritten plans — which have no originating
+    schedule — are run: {!run} is {!Mdh_lowering.Plan.build} followed by
+    this function. The plan must belong to [md] (same dimensions and
     extents); options as in {!run}. *)
 
 val run_seq : Mdh_core.Md_hom.t -> Mdh_tensor.Buffer.env -> Mdh_tensor.Buffer.env

@@ -27,12 +27,6 @@ type t = {
       (* set when the watchdog expires: the pool may still be wedged
          behind a stuck worker, so every later job runs sequentially in
          the caller instead of aborting the run *)
-  pub_mutex : Mutex.t;
-  mutable pub_jobs : int;
-  mutable pub_busy_s : float;
-  mutable pub_capacity_s : float;
-      (* totals already pushed onto the registry, so [publish_metrics] can
-         run any number of times mid-flight and only add the delta *)
 }
 
 exception Watchdog_timeout
@@ -93,9 +87,7 @@ let create ?num_domains ?watchdog_s () =
       job_done = Condition.create (); job = None; generation = 0; active = 0;
       stop = false; stopped = false; in_job = Atomic.make false;
       busy_ns = Array.make (n + 1) 0L; jobs = Atomic.make 0;
-      created_ns = Clock.now_ns (); watchdog_s; is_degraded = Atomic.make false;
-      pub_mutex = Mutex.create (); pub_jobs = 0; pub_busy_s = 0.0;
-      pub_capacity_s = 0.0 }
+      created_ns = Clock.now_ns (); watchdog_s; is_degraded = Atomic.make false }
   in
   pool.domains <- Array.init n (fun i -> Domain.spawn (worker pool i));
   pool
@@ -325,55 +317,28 @@ let run_in_parallel t thunks =
     Array.map Option.get results
   end
 
-type stats = {
-  workers : int;
-  jobs_run : int;
-  busy_s : float array;
-  wall_s : float;
-  utilization : float;
-}
-
-let stats t =
-  let wall_s = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t.created_ns) in
-  let busy_s = Array.map Clock.ns_to_s t.busy_ns in
-  let n_domains = Array.length t.domains in
-  let utilization =
-    (* fraction of the worker domains' lifetime spent running jobs; the
-       caller's share (slot 0) is excluded because the caller is busy with
-       its own sequential work between jobs *)
-    if n_domains = 0 || wall_s <= 0.0 then 0.0
-    else
-      Array.fold_left ( +. ) 0.0 (Array.sub busy_s 1 n_domains)
-      /. (wall_s *. float_of_int n_domains)
-  in
-  { workers = num_workers t; jobs_run = Atomic.get t.jobs; busy_s; wall_s;
-    utilization }
-
+(* push the pool's lifetime totals onto the registry, accumulating across
+   every pool this process has retired; [shutdown] calls it once *)
 let publish_metrics t =
-  (* delta-publish so a live pool can be scraped any number of times
-     before shutdown without double-counting its history *)
-  Mutex.lock t.pub_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.pub_mutex)
-    (fun () ->
-      let s = stats t in
-      let n_domains = Array.length t.domains in
-      Metrics.add m_jobs (s.jobs_run - t.pub_jobs);
-      t.pub_jobs <- s.jobs_run;
-      Metrics.set m_workers (float_of_int s.workers);
-      if n_domains > 0 then begin
-        (* busy and capacity cover the worker domains only, mirroring
-           [stats]: cumulative across every pool this process has retired *)
-        let busy = Array.fold_left ( +. ) 0.0 (Array.sub s.busy_s 1 n_domains) in
-        let capacity_now = s.wall_s *. float_of_int n_domains in
-        Metrics.add_gauge m_busy (busy -. t.pub_busy_s);
-        Metrics.add_gauge m_capacity (capacity_now -. t.pub_capacity_s);
-        t.pub_busy_s <- busy;
-        t.pub_capacity_s <- capacity_now;
-        let capacity = Metrics.gauge_value m_capacity in
-        if capacity > 0.0 then
-          Metrics.set m_utilization (Metrics.gauge_value m_busy /. capacity)
-      end)
+  let n_domains = Array.length t.domains in
+  Metrics.add m_jobs (Atomic.get t.jobs);
+  Metrics.set m_workers (float_of_int (num_workers t));
+  if n_domains > 0 then begin
+    (* busy time and capacity cover the worker domains only: the caller's
+       share (slot 0) is excluded because the caller is busy with its own
+       sequential work between jobs *)
+    let wall_s = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t.created_ns) in
+    let busy =
+      Array.fold_left
+        (fun acc ns -> acc +. Clock.ns_to_s ns)
+        0.0 (Array.sub t.busy_ns 1 n_domains)
+    in
+    Metrics.add_gauge m_busy busy;
+    Metrics.add_gauge m_capacity (wall_s *. float_of_int n_domains);
+    let capacity = Metrics.gauge_value m_capacity in
+    if capacity > 0.0 then
+      Metrics.set m_utilization (Metrics.gauge_value m_busy /. capacity)
+  end
 
 let shutdown t =
   if not t.stopped then begin

@@ -78,28 +78,6 @@ val run_in_parallel : t -> (unit -> 'a) array -> 'a array
 (** Execute independent thunks across the pool, returning their results in
     order. *)
 
-type stats = {
-  workers : int;        (** total parallelism, caller included *)
-  jobs_run : int;       (** jobs submitted through {!run_job} *)
-  busy_s : float array; (** seconds spent executing jobs: slot 0 is the
-                            caller's share, slot [i+1] worker [i] *)
-  wall_s : float;       (** seconds since the pool was created *)
-  utilization : float;  (** worker busy time / (wall x worker domains);
-                            0 for a pool with no worker domains *)
-}
-
-val stats : t -> stats
-(** Instantaneous observability snapshot; cheap and safe while jobs run. *)
-
-val publish_metrics : t -> unit
-(** Push the pool's utilization onto the [Mdh_obs.Metrics] registry
-    ([runtime.pool.jobs], [runtime.pool.busy_s], [runtime.pool.capacity_s],
-    [runtime.pool.utilization], [runtime.pool.workers]) without waiting
-    for {!shutdown}: a long-running process can be scraped mid-flight.
-    Publishes only the delta since the previous call on this pool, so
-    repeated snapshots (and the final one at shutdown) never double-count.
-    Safe to call concurrently and while jobs are running. *)
-
 val shutdown : t -> unit
 (** Join the worker domains. The pool must not be used afterwards.
     Idempotent. Publishes the pool's lifetime totals onto the

@@ -10,7 +10,6 @@ module Catalog = Mdh_workloads.Catalog
 module Device = Mdh_machine.Device
 module Schedule = Mdh_lowering.Schedule
 module Plan = Mdh_lowering.Plan
-module Plan_cache = Mdh_lowering.Plan_cache
 module Lower = Mdh_lowering.Lower
 module Cost = Mdh_lowering.Cost
 module Tuner = Mdh_atf.Tuner
@@ -341,7 +340,7 @@ module Plan_op = struct
       | None -> Lower.mdh_default md dev
     in
     let workload = wl_name w and device = dev.Device.device_name in
-    match Plan_cache.build md dev sched with
+    match Plan.build md dev sched with
     | Error e -> fail "plan_failed" "%s on %s: %s" workload device e
     | Ok plan ->
       { workload; device; digest = Plan.digest plan;
@@ -498,7 +497,7 @@ module Optimize = struct
       if r.no_rewrite then
         (* escape hatch: the raw plan, untouched — same report shape so
            --json consumers need no special case *)
-        let plan = ok_or "optimize_failed" (Plan_cache.build md dev sched) in
+        let plan = ok_or "optimize_failed" (Plan.build md dev sched) in
         let seconds = ok_or "optimize_failed" (Cost.seconds md dev cg sched) in
         { R.r_md = md; r_raw_plan = plan; r_plan = plan; r_raw_seconds = seconds;
           r_seconds = seconds; r_applied = [] }
@@ -573,7 +572,7 @@ module Exec_op = struct
       md.Md_hom.outputs
 
   let special pool md sched env =
-    let plan = ok_or "exec_failed" (Plan_cache.build md (Mdh_runtime.Exec.host_device pool) sched) in
+    let plan = ok_or "exec_failed" (Plan.build md (Mdh_runtime.Exec.host_device pool) sched) in
     match Mdh_runtime.Specializer.try_run pool plan md env with
     | Some env' -> env'
     | None -> (

@@ -23,7 +23,7 @@ type 'a t
 type stats = { n_hits : int; n_misses : int; n_entries : int }
 
 val create : string -> 'a t
-(** A fresh empty table named [name] (e.g. ["lowering.plan_cache"]).
+(** A fresh empty table named [name] (e.g. ["atf.cost_cache"]).
     Raises [Invalid_argument] if a table of that name already exists. *)
 
 val key : string list -> string

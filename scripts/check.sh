@@ -24,6 +24,10 @@
 #     kernel codegen / plan specializer, each of which must exist) and the
 #     catalogue's default-schedule plan digests must match
 #     scripts/plan_digests.golden,
+#   - the plan-build pin fails: a file under lib/, bin/, bench/ or
+#     examples/ other than lib/lowering/plan_cache.ml(i) names Plan_cache —
+#     every consumer builds its plan with Plan.build, because the cache's
+#     key costs more than the plan it saves,
 #   - the operation-table pin fails: lib/serve/server.ml decodes no
 #     workload/device/input/strategy itself and bin/mdhc.ml carries no
 #     second printer for daemon replies (both go through Mdh_serve.Op),
@@ -118,7 +122,19 @@ schedule_leaks=$(grep -nE \
 if [ -n "$schedule_leaks" ]; then
     echo "error: Plan consumers reach into Schedule internals:" >&2
     echo "$schedule_leaks" | head -10 >&2
-    echo "(consume Plan.t — built via Plan_cache.build — instead)" >&2
+    echo "(consume Plan.t instead)" >&2
+    exit 1
+fi
+
+# plan-build pin: Plan.build is the one place a plan is made, with no
+# cache between it and its consumers. Plan_cache survives only for the
+# benchmark harness under perf/, which is outside the pinned directories.
+plan_cache_leaks=$(grep -rn 'Plan_cache' lib bin bench examples \
+    | grep -vE '^lib/lowering/plan_cache\.mli?:' || true)
+if [ -n "$plan_cache_leaks" ]; then
+    echo "error: a plan is built through Plan_cache:" >&2
+    echo "$plan_cache_leaks" | head -10 >&2
+    echo "(call Plan.build directly: its cost is below the cache key's)" >&2
     exit 1
 fi
 

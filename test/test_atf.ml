@@ -84,14 +84,18 @@ let test_random_search_improves () =
          (List.filteri (fun i _ -> i < List.length costs - 1) costs)
          (List.tl costs))
 
+(* one fresh annealing chain, run to completion *)
+let anneal sp ~seed ~budget ~cost =
+  Search.chain_result (Search.anneal_chain sp ~budget ~cost (Search.chain_start ~seed))
+
 let test_annealing_finds_optimum () =
-  match Search.simulated_annealing (dependent_space ()) ~seed:11 ~budget:100 ~cost:bowl with
+  match anneal (dependent_space ()) ~seed:11 ~budget:100 ~cost:bowl with
   | None -> Alcotest.fail "no result"
   | Some r -> check (Alcotest.float 1e-9) "optimum" 0.0 r.Search.best_cost
 
 let test_search_deterministic () =
   let run () =
-    Option.get (Search.simulated_annealing (dependent_space ()) ~seed:13 ~budget:60 ~cost:bowl)
+    Option.get (anneal (dependent_space ()) ~seed:13 ~budget:60 ~cost:bowl)
   in
   let a = run () and b = run () in
   check Alcotest.bool "same best" true (a.Search.best = b.Search.best);
@@ -171,7 +175,7 @@ let test_annealing_all_neighbours_illegal () =
   let sp = dependent_space () in
   let legal = [ ("x", 2); ("y", 1) ] in
   let cost config = if config = legal then Some 1.0 else None in
-  match Search.simulated_annealing sp ~seed:2 ~budget:40 ~cost with
+  match anneal sp ~seed:2 ~budget:40 ~cost with
   | None -> Alcotest.fail "the legal configuration is reachable"
   | Some r ->
     check Alcotest.bool "best is the only legal point" true (r.Search.best = legal);
@@ -193,8 +197,15 @@ let test_evaluate_batch_order_and_parity () =
 let test_portfolio_matches_sequential_and_sums_evals () =
   let seeds = [ 17; 18; 19; 20 ] in
   let run pool =
-    Search.simulated_annealing_portfolio ?pool (dependent_space ()) ~seeds
-      ~budget:25 ~cost:bowl
+    let chains =
+      Array.of_list (List.map (fun seed -> Search.chain_start ~seed) seeds)
+    in
+    match
+      Search.anneal_portfolio ?pool (dependent_space ()) ~chains ~budget:25
+        ~cost:bowl
+    with
+    | Search.Portfolio_done r -> r
+    | Search.Portfolio_paused _ -> Alcotest.fail "paused without a stop predicate"
   in
   let seq = run None in
   Mdh_runtime.Pool.with_pool ~num_domains:3 (fun pool ->
@@ -370,6 +381,82 @@ let test_cost_cache_absorbs_repeat_tuning () =
     (warm.Cost_cache.n_hits > cold.Cost_cache.n_hits);
   check Alcotest.bool "cached runs agree" true (a.Tuner.schedule = b.Tuner.schedule)
 
+(* the in-memory caches may save work but never change an answer: for
+   every catalogue workload and device, tuning with caching on (cold, then
+   warm) and off picks the same schedule at the same estimate after the
+   same number of evaluations, and running the tuned cpu schedule on one
+   pool gives bitwise-equal outputs *)
+let test_caches_never_change_an_answer () =
+  let with_caching on f =
+    Mdh_support.Memo.set_caching on;
+    Fun.protect ~finally:(fun () -> Mdh_support.Memo.set_caching true) f
+  in
+  (* each is compared against a cold run with caching on; emptied tables
+     make that first run compute every entry it then stores *)
+  let reruns = [ ("warm", true); ("uncached", false) ] in
+  Cost_cache.clear ();
+  Mdh_runtime.Specializer.clear ();
+  Mdh_runtime.Pool.with_pool ~num_domains:2 (fun pool ->
+      List.iter
+        (fun (w : W.t) ->
+          let md = W.to_md_hom w w.W.test_params in
+          List.iter
+            (fun dev ->
+              let name = w.W.wl_name ^ " on " ^ dev.Device.device_name in
+              let tune on =
+                with_caching on (fun () ->
+                    match
+                      Tuner.tune ~saturate:true ~budget:60
+                        ~db:(Tuning_db.in_memory ()) md dev Cost.tuned_codegen
+                    with
+                    | Ok t -> t
+                    | Error e -> Alcotest.fail (name ^ ": " ^ e))
+              in
+              let cold = tune true in
+              List.iter
+                (fun (mode, on) ->
+                  let t = tune on in
+                  let what = Printf.sprintf "%s: %s = cold " name mode in
+                  check Alcotest.bool (what ^ "schedule") true
+                    (t.Tuner.schedule = cold.Tuner.schedule);
+                  check (Alcotest.float 0.0) (what ^ "estimate")
+                    cold.Tuner.estimated_s t.Tuner.estimated_s;
+                  check Alcotest.int (what ^ "evaluations")
+                    cold.Tuner.search.Search.evaluations
+                    t.Tuner.search.Search.evaluations)
+                reruns;
+              if dev == cpu then begin
+                (* the tuned schedule belongs to the saturated computation;
+                   pinned to the pool's one layer it runs on the host *)
+                let md' = fst (Mdh_rewrite.Rewrite.saturate_outputs md) in
+                let sched = { cold.Tuner.schedule with Schedule.used_layers = [ 0 ] } in
+                let run on =
+                  with_caching on (fun () ->
+                      let env = w.W.gen w.W.test_params ~seed:5 in
+                      match Mdh_runtime.Exec.run pool md' sched env with
+                      | Ok env' -> env'
+                      | Error e -> Alcotest.fail (name ^ ": " ^ e))
+                in
+                let cold_out = run true in
+                List.iter
+                  (fun (mode, on) ->
+                    let out = run on in
+                    List.iter
+                      (fun (o : Mdh_core.Md_hom.output) ->
+                        let data e =
+                          Mdh_tensor.Buffer.data
+                            (Mdh_tensor.Buffer.env_find e o.Mdh_core.Md_hom.out_name)
+                        in
+                        check Test_util.dense
+                          (Printf.sprintf "%s: %s %s = cold" name mode
+                             o.Mdh_core.Md_hom.out_name)
+                          (data cold_out) (data out))
+                      md'.Mdh_core.Md_hom.outputs)
+                  reruns
+              end)
+            [ Device.a100_like; cpu ])
+        Mdh_workloads.Catalog.all)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "atf",
@@ -406,4 +493,6 @@ let suite =
       tc "tuning db concurrent writers keep entries" `Quick
         test_tuning_db_concurrent_writers_keep_entries;
       tc "cost cache absorbs repeat tuning" `Quick
-        test_cost_cache_absorbs_repeat_tuning ] )
+        test_cost_cache_absorbs_repeat_tuning;
+      tc "caches never change an answer (all workloads)" `Quick
+        test_caches_never_change_an_answer ] )

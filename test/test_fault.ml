@@ -415,6 +415,30 @@ let test_injected_crash_then_resume () =
       in
       check_matches_reference "crash-resume" reference resumed)
 
+(* the zero-i/o contract: without a deadline, stop predicate, checkpoint
+   path or resume request, annealing writes no checkpoint, not even to its
+   default place next to a file-backed tuning database *)
+let test_plain_anneal_writes_no_checkpoint () =
+  with_tmp_dir (fun dir ->
+      let w = List.hd Mdh_workloads.Catalog.all in
+      let md = W.to_md_hom w w.W.test_params in
+      let db = Tuning_db.open_db (Filename.concat dir "tuning.db") in
+      let writes_before = counter_value "atf.checkpoint.writes" in
+      (match
+         Tuner.tune_resumable ~strategy:Tuner.Anneal ~budget:90 ~seed:5
+           ~chains:2 ~checkpoint_every:8 ~db md cpu Cost.tuned_codegen
+       with
+      | Ok (Tuner.Tuned t) ->
+        check Alcotest.bool "searched" true (t.Tuner.search.Search.evaluations > 0)
+      | Ok (Tuner.Suspended _) -> Alcotest.fail "suspended without a stop"
+      | Error e -> Alcotest.fail e);
+      check Alcotest.int "no checkpoint writes" writes_before
+        (counter_value "atf.checkpoint.writes");
+      check (Alcotest.list Alcotest.string) "no checkpoint file" []
+        (List.filter
+           (fun f -> Filename.check_suffix f ".ckpt")
+           (Array.to_list (Sys.readdir dir))))
+
 let test_corrupt_checkpoint_starts_fresh () =
   with_tmp_dir (fun dir ->
       let w = List.hd Mdh_workloads.Catalog.all in
@@ -546,6 +570,8 @@ let suite =
         test_resume_bit_identity_across_catalogue;
       Alcotest.test_case "injected crash then resume" `Quick
         test_injected_crash_then_resume;
+      Alcotest.test_case "plain anneal writes no checkpoint" `Quick
+        test_plain_anneal_writes_no_checkpoint;
       Alcotest.test_case "corrupt checkpoint starts fresh" `Quick
         test_corrupt_checkpoint_starts_fresh;
       Alcotest.test_case "stale checkpoint ignored" `Quick

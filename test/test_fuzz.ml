@@ -153,7 +153,7 @@ let prop_simulation_matches =
         List.for_all
           (fun dev ->
             let sched = Mdh_lowering.Lower.mdh_default md dev in
-            match Mdh_lowering.Plan_cache.build md dev sched with
+            match Mdh_lowering.Plan.build md dev sched with
             | Error _ -> false
             | Ok plan ->
               let tile_sizes = plan.Mdh_lowering.Plan.tile_sizes in

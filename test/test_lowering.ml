@@ -361,7 +361,7 @@ let test_simulate_matches_reference () =
       let env = w.W.gen w.W.test_params ~seed:42 in
       let expected = Mdh_core.Semantics.reference md env in
       let sched = Lower.mdh_default md cpu in
-      match Plan_cache.build md cpu sched with
+      match Plan.build md cpu sched with
       | Error e -> Alcotest.failf "%s: %s" w.W.wl_name e
       | Ok plan ->
         let got =

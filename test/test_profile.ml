@@ -9,7 +9,6 @@ module Profile = Mdh_obs.Profile
 module W = Mdh_workloads.Workload
 module Schedule = Mdh_lowering.Schedule
 module Plan = Mdh_lowering.Plan
-module Plan_cache = Mdh_lowering.Plan_cache
 module Lower = Mdh_lowering.Lower
 module Cost = Mdh_lowering.Cost
 module Pool = Mdh_runtime.Pool
@@ -45,7 +44,7 @@ let run_profiled ?(schedule = host_schedule) pool (w : W.t) =
   let env = w.W.gen w.W.test_params ~seed:5 in
   let sched = schedule md in
   let plan =
-    match Plan_cache.build md (Exec.host_device pool) sched with
+    match Plan.build md (Exec.host_device pool) sched with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
@@ -188,7 +187,7 @@ let test_level_attribution_paths () =
   let w = find "matmul" in
   let md = W.to_md_hom w w.W.test_params in
   let plan =
-    match Plan_cache.build md cpu (host_schedule md) with
+    match Plan.build md cpu (host_schedule md) with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in

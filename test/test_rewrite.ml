@@ -26,7 +26,6 @@ module Transform = Mdh_directive.Transform
 module Schedule = Mdh_lowering.Schedule
 module Lower = Mdh_lowering.Lower
 module Plan = Mdh_lowering.Plan
-module Plan_cache = Mdh_lowering.Plan_cache
 module Cost = Mdh_lowering.Cost
 module Device = Mdh_machine.Device
 module Rewrite = Mdh_rewrite.Rewrite
@@ -136,7 +135,7 @@ let test_catalogue_rewritten_specializer () =
             | None -> ()
             | Some sched -> (
               let raw_plan =
-                match Plan_cache.build md cpu sched with
+                match Plan.build md cpu sched with
                 | Ok p -> p
                 | Error e -> Alcotest.failf "plan build: %s" e
               in
@@ -223,7 +222,7 @@ let reduce_plan md =
       Schedule.parallel_dims = [ 0 ];
       used_layers = [ 0 ] }
   in
-  match Plan_cache.build md cpu sched with
+  match Plan.build md cpu sched with
   | Ok p -> p
   | Error e -> Alcotest.failf "reduce plan: %s" e
 

@@ -132,7 +132,7 @@ let test_basic_ops () =
       let md = W.to_md_hom matvec matvec.W.test_params in
       let sched = Mdh_lowering.Lower.mdh_default md cpu in
       let plan_ref =
-        match Mdh_lowering.Plan_cache.build md cpu sched with
+        match Mdh_lowering.Plan.build md cpu sched with
         | Ok p -> p
         | Error e -> Alcotest.fail e
       in

@@ -24,7 +24,7 @@ module D = Mdh_directive.Directive
 module Transform = Mdh_directive.Transform
 module Schedule = Mdh_lowering.Schedule
 module Lower = Mdh_lowering.Lower
-module Plan_cache = Mdh_lowering.Plan_cache
+module Plan = Mdh_lowering.Plan
 module Device = Mdh_machine.Device
 module Metrics = Mdh_obs.Metrics
 module Fault = Mdh_fault.Fault
@@ -46,7 +46,7 @@ let outputs_agree ?(rel = 1e-4) ?(abs = 1e-5) md a b =
     md.Md_hom.outputs
 
 let plan_of md sched =
-  match Plan_cache.build md cpu sched with
+  match Plan.build md cpu sched with
   | Ok p -> p
   | Error e -> Alcotest.failf "plan build: %s" e
 
