@@ -5,6 +5,7 @@ module Dense = Mdh_tensor.Dense
 module Scalar = Mdh_tensor.Scalar
 module Shape = Mdh_tensor.Shape
 module Combine = Mdh_combine.Combine
+module Util = Mdh_support.Util
 module Trace = Mdh_obs.Trace
 module Metrics = Mdh_obs.Metrics
 
@@ -166,23 +167,28 @@ let remove_quiet path = try Sys.remove path with Sys_error _ -> ()
 let cleanup t =
   List.iter remove_quiet [ t.src_path; t.exe_path; t.log_path ]
 
-let write_f32_file path (d : Dense.t) =
-  let n = Dense.num_elements d in
-  let b = Bytes.create (4 * n) in
-  for i = 0 to n - 1 do
-    Bytes.set_int32_le b (4 * i)
-      (Int32.bits_of_float (Scalar.to_float (Dense.get_linear d i)))
-  done;
+(* The float store of a buffer, read or written in place. *)
+let f32_store env name =
+  match Dense.floats (Buffer.data (Buffer.env_find env name)) with
+  | Some a -> Ok a
+  | None -> Error (Printf.sprintf "compiled-C backend: buffer %s has no fp32 store" name)
+
+let write_f32_file path (xs : float array) =
+  let b = Bytes.create (4 * Array.length xs) in
+  Array.iteri (fun i x -> Bytes.set_int32_le b (4 * i) (Int32.bits_of_float x)) xs;
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
 
-let read_f32_file path n =
+(* The raw fp32 values are exact in the store: no rounding needed. *)
+let read_f32_file path (out : float array) =
+  let n = Array.length out in
   In_channel.with_open_bin path (fun ic ->
       match In_channel.really_input_string ic (4 * n) with
       | None -> Error "compiled-C backend: short output read"
       | Some s ->
-        Ok
-          (Array.init n (fun i ->
-               Int32.float_of_bits (String.get_int32_le s (4 * i)))))
+        for i = 0 to n - 1 do
+          out.(i) <- Int32.float_of_bits (String.get_int32_le s (4 * i))
+        done;
+        Ok ())
 
 let run t env =
   observed h_run @@ fun () ->
@@ -192,33 +198,33 @@ let run t env =
   let md = t.md in
   match Semantics.alloc_outputs md env with
   | exception Semantics.Semantic_error e -> Error e
-  | env' ->
-    let in_paths =
-      List.map
-        (fun (i : Md_hom.input) ->
-          let path = Filename.temp_file "mdh_cc_in_" ".f32" in
-          write_f32_file path (Buffer.data (Buffer.env_find env i.inp_name));
-          path)
-        md.inputs
-    in
-    let out_path = Filename.temp_file "mdh_cc_out_" ".f32" in
-    let cmd = Filename.quote_command t.exe_path (in_paths @ [ out_path ]) in
-    let rc = Sys.command cmd in
-    let finish r =
-      List.iter remove_quiet (out_path :: in_paths);
-      r
-    in
-    if rc <> 0 then
-      finish (Error (Printf.sprintf "compiled-C backend: driver exited %d" rc))
-    else
-      let output = List.hd md.outputs in
-      let out = Buffer.data (Buffer.env_find env' output.Md_hom.out_name) in
-      let n = Dense.num_elements out in
-      match read_f32_file out_path n with
-      | Error _ as e -> finish e
-      | Ok values ->
-        Array.iteri (fun i v -> Dense.set_linear out i (Scalar.f32 v)) values;
-        finish (Ok env')
+  | env' -> (
+    let output = List.hd md.outputs in
+    match
+      ( Util.list_result_all
+          (List.map (fun (i : Md_hom.input) -> f32_store env i.inp_name) md.inputs),
+        f32_store env' output.Md_hom.out_name )
+    with
+    | (Error _ as e), _ | _, (Error _ as e) -> e
+    | Ok inputs, Ok out ->
+      let in_paths =
+        List.map
+          (fun xs ->
+            let path = Filename.temp_file "mdh_cc_in_" ".f32" in
+            write_f32_file path xs;
+            path)
+          inputs
+      in
+      let out_path = Filename.temp_file "mdh_cc_out_" ".f32" in
+      let cmd = Filename.quote_command t.exe_path (in_paths @ [ out_path ]) in
+      let rc = Sys.command cmd in
+      let finish r =
+        List.iter remove_quiet (out_path :: in_paths);
+        r
+      in
+      if rc <> 0 then
+        finish (Error (Printf.sprintf "compiled-C backend: driver exited %d" rc))
+      else finish (Result.map (fun () -> env') (read_f32_file out_path out)))
 
 let execute md env =
   match build md with

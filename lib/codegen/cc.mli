@@ -2,7 +2,8 @@
     end-to-end proof that the C we generate computes the right answer.
 
     When [gcc] is on PATH, the generated kernel is wrapped in a small
-    driver translation unit (raw-fp32 file I/O for every buffer), built
+    driver translation unit (raw-fp32 file I/O for every buffer, written
+    from and read back into the buffers' fp32 stores directly), built
     with [-O3 -fopenmp] into a temp-dir binary, and executed against the
     caller's buffers — so the compiled C can be differentially checked
     against {!Mdh_core.Semantics.exec} (tolerance-equal: the kernel

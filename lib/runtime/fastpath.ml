@@ -31,36 +31,43 @@ let mul_read_pairs = function
     [ (x, y); (y, x) ]
   | _ -> []
 
-(* The input exists under the matched name with exactly the fp32 type and
-   shape the kernel assumes, both as declared and as supplied. *)
+(* The float store of the input, read in place, when it exists under the
+   matched name with exactly the fp32 type and shape the kernel assumes,
+   both as declared and as supplied. *)
 let f32_input (md : Md_hom.t) env name shape =
-  List.exists
-    (fun (i : Md_hom.input) ->
-      String.equal i.inp_name name
-      && Scalar.equal_ty i.inp_ty Scalar.Fp32
-      && Shape.equal i.inp_shape shape)
-    md.inputs
-  &&
+  let declared =
+    List.exists
+      (fun (i : Md_hom.input) ->
+        String.equal i.inp_name name
+        && Scalar.equal_ty i.inp_ty Scalar.Fp32
+        && Shape.equal i.inp_shape shape)
+      md.inputs
+  in
   match Buffer.env_find_opt env name with
-  | Some b -> Scalar.equal_ty (Buffer.ty b) Scalar.Fp32 && Shape.equal (Buffer.shape b) shape
-  | None -> false
+  | Some b
+    when declared
+         && Scalar.equal_ty (Buffer.ty b) Scalar.Fp32
+         && Shape.equal (Buffer.shape b) shape ->
+    Dense.floats (Buffer.data b)
+  | _ -> None
+
+let both a b = match (a, b) with Some x, Some y -> Some (x, y) | _ -> None
 
 let f32_output (o : Md_hom.output) shape =
   Scalar.equal_ty o.out_ty Scalar.Fp32 && Shape.equal o.out_shape shape
 
-let floats env name =
-  let d = Buffer.data (Buffer.env_find env name) in
-  Array.init (Dense.num_elements d) (fun i -> Scalar.to_float (Dense.get_linear d i))
-
-(* Write a flat kernel result into the (freshly allocated) output buffer,
-   rounding to single precision once per element — kernels accumulate in
-   double, so fast-path results are tolerance-equal, not bit-equal, to the
-   per-op-rounding interpreter. *)
+(* Write a flat kernel result into the float store of the (freshly
+   allocated) output buffer, rounding to single precision once per element
+   — kernels accumulate in double, so fast-path results are
+   tolerance-equal, not bit-equal, to the per-op-rounding interpreter.
+   [None] if the output has no float store. *)
 let commit md env (o : Md_hom.output) result =
   let env = Semantics.alloc_outputs md env in
-  let out = Buffer.data (Buffer.env_find env o.out_name) in
-  Array.iteri (fun i v -> Dense.set_linear out i (Scalar.f32 v)) result;
-  env
+  Option.map
+    (fun out ->
+      Array.iteri (fun i v -> out.(i) <- Scalar.round_f32 v) result;
+      env)
+    (Dense.floats (Buffer.data (Buffer.env_find env o.out_name)))
 
 type matched = {
   kernel : string;
@@ -78,20 +85,18 @@ let match_dot pool (md : Md_hom.t) env =
       List.find_map
         (function
           | Expr.Read (x, [ xi ]), Expr.Read (y, [ yi ])
-            when xi = idx md.dims.(0) && yi = idx md.dims.(0)
-                 && f32_input md env x [| k |] && f32_input md env y [| k |] ->
-            Some (x, y)
+            when xi = idx md.dims.(0) && yi = idx md.dims.(0) ->
+            both (f32_input md env x [| k |]) (f32_input md env y [| k |])
           | _ -> None)
         (mul_read_pairs o.value)
     in
     match matched with
-    | Some (x, y) ->
+    | Some (xv, yv) ->
       Some
         { kernel = "dot";
           output = o;
           compute =
             (fun ~parallel ->
-              let xv = floats env x and yv = floats env y in
               [| (if parallel then Kernels.dot_par pool xv yv else Kernels.dot_seq xv yv) |]) }
     | None -> None)
   | _ -> None
@@ -108,20 +113,18 @@ let match_matvec pool (md : Md_hom.t) env =
       List.find_map
         (function
           | Expr.Read (mat, [ mi; mk ]), Expr.Read (v, [ vk ])
-            when mi = idx i && mk = idx kd && vk = idx kd
-                 && f32_input md env mat [| m; k |] && f32_input md env v [| k |] ->
-            Some (mat, v)
+            when mi = idx i && mk = idx kd && vk = idx kd ->
+            both (f32_input md env mat [| m; k |]) (f32_input md env v [| k |])
           | _ -> None)
         (mul_read_pairs o.value)
     in
     match matched with
-    | Some (mat, v) ->
+    | Some (mv, vv) ->
       Some
         { kernel = "matvec";
           output = o;
           compute =
             (fun ~parallel ->
-              let mv = floats env mat and vv = floats env v in
               if parallel then Kernels.matvec_par pool ~m ~k mv vv
               else Kernels.matvec_seq ~m ~k mv vv) }
     | None -> None)
@@ -139,20 +142,18 @@ let match_matmul pool (md : Md_hom.t) env ~tile =
       List.find_map
         (function
           | Expr.Read (a, [ ai; ak ]), Expr.Read (b, [ bk; bj ])
-            when ai = idx i && ak = idx kd && bk = idx kd && bj = idx j
-                 && f32_input md env a [| m; k |] && f32_input md env b [| k; n |] ->
-            Some (a, b)
+            when ai = idx i && ak = idx kd && bk = idx kd && bj = idx j ->
+            both (f32_input md env a [| m; k |]) (f32_input md env b [| k; n |])
           | _ -> None)
         (mul_read_pairs o.value)
     in
     match matched with
-    | Some (a, b) ->
+    | Some (av, bv) ->
       Some
         { kernel = "matmul";
           output = o;
           compute =
             (fun ~parallel ->
-              let av = floats env a and bv = floats env b in
               if parallel then Kernels.matmul_par pool ~tile ~m ~n ~k av bv
               else Kernels.matmul_tiled ~tile ~m ~n ~k av bv) }
     | None -> None)
@@ -191,9 +192,10 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
             Mdh_fault.Fault.hit "kernel.run";
             commit md env output (compute ~parallel))
       with
-      | env' ->
+      | Some env' ->
         Metrics.incr m_hits;
         Some env'
+      | None -> None
       | exception _ ->
         Metrics.incr m_errors;
         None

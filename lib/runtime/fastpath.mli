@@ -12,6 +12,11 @@
     [runtime.kernels.fastpath_errors] and the dispatch returns [None] so
     the caller falls back to the generic walker.
 
+    Nothing is copied in and no element is boxed: the kernels read the
+    inputs' fp32 stores in place ({!Mdh_tensor.Dense.floats}) and never
+    write them, and the kernel's result is rounded with
+    [Scalar.round_f32] straight into the output buffer's store.
+
     Kernels accumulate in double precision and round to fp32 once per
     element, so fast-path results agree with the per-op-rounding
     interpreter to float tolerance, not bit-exactly; [Exec.run
@@ -26,5 +31,5 @@ val try_run :
 (** [try_run pool plan md env] is [Some env'] iff a kernel matched and ran
     (parallel when the plan distributes work and the pool has more than one
     worker). [None] means no kernel applies — including when an input
-    buffer is missing or mistyped, so the generic path can report the
-    error. *)
+    buffer is missing, mistyped or without a float store, so the generic
+    path can report the error. *)

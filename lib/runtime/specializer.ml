@@ -714,15 +714,15 @@ let exec_output c pool bufs op =
     c.scans;
   acc
 
-let write_back c env op acc =
-  let out = Buffer.data (Buffer.env_find env op.out.Md_hom.out_name) in
-  if op.direct_write then
-    Array.iteri (fun i v -> Dense.set_linear out i (Scalar.f32 v)) acc
+(* Round the double accumulator into the output's fp32 store, in place. *)
+let write_back c out op acc =
+  if op.direct_write then Array.iteri (fun i v -> out.(i) <- Scalar.round_f32 v) acc
   else begin
+    let o = op.out in
     let lin = ref 0 in
     Shape.iter c.acc_shape (fun pt ->
-        Dense.set out (Index_fn.apply op.out.Md_hom.out_access.fn pt)
-          (Scalar.f32 acc.(!lin));
+        out.(Shape.linearize o.Md_hom.out_shape (Index_fn.apply o.out_access.fn pt)) <-
+          Scalar.round_f32 acc.(!lin);
         incr lin)
   end
 
@@ -772,6 +772,10 @@ let clear () = Memo.clear cache
 
 (* --- dispatch entry point --------------------------------------------- *)
 
+(* The float store of a buffer, which the run reads or writes in place;
+   [Exit] when it has none, which declines the run. *)
+let store b = match Dense.floats (Buffer.data b) with Some a -> a | None -> raise Exit
+
 let bind (md : Md_hom.t) env =
   try
     Some
@@ -782,9 +786,7 @@ let bind (md : Md_hom.t) env =
               | Some b
                 when Scalar.equal_ty (Buffer.ty b) Scalar.Fp32
                      && Shape.equal (Buffer.shape b) i.inp_shape ->
-                let d = Buffer.data b in
-                Array.init (Dense.num_elements d) (fun k ->
-                    Scalar.to_float (Dense.get_linear d k))
+                store b
               | _ -> raise Exit)
             md.inputs))
   with Exit -> None
@@ -803,13 +805,18 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
           (fun () ->
             let t0 = Clock.now_ns () in
             let env = Semantics.alloc_outputs md env in
-            List.iter
-              (fun op ->
-                let acc = exec_output c pool bufs op in
-                profile_segment c "writeback" (fun () ->
-                    write_back c env op acc))
-              c.outs;
-            let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
-            Metrics.observe h_run dt;
-            Profile.add ~digest:c.digest ~path:"phase:specializer.run" dt;
-            Some env))
+            match
+              List.map (fun op -> store (Buffer.env_find env op.out.Md_hom.out_name)) c.outs
+            with
+            | exception Exit -> None
+            | outs ->
+              List.iter2
+                (fun op out ->
+                  let acc = exec_output c pool bufs op in
+                  profile_segment c "writeback" (fun () ->
+                      write_back c out op acc))
+                c.outs outs;
+              let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
+              Metrics.observe h_run dt;
+              Profile.add ~digest:c.digest ~path:"phase:specializer.run" dt;
+              Some env))

@@ -3,10 +3,13 @@
 
     Any fp32 [Plan.t] is compiled once — the loop nest is driven by the
     plan's Distribute/Tile/Seq/Accumulate/Scan levels, buffer reads go
-    through precomputed row-major strides into flat [float array]s, and
-    the point expression is staged into unboxed thunks — so executing a
-    plan costs no per-point tensor boxing or environment lookups. Compiled
-    plans are memoized process-wide under
+    through precomputed row-major strides into the inputs' fp32 stores,
+    and the point expression is staged into unboxed thunks — so executing
+    a plan costs no per-point tensor boxing or environment lookups. A run
+    copies nothing in: it reads each input's store in place
+    ({!Mdh_tensor.Dense.floats}) and never writes it, and it rounds its
+    double accumulator with [Scalar.round_f32] straight into each output's
+    store. Compiled plans are memoized process-wide under
     {!Mdh_lowering.Plan.digest} (plus a fingerprint of the computation),
     in the {!Mdh_support.Memo} table [runtime.specializer], with cache
     traffic on [runtime.specializer.hits|misses|compiles].
@@ -38,7 +41,8 @@ val try_run :
     plan's Distribute/Tree_reduce levels when the pool has more than one
     worker, cut into {!Pool.chunk_budget} jobs as the walker's boxes
     are. [None] means the generic walker should run — unsupported
-    computation, zero-extent iteration space, or mismatched buffers. *)
+    computation, zero-extent iteration space, or mismatched buffers
+    (including a buffer without a float store). *)
 
 type stats = { hits : int; misses : int; compiles : int }
 

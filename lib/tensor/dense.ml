@@ -1,43 +1,89 @@
-type t = { ty : Scalar.ty; shape : Shape.t; data : Scalar.value array }
+(* fp32 and fp64 elements live unboxed in a flat float array (the payload
+   of their F32/F64 constructor); every other type keeps its boxed
+   values. *)
+type store = Flat of float array | Boxed of Scalar.value array
+
+type t = { ty : Scalar.ty; shape : Shape.t; store : store }
 
 let create ty shape =
   Shape.validate shape;
-  { ty; shape; data = Array.make (Shape.num_elements shape) (Scalar.zero ty) }
-
-let of_fn ty shape f =
-  Shape.validate shape;
-  let t = create ty shape in
-  Shape.iter shape (fun idx -> t.data.(Shape.linearize shape idx) <- f idx);
-  t
-
-let scalar v = { ty = Scalar.type_of_value v; shape = [||]; data = [| v |] }
+  let n = Shape.num_elements shape in
+  let store =
+    match ty with
+    | Scalar.Fp32 | Scalar.Fp64 -> Flat (Array.make n 0.0)
+    | _ -> Boxed (Array.make n (Scalar.zero ty))
+  in
+  { ty; shape; store }
 
 let ty t = t.ty
 let shape t = t.shape
-let num_elements t = Array.length t.data
 
-let get t idx = t.data.(Shape.linearize t.shape idx)
-let set t idx v = t.data.(Shape.linearize t.shape idx) <- v
+let num_elements t =
+  match t.store with Flat a -> Array.length a | Boxed a -> Array.length a
 
-let get_linear t i = t.data.(i)
-let set_linear t i v = t.data.(i) <- v
+let floats t = match t.store with Flat a -> Some a | Boxed _ -> None
 
-let copy t = { t with data = Array.copy t.data }
+let[@inline] get_linear t i =
+  match t.store with
+  | Flat a -> ( match t.ty with Scalar.Fp32 -> Scalar.F32 a.(i) | _ -> Scalar.F64 a.(i))
+  | Boxed a -> a.(i)
 
-let fill t v = Array.fill t.data 0 (Array.length t.data) v
+let mismatch t v =
+  invalid_arg
+    (Printf.sprintf "Dense.set: %s value in a %s tensor" (Scalar.value_to_string v)
+       (Scalar.ty_to_string t.ty))
 
-let iteri t f = Shape.iter t.shape (fun idx -> f idx t.data.(Shape.linearize t.shape idx))
+let[@inline] set_linear t i v =
+  match (t.store, t.ty, v) with
+  | Flat a, Scalar.Fp32, Scalar.F32 x | Flat a, Scalar.Fp64, Scalar.F64 x -> a.(i) <- x
+  | Flat _, _, _ -> mismatch t v
+  | Boxed a, _, _ -> a.(i) <- v
+
+let get t idx = get_linear t (Shape.linearize t.shape idx)
+let set t idx v = set_linear t (Shape.linearize t.shape idx) v
+
+let of_fn ty shape f =
+  let t = create ty shape in
+  Shape.iter shape (fun idx -> set t idx (f idx));
+  t
+
+let scalar v =
+  let t = create (Scalar.type_of_value v) [||] in
+  set_linear t 0 v;
+  t
+
+let copy t =
+  match t.store with
+  | Flat a -> { t with store = Flat (Array.copy a) }
+  | Boxed a -> { t with store = Boxed (Array.copy a) }
+
+let fill t v =
+  for i = 0 to num_elements t - 1 do
+    set_linear t i v
+  done
+
+let iteri t f = Shape.iter t.shape (fun idx -> f idx (get t idx))
 
 let map2 f a b =
   if not (Shape.equal a.shape b.shape) then invalid_arg "Dense.map2: shape mismatch";
-  { a with data = Array.map2 f a.data b.data }
+  match (a.store, b.store) with
+  | Boxed x, Boxed y -> { a with store = Boxed (Array.map2 f x y) }
+  | _ ->
+    let out = create a.ty a.shape in
+    for i = 0 to num_elements a - 1 do
+      set_linear out i (f (get_linear a i) (get_linear b i))
+    done;
+    out
 
-let equal a b =
-  Shape.equal a.shape b.shape && Array.for_all2 Scalar.equal a.data b.data
-
-let approx_equal ?rel ?abs a b =
+let for_all2 p a b =
   Shape.equal a.shape b.shape
-  && Array.for_all2 (Scalar.approx_equal ?rel ?abs) a.data b.data
+  &&
+  let n = num_elements a in
+  let rec go i = i >= n || (p (get_linear a i) (get_linear b i) && go (i + 1)) in
+  go 0
+
+let equal a b = for_all2 Scalar.equal a b
+let approx_equal ?rel ?abs a b = for_all2 (Scalar.approx_equal ?rel ?abs) a b
 
 let slice t ~dim ~lo ~len =
   let rank = Shape.rank t.shape in

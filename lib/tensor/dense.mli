@@ -1,8 +1,22 @@
 (** Dense multi-dimensional tensors of dynamically-typed scalar values.
 
-    This is the generic value store used by the reference semantics, the
-    directive interpreter and the plan walker. Wall-clock benchmarks use
-    the specialised float kernels in [Mdh_runtime] instead. *)
+    A tensor has one of two stores, chosen by its type:
+    - [fp32] and [fp64] elements live unboxed in one row-major
+      [float array], each the payload of its [F32]/[F64] value;
+    - every other type (integers, [bool], [char], records) keeps an array
+      of boxed {!Scalar.value}s.
+
+    [get] rebuilds an element's value bit for bit, and [set] on a float
+    store accepts only the tensor's own constructor. An fp32 store holds
+    only doubles that fp32 can represent exactly: {!Scalar.f32} rounds
+    the payload of every [F32] it makes, and code that writes through
+    {!floats} rounds each value with {!Scalar.round_f32}.
+
+    The reference semantics, the directive interpreter and the plan
+    walker read and write elements through [get]/[set]. The fast backends
+    ([Mdh_runtime.Fastpath], [Mdh_runtime.Specializer] and
+    [Mdh_codegen.Cc]) take the float store itself from {!floats}: they
+    read inputs and write outputs in place, with no per-element copy. *)
 
 type t
 
@@ -19,10 +33,21 @@ val shape : t -> Shape.t
 val num_elements : t -> int
 
 val get : t -> int array -> Scalar.value
+
 val set : t -> int array -> Scalar.value -> unit
+(** Raises [Invalid_argument] when the value's constructor does not match
+    a float store: only [F32] goes into an fp32 tensor and only [F64] into
+    an fp64 one. Boxed stores take any value. *)
 
 val get_linear : t -> int -> Scalar.value
 val set_linear : t -> int -> Scalar.value -> unit
+(** Row-major offset; the same contract as [get]/[set]. *)
+
+val floats : t -> float array option
+(** The float store of an fp32 or fp64 tensor: the array itself, not a
+    copy, so it aliases the tensor and a write through it is visible to
+    [get]. [None] for every other type. A write into an fp32 store must
+    round with {!Scalar.round_f32}. *)
 
 val copy : t -> t
 
@@ -32,7 +57,8 @@ val iteri : t -> (int array -> Scalar.value -> unit) -> unit
 (** Row-major order; the index array is reused between calls. *)
 
 val map2 : (Scalar.value -> Scalar.value -> Scalar.value) -> t -> t -> t
-(** Element-wise; shapes must agree. *)
+(** Element-wise; shapes must agree. The result has the first tensor's
+    type, so [f] must return values that [set] accepts for it. *)
 
 val equal : t -> t -> bool
 val approx_equal : ?rel:float -> ?abs:float -> t -> t -> bool

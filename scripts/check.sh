@@ -42,6 +42,12 @@
 #     (Eval, Typecheck, C_like, Specializer) and the two record-building
 #     workloads (PRL, KMeans) matches on MkRecord — every other structural
 #     recursion goes through Expr.children / Expr.map_children,
+#   - the unboxed-storage pin fails: a file under lib/runtime or
+#     lib/codegen converts a Dense.t element by element
+#     (`Scalar.to_float (Dense.get_linear ...` or
+#     `Dense.set_linear ... (Scalar.f32 ...`) — the fast backends read and
+#     write the fp32 store from Dense.floats in place, so the per-call
+#     copies it replaced cannot creep back,
 #   - the diagnostics golden fails: `mdhc check` output over the catalogue,
 #     the test fixtures and the example pragmas must match
 #     scripts/check_diagnostics.golden,
@@ -187,6 +193,20 @@ if [ -n "$expr_leaks" ]; then
     echo "error: expression code bypasses the Expr traversal or patches C as text:" >&2
     echo "$expr_leaks" | head -10 >&2
     echo "(recurse with Expr.children / Expr.map_children; render indices through emit_expr's ~index_of)" >&2
+    exit 1
+fi
+
+# unboxed-storage pin: fp32/fp64 tensors keep their elements in a flat
+# float store, which Fastpath, the Specializer and Cc read and write in
+# place through Dense.floats. An element-by-element conversion in
+# lib/runtime or lib/codegen is the per-call copy that store replaced.
+copy_leaks=$(grep -rnE \
+    'Scalar\.to_float \(Dense\.get_linear|Dense\.set_linear .*\(Scalar\.f32' \
+    lib/runtime lib/codegen || true)
+if [ -n "$copy_leaks" ]; then
+    echo "error: a fast backend converts a Dense.t element by element:" >&2
+    echo "$copy_leaks" | head -10 >&2
+    echo "(read or write the float store from Dense.floats in place)" >&2
     exit 1
 fi
 

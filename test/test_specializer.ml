@@ -45,6 +45,21 @@ let outputs_agree ?(rel = 1e-4) ?(abs = 1e-5) md a b =
       Dense.approx_equal ~rel ~abs da db)
     md.Md_hom.outputs
 
+(* The fast backends read input stores in place: [f ()] must leave every
+   input of [md] in [env] as it found it. *)
+let inputs_untouched what (md : Md_hom.t) env f =
+  let data name = Buffer.data (Buffer.env_find env name) in
+  let before =
+    List.map (fun (i : Md_hom.input) -> (i.inp_name, Dense.copy (data i.inp_name))) md.inputs
+  in
+  let result = f () in
+  List.iter
+    (fun (name, d) ->
+      check Alcotest.bool (Printf.sprintf "%s: input %s untouched" what name) true
+        (Dense.equal d (data name)))
+    before;
+  result
+
 let plan_of md sched =
   match Plan.build md cpu sched with
   | Ok p -> p
@@ -70,7 +85,9 @@ let test_specializer_matches_reference () =
             | Ok () -> Alcotest.failf "%s reported specializable" w.W.wl_name
             | Error _ -> ());
             check Alcotest.bool (w.W.wl_name ^ " refused") true
-              (Specializer.try_run pool plan md env = None)
+              (inputs_untouched w.W.wl_name md env (fun () ->
+                   Specializer.try_run pool plan md env)
+              = None)
           end
           else begin
             let expected = Semantics.exec md env in
@@ -82,7 +99,10 @@ let test_specializer_matches_reference () =
               | Some sched -> (
                 incr tried;
                 let plan = plan_of md sched in
-                match Specializer.try_run pool plan md env with
+                match
+                  inputs_untouched w.W.wl_name md env (fun () ->
+                      Specializer.try_run pool plan md env)
+                with
                 | None ->
                   Alcotest.failf "%s under %s: specializer refused (%s)"
                     w.W.wl_name (Schedule.to_string sched)
@@ -205,7 +225,10 @@ let test_commuted_operands_hit_fastpath () =
           { (Schedule.sequential md) with
             Schedule.parallel_dims = Lower.parallelisable_dims md }
         in
-        match Exec.run pool md sched env with
+        match
+          inputs_untouched md.Md_hom.hom_name md env (fun () ->
+              Exec.run pool md sched env)
+        with
         | Error e -> Alcotest.fail e
         | Ok got ->
           check Alcotest.bool (md.Md_hom.hom_name ^ " correct") true

@@ -216,10 +216,13 @@ let prop_injectivity_matches_oracle =
 (* --- Dense --- *)
 
 let test_dense_get_set () =
-  let t = Dense.create Scalar.Fp64 [| 2; 3 |] in
-  Dense.set t [| 1; 2 |] (Scalar.F64 5.0);
-  check Test_util.scalar_value "set/get" (Scalar.F64 5.0) (Dense.get t [| 1; 2 |]);
-  check Test_util.scalar_value "zero elsewhere" (Scalar.F64 0.0) (Dense.get t [| 0; 0 |])
+  List.iter
+    (fun (ty, v) ->
+      let t = Dense.create ty [| 2; 3 |] in
+      Dense.set t [| 1; 2 |] v;
+      check Test_util.scalar_value "set/get" v (Dense.get t [| 1; 2 |]);
+      check Test_util.scalar_value "zero elsewhere" (Scalar.zero ty) (Dense.get t [| 0; 0 |]))
+    [ (Scalar.Fp64, Scalar.F64 5.0); (Scalar.Fp32, Scalar.f32 5.5) ]
 
 let test_dense_of_fn () =
   let t =
@@ -248,13 +251,20 @@ let test_dense_concat_mismatch () =
     (Invalid_argument "Dense.concat: extents disagree off the concat dimension")
     (fun () -> ignore (Dense.concat ~dim:1 a b))
 
+(* the integer cases again on an fp32 tensor, whose store is unboxed *)
+let int_and_f32 =
+  [ (Scalar.Int32, Scalar.i32); (Scalar.Fp32, fun n -> Scalar.f32 (float_of_int n)) ]
+
 let test_dense_scan () =
-  let t = Dense.of_fn Scalar.Int32 [| 4 |] (fun idx -> Scalar.i32 (idx.(0) + 1)) in
-  let s = Dense.scan ~dim:0 Scalar.add t in
-  let expect = Dense.of_fn Scalar.Int32 [| 4 |] (fun idx ->
-      Scalar.i32 (List.fold_left ( + ) 0 (List.init (idx.(0) + 1) (fun i -> i + 1))))
-  in
-  check Test_util.dense "inclusive scan" expect s
+  List.iter
+    (fun (ty, of_int) ->
+      let t = Dense.of_fn ty [| 4 |] (fun idx -> of_int (idx.(0) + 1)) in
+      let s = Dense.scan ~dim:0 Scalar.add t in
+      let expect = Dense.of_fn ty [| 4 |] (fun idx ->
+          of_int (List.fold_left ( + ) 0 (List.init (idx.(0) + 1) (fun i -> i + 1))))
+      in
+      check Test_util.dense "inclusive scan" expect s)
+    int_and_f32
 
 let test_dense_scan_2d () =
   let t = Dense.of_fn Scalar.Int32 [| 2; 3 |] (fun i -> Scalar.i32 ((i.(0) * 3) + i.(1))) in
@@ -263,22 +273,66 @@ let test_dense_scan_2d () =
   check Test_util.scalar_value "row 1" (Scalar.i32 12) (Dense.get s [| 1; 2 |])
 
 let test_dense_reduce () =
-  let t = Dense.of_fn Scalar.Int32 [| 2; 3 |] (fun i -> Scalar.i32 ((i.(0) * 3) + i.(1))) in
-  let r = Dense.reduce ~dim:1 Scalar.add t in
-  check (Alcotest.array Alcotest.int) "shape" [| 2; 1 |] (Dense.shape r);
-  check Test_util.scalar_value "sum row 1" (Scalar.i32 12) (Dense.get r [| 1; 0 |])
+  List.iter
+    (fun (ty, of_int) ->
+      let t = Dense.of_fn ty [| 2; 3 |] (fun i -> of_int ((i.(0) * 3) + i.(1))) in
+      let r = Dense.reduce ~dim:1 Scalar.add t in
+      check (Alcotest.array Alcotest.int) "shape" [| 2; 1 |] (Dense.shape r);
+      check Test_util.scalar_value "sum row 1" (of_int 12) (Dense.get r [| 1; 0 |]))
+    int_and_f32
 
 let test_dense_map2 () =
-  let a = Dense.of_fn Scalar.Int32 [| 3 |] (fun i -> Scalar.i32 i.(0)) in
-  let b = Dense.of_fn Scalar.Int32 [| 3 |] (fun _ -> Scalar.i32 10) in
-  let c = Dense.map2 Scalar.add a b in
-  check Test_util.scalar_value "sum" (Scalar.i32 12) (Dense.get c [| 2 |])
+  List.iter
+    (fun (ty, of_int) ->
+      let a = Dense.of_fn ty [| 3 |] (fun i -> of_int i.(0)) in
+      let b = Dense.of_fn ty [| 3 |] (fun _ -> of_int 10) in
+      let c = Dense.map2 Scalar.add a b in
+      check Test_util.scalar_value "sum" (of_int 12) (Dense.get c [| 2 |]))
+    int_and_f32
 
 let test_dense_copy_isolated () =
-  let a = Dense.create Scalar.Int32 [| 2 |] in
-  let b = Dense.copy a in
-  Dense.set b [| 0 |] (Scalar.i32 9);
-  check Test_util.scalar_value "original intact" (Scalar.i32 0) (Dense.get a [| 0 |])
+  List.iter
+    (fun (ty, of_int) ->
+      let a = Dense.create ty [| 2 |] in
+      let b = Dense.copy a in
+      Dense.set b [| 0 |] (of_int 9);
+      check Test_util.scalar_value "original intact" (of_int 0) (Dense.get a [| 0 |]))
+    int_and_f32
+
+(* fp32/fp64 tensors keep their payloads unboxed: [get] gives back the
+   exact bits [set] stored, a value of the other float constructor is
+   refused, and [floats] is the store itself *)
+let test_dense_float_store () =
+  let t = Dense.create Scalar.Fp32 [| 3 |] in
+  let payloads = [| -0.0; Float.nan; Scalar.round_f32 0.1 |] in
+  Array.iteri (fun i x -> Dense.set_linear t i (Scalar.F32 x)) payloads;
+  Array.iteri
+    (fun i x ->
+      match Dense.get_linear t i with
+      | Scalar.F32 y ->
+        check Alcotest.int64 "bit-exact round trip" (Int64.bits_of_float x)
+          (Int64.bits_of_float y)
+      | v -> Alcotest.failf "fp32 store returned %s" (Scalar.value_to_string v))
+    payloads;
+  let refuses what t v =
+    match Dense.set t [| 0 |] v with
+    | () -> Alcotest.failf "%s was stored" what
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "F64 in fp32" t (Scalar.F64 1.0);
+  refuses "F32 in fp64" (Dense.create Scalar.Fp64 [| 1 |]) (Scalar.f32 1.0);
+  List.iter
+    (fun ty ->
+      let flat = match ty with Scalar.Fp32 | Scalar.Fp64 -> true | _ -> false in
+      check Alcotest.bool (Scalar.ty_to_string ty ^ " has floats") flat
+        (Option.is_some (Dense.floats (Dense.create ty [| 2 |]))))
+    Scalar.[ Fp32; Fp64; Int32; Int64; Bool; Char; Record [ ("a", Fp32) ] ];
+  match Dense.floats t with
+  | None -> Alcotest.fail "fp32 tensor without floats"
+  | Some a ->
+    a.(1) <- Scalar.round_f32 2.5;
+    check Test_util.scalar_value "write through floats is visible" (Scalar.f32 2.5)
+      (Dense.get t [| 1 |])
 
 (* --- Buffer --- *)
 
@@ -343,6 +397,7 @@ let suite =
       tc "dense reduce" `Quick test_dense_reduce;
       tc "dense map2" `Quick test_dense_map2;
       tc "dense copy isolated" `Quick test_dense_copy_isolated;
+      tc "dense float store" `Quick test_dense_float_store;
       tc "buffer env" `Quick test_buffer_env;
       tc "buffer env duplicate" `Quick test_buffer_env_duplicate;
       tc "buffer size bytes" `Quick test_buffer_size_bytes ] )
