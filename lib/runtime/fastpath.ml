@@ -56,16 +56,22 @@ let both a b = match (a, b) with Some x, Some y -> Some (x, y) | _ -> None
 let f32_output (o : Md_hom.output) shape =
   Scalar.equal_ty o.out_ty Scalar.Fp32 && Shape.equal o.out_shape shape
 
+(* [Scalar.round_f32], module-local so that it inlines: under -opaque a
+   call into another module is out of line and boxes argument and result *)
+let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
 (* Write a flat kernel result into the float store of the (freshly
    allocated) output buffer, rounding to single precision once per element
    — kernels accumulate in double, so fast-path results are
    tolerance-equal, not bit-equal, to the per-op-rounding interpreter.
    [None] if the output has no float store. *)
-let commit md env (o : Md_hom.output) result =
+let commit md env (o : Md_hom.output) (result : float array) =
   let env = Semantics.alloc_outputs md env in
   Option.map
-    (fun out ->
-      Array.iteri (fun i v -> out.(i) <- Scalar.round_f32 v) result;
+    (fun (out : float array) ->
+      for i = 0 to Array.length result - 1 do
+        out.(i) <- round_f32 result.(i)
+      done;
       env)
     (Dense.floats (Buffer.data (Buffer.env_find env o.out_name)))
 

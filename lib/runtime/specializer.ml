@@ -18,13 +18,21 @@ exception Unsupported of string
 
 let unsup fmt = Format.kasprintf (fun m -> raise (Unsupported m)) fmt
 
+(* The hot loops below call no float helper from another module: a build
+   with -opaque (dune's dev profile) compiles such a call out of line, and
+   an out-of-line call boxes its float arguments and result. Stdlib
+   primitives and [@inline] helpers of this module inline. *)
+
+(* [Scalar.round_f32], inlinable *)
+let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
 (* --- per-job evaluation state ---------------------------------------- *)
 
 (* Compilation happens once per plan digest; instantiation happens once per
    job. A compiled expression is a two-stage closure: applied to a [state]
    it resolves buffers and local-variable cells, returning the per-point
-   thunk the loop nest calls — no boxing, no environment lookups, no index
-   tensors on the hot path. *)
+   thunk a lane-filled strip calls — no environment lookups, no index
+   tensors. *)
 type state = {
   bufs : float array array;  (** one flat array per input, in [md.inputs] order *)
   point : int array;  (** current iteration point, length = rank *)
@@ -36,13 +44,53 @@ type state = {
 
 type 'a inst = state -> unit -> 'a
 
-type builder = BF of float inst | BI of int inst | BB of bool inst
+type staged = BF of float inst | BI of int inst | BB of bool inst
 
 type slots = { mutable nf : int; mutable ni : int; mutable nb : int }
 
 type binding = Slot_f of int | Slot_i of int | Slot_b of int
 
-(* --- expression compilation ------------------------------------------ *)
+(* --- the builtin operators, inlined -------------------------------------- *)
+
+type fold = F_add | F_mul | F_min | F_max
+
+let fold_of (fn : Combine.custom_fn) =
+  if not fn.Combine.builtin then None
+  else
+    match fn.Combine.fn_name with
+    | "add" -> Some F_add
+    | "mul" -> Some F_mul
+    | "min" -> Some F_min
+    | "max" -> Some F_max
+    | _ -> None
+
+let identity = function
+  | F_add -> 0.0
+  | F_mul -> 1.0
+  | F_min -> infinity
+  | F_max -> neg_infinity
+
+(* Called with a constant [op] from a [match op with F_add -> loop F_add
+   ...] dispatch, every loop below compiles to one direct loop per
+   operator, with no dispatch and no boxing per element. *)
+let[@inline] combine op (a : float) (b : float) =
+  match op with
+  | F_add -> a +. b
+  | F_mul -> a *. b
+  | F_min -> Float.min a b
+  | F_max -> Float.max a b
+
+let[@inline] arith op (a : float) (b : float) =
+  match op with
+  | Expr.Add -> a +. b
+  | Expr.Sub -> a -. b
+  | Expr.Mul -> a *. b
+  | Expr.Div -> a /. b
+  | Expr.Min -> Float.min a b
+  | Expr.Max -> Float.max a b
+  | _ -> invalid_arg "Specializer.arith"
+
+(* --- expression compilation: per-point closures ------------------------ *)
 
 let row_major_strides shape =
   let r = Array.length shape in
@@ -66,28 +114,36 @@ let with_pre pre = function
   | BI f -> BI (fun st -> let p = pre st and g = f st in fun () -> p (); g ())
   | BB f -> BB (fun st -> let p = pre st and g = f st in fun () -> p (); g ())
 
-let compile_expr (md : Md_hom.t) e =
-  let dim_pos name =
-    let rec go d =
-      if d >= Array.length md.dims then unsup "unknown iteration variable %s" name
-      else if String.equal md.dims.(d) name then d
-      else go (d + 1)
-    in
-    go 0
+let dim_pos (md : Md_hom.t) name =
+  let rec go d =
+    if d >= Array.length md.dims then unsup "unknown iteration variable %s" name
+    else if String.equal md.dims.(d) name then d
+    else go (d + 1)
   in
-  let input_pos name =
-    let rec go pos = function
-      | [] -> None
-      | (i : Md_hom.input) :: rest ->
-        if String.equal i.inp_name name then Some (pos, i) else go (pos + 1) rest
-    in
-    go 0 md.inputs
+  go 0
+
+(* The position of a read's input in [md.inputs] and that input's
+   row-major strides. *)
+let input_of (md : Md_hom.t) buf idxs =
+  let rec go pos = function
+    | [] -> unsup "read of non-input buffer %s" buf
+    | (i : Md_hom.input) :: rest ->
+      if not (String.equal i.inp_name buf) then go (pos + 1) rest
+      else if not (Scalar.equal_ty i.inp_ty Scalar.Fp32) then
+        unsup "non-fp32 input %s" buf
+      else if List.length idxs <> Array.length i.inp_shape then
+        unsup "rank mismatch reading %s" buf
+      else (pos, row_major_strides i.inp_shape)
   in
-  let slots = { nf = 0; ni = 0; nb = 0 } in
+  go 0 md.inputs
+
+(* [comp env e] stages [e] as a per-point closure: the lane-filled form of
+   a row, and the validator of every form a row leaves out. *)
+let point_compiler (md : Md_hom.t) slots =
   let rec comp env e =
     match e with
     | Expr.Const (Scalar.F32 x) ->
-      let x = Scalar.round_f32 x in
+      let x = round_f32 x in
       BF (fun _ () -> x)
     | Expr.Const (Scalar.F64 x) -> BF (fun _ () -> x)
     | Expr.Const (Scalar.I32 x) ->
@@ -99,7 +155,7 @@ let compile_expr (md : Md_hom.t) e =
     | Expr.Const (Scalar.B x) -> BB (fun _ () -> x)
     | Expr.Const (Scalar.C _ | Scalar.R _) -> unsup "char/record constant"
     | Expr.Idx name ->
-      let d = dim_pos name in
+      let d = dim_pos md name in
       BI (fun st () -> st.point.(d))
     | Expr.Var name -> (
       match List.assoc_opt name env with
@@ -108,11 +164,17 @@ let compile_expr (md : Md_hom.t) e =
       | Some (Slot_b s) -> BB (fun st () -> st.bcells.(s))
       | None -> unsup "unbound local %s" name)
     | Expr.Read (buf, idxs) ->
-      let pos, addr = read_addr env buf idxs in
+      let pos, str = input_of md buf idxs in
+      let fs = Array.of_list (List.map (fun ix -> as_i (comp env ix)) idxs) in
       BF
         (fun st ->
-          let a = addr st and data = st.bufs.(pos) in
-          fun () -> data.(a ()))
+          let gs = Array.map (fun f -> f st) fs and data = st.bufs.(pos) in
+          fun () ->
+            let lin = ref 0 in
+            for d = 0 to Array.length gs - 1 do
+              lin := !lin + (str.(d) * gs.(d) ())
+            done;
+            data.(!lin))
     | Expr.Binop (op, a, b) -> comp_binop env op a b
     | Expr.Unop (Expr.Neg, a) -> (
       match comp env a with
@@ -164,7 +226,7 @@ let compile_expr (md : Md_hom.t) e =
     | Expr.Field _ | Expr.MkRecord _ -> unsup "record expression"
     | Expr.Cast (Scalar.Fp32, a) -> (
       match comp env a with
-      | BF f -> BF (fun st -> let g = f st in fun () -> Scalar.round_f32 (g ()))
+      | BF f -> BF (fun st -> let g = f st in fun () -> round_f32 (g ()))
       | BI f -> BF (fun st -> let g = f st in fun () -> float_of_int (g ()))
       | BB _ -> unsup "cast of a boolean")
     | Expr.Cast ((Scalar.Int32 | Scalar.Int64), a) -> (
@@ -173,67 +235,8 @@ let compile_expr (md : Md_hom.t) e =
       | BF f -> BI (fun st -> let g = f st in fun () -> int_of_float (g ()))
       | BB _ -> unsup "cast of a boolean")
     | Expr.Cast _ -> unsup "unsupported cast target"
-  (* a read as (input position, linearized-address thunk): the address
-     thunks return immediate ints, so fusing the float load into the
-     consumer avoids a closure boundary (and its boxed float) per read *)
-  and read_addr env buf idxs =
-    match input_pos buf with
-    | None -> unsup "read of non-input buffer %s" buf
-    | Some (_, i) when not (Scalar.equal_ty i.inp_ty Scalar.Fp32) ->
-      unsup "non-fp32 input %s" buf
-    | Some (pos, i) ->
-      if List.length idxs <> Array.length i.inp_shape then
-        unsup "rank mismatch reading %s" buf;
-      let str = row_major_strides i.inp_shape in
-      let ib = List.map (fun ix -> as_i (comp env ix)) idxs in
-      let addr =
-        match ib with
-        | [ i0 ] -> i0
-        | [ i0; i1 ] ->
-          let s0 = str.(0) in
-          fun st ->
-            let f0 = i0 st and f1 = i1 st in
-            fun () -> (f0 () * s0) + f1 ()
-        | _ ->
-          let fs = Array.of_list ib in
-          fun st ->
-            let gs = Array.map (fun f -> f st) fs in
-            fun () ->
-              let lin = ref 0 in
-              Array.iteri (fun d g -> lin := !lin + (str.(d) * g ())) gs;
-              !lin
-      in
-      (pos, addr)
   and comp_binop env op a b =
-    (* the hot shape of every catalogue reduction is [read ⊛ read]: fuse
-       both loads into one thunk so the per-point cost is a single closure
-       call instead of three *)
-    match (op, a, b) with
-    | ( (Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Min | Expr.Max),
-        Expr.Read (n1, i1),
-        Expr.Read (n2, i2) ) ->
-      let p1, a1 = read_addr env n1 i1 in
-      let p2, a2 = read_addr env n2 i2 in
-      let fuse mk =
-        BF
-          (fun st ->
-            let f1 = a1 st and d1 = st.bufs.(p1) in
-            let f2 = a2 st and d2 = st.bufs.(p2) in
-            mk d1 f1 d2 f2)
-      in
-      (match op with
-      | Expr.Add -> fuse (fun d1 f1 d2 f2 () -> d1.(f1 ()) +. d2.(f2 ()))
-      | Expr.Sub -> fuse (fun d1 f1 d2 f2 () -> d1.(f1 ()) -. d2.(f2 ()))
-      | Expr.Mul -> fuse (fun d1 f1 d2 f2 () -> d1.(f1 ()) *. d2.(f2 ()))
-      | Expr.Div -> fuse (fun d1 f1 d2 f2 () -> d1.(f1 ()) /. d2.(f2 ()))
-      | Expr.Min -> fuse (fun d1 f1 d2 f2 () -> Float.min d1.(f1 ()) d2.(f2 ()))
-      | Expr.Max -> fuse (fun d1 f1 d2 f2 () -> Float.max d1.(f1 ()) d2.(f2 ()))
-      | _ -> assert false)
-    | _ -> comp_binop_generic env op a b
-  and comp_binop_generic env op a b =
     let ba = comp env a and bb = comp env b in
-    let ff mk = BF (let fa = lift_f ba and fb = lift_f bb in
-                    fun st -> mk (fa st) (fb st)) in
     match op with
     | Expr.And ->
       let fa = as_b ba and fb = as_b bb in
@@ -256,17 +259,8 @@ let compile_expr (md : Md_hom.t) e =
         in
         BI (fun st -> let a = fa st and b = fb st in fun () -> mk (a ()) (b ()))
       | _ ->
-        let mk =
-          match op with
-          | Expr.Add -> ( +. )
-          | Expr.Sub -> ( -. )
-          | Expr.Mul -> ( *. )
-          | Expr.Div -> ( /. )
-          | Expr.Min -> Float.min
-          | Expr.Max -> Float.max
-          | _ -> assert false
-        in
-        ff (fun a b () -> mk (a ()) (b ())))
+        let fa = lift_f ba and fb = lift_f bb in
+        BF (fun st -> let a = fa st and b = fb st in fun () -> arith op (a ()) (b ())))
     | Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge -> (
       match (ba, bb) with
       | BI fa, BI fb ->
@@ -295,11 +289,292 @@ let compile_expr (md : Md_hom.t) e =
         in
         BB (fun st -> let a = fa st and b = fb st in fun () -> mk (a ()) (b ())))
   in
-  match comp [] e with
-  | BF f -> (f, slots)
-  | BI f ->
-    ((fun st -> let g = f st in fun () -> float_of_int (g ())), slots)
-  | BB _ -> unsup "output value is boolean"
+  comp
+
+(* --- expression compilation: rows ---------------------------------------- *)
+
+(* An integer affine in the iteration point: [c0 + Σ_d co.(d) * point.(d)].
+   Integer arithmetic wraps, so the rearrangement is exact. *)
+type affine = { c0 : int; co : int array }
+
+let aff_const rank c = { c0 = c; co = Array.make rank 0 }
+let aff_add a b = { c0 = a.c0 + b.c0; co = Array.map2 ( + ) a.co b.co }
+let aff_scale k a = { c0 = k * a.c0; co = Array.map (fun x -> k * x) a.co }
+let aff_is_const a = Array.for_all (fun x -> x = 0) a.co
+
+(* A value expression over one strip of a row: every node fills one float
+   register with its value at each lane. *)
+type rexpr =
+  | R_const of float
+  | R_read of int * affine  (** input position, flat address *)
+  | R_ramp of affine  (** an integer, converted *)
+  | R_bin of Expr.binop * rexpr * rexpr  (** Add/Sub/Mul/Div/Min/Max *)
+  | R_neg of rexpr
+  | R_round of rexpr
+  | R_var of int  (** a float [Let], by its cell slot *)
+  | R_let of int * rexpr * rexpr  (** cell slot, value, body *)
+  | R_lane of float inst * bound list
+      (** filled one lane at a time by the per-point closure, after the
+          enclosing row-compiled [Let]s are copied into their cells *)
+
+(* a row-compiled [Let]-bound name: a float in the register of its value,
+   or an affine integer, substituted where it is used *)
+and bound = Bound_f of int | Bound_i of int * affine
+
+(* A [Lane] keeps the row-compiled [Let]s its closure was compiled under,
+   so it stays valid wherever it is used: an integer [Let] passes its
+   body's [Lane] up to its parent. *)
+type row = Row_f of rexpr | Row_i of affine | Lane of staged * bound list
+
+(* Compile [e] to a row expression. Forms left out — [If], comparisons,
+   booleans, non-affine integers and the reads they index — become
+   [R_lane] leaves that run [comp]'s closure lane by lane. [comp] is also
+   the validator: every form a row does not compile reaches it, so the
+   refusal set and messages are the per-point compiler's. *)
+let row_compiler (md : Md_hom.t) slots comp =
+  let rank = Md_hom.rank md in
+  let slot_env env =
+    List.map
+      (fun (n, b) ->
+        (n, match b with Bound_f s -> Slot_f s | Bound_i (s, _) -> Slot_i s))
+      env
+  in
+  let lane env e = Lane (comp (slot_env env) e, List.map snd env) in
+  let as_rexpr = function
+    | Row_f r -> r
+    | Row_i a -> R_ramp a
+    | Lane (b, bounds) -> R_lane (lift_f b, bounds)
+  in
+  let rec row env e =
+    match e with
+    | Expr.Const (Scalar.F32 x) -> Row_f (R_const (round_f32 x))
+    | Expr.Const (Scalar.F64 x) -> Row_f (R_const x)
+    | Expr.Const (Scalar.I32 x) -> Row_i (aff_const rank (Int32.to_int x))
+    | Expr.Const (Scalar.I64 x) -> Row_i (aff_const rank (Int64.to_int x))
+    | Expr.Idx name ->
+      let d = dim_pos md name in
+      Row_i { c0 = 0; co = Array.init rank (fun e -> if e = d then 1 else 0) }
+    | Expr.Var name -> (
+      match List.assoc_opt name env with
+      | Some (Bound_f s) -> Row_f (R_var s)
+      | Some (Bound_i (_, a)) -> Row_i a
+      | None -> lane env e)
+    | Expr.Read (buf, idxs) -> (
+      let pos, str = input_of md buf idxs in
+      let rec addr acc d = function
+        | [] -> Some acc
+        | ix :: rest -> (
+          match row env ix with
+          | Row_i a -> addr (aff_add acc (aff_scale str.(d) a)) (d + 1) rest
+          | Row_f _ | Lane _ -> None)
+      in
+      match addr (aff_const rank 0) 0 idxs with
+      | Some a -> Row_f (R_read (pos, a))
+      | None -> lane env e)
+    | Expr.Binop
+        (((Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Min | Expr.Max) as op), a, b)
+      -> (
+      match (op, row env a, row env b) with
+      | Expr.Add, Row_i x, Row_i y -> Row_i (aff_add x y)
+      | Expr.Sub, Row_i x, Row_i y -> Row_i (aff_add x (aff_scale (-1) y))
+      | Expr.Mul, Row_i x, Row_i y when aff_is_const x -> Row_i (aff_scale x.c0 y)
+      | Expr.Mul, Row_i x, Row_i y when aff_is_const y -> Row_i (aff_scale y.c0 x)
+      | _, (Row_i _ | Lane (BI _, _)), (Row_i _ | Lane (BI _, _)) -> lane env e
+      | _, ra, rb -> Row_f (R_bin (op, as_rexpr ra, as_rexpr rb)))
+    | Expr.Unop (Expr.Neg, a) -> (
+      match row env a with
+      | Row_f r -> Row_f (R_neg r)
+      | Row_i x -> Row_i (aff_scale (-1) x)
+      | Lane _ -> lane env e)
+    | Expr.Cast (Scalar.Fp32, a) -> (
+      match row env a with
+      | Row_f r -> Row_f (R_round r)
+      | Row_i x -> Row_f (R_ramp x)
+      | Lane _ -> lane env e)
+    | Expr.Cast ((Scalar.Int32 | Scalar.Int64), a) -> (
+      match row env a with Row_i x -> Row_i x | Row_f _ | Lane _ -> lane env e)
+    | Expr.Let (name, v, body) -> (
+      match row env v with
+      | Row_f r -> (
+        let s = slots.nf in
+        slots.nf <- s + 1;
+        match row ((name, Bound_f s) :: env) body with
+        | Row_f b -> Row_f (R_let (s, r, b))
+        | Row_i _ | Lane _ -> lane env e)
+      | Row_i a ->
+        let s = slots.ni in
+        slots.ni <- s + 1;
+        row ((name, Bound_i (s, a)) :: env) body
+      | Lane _ -> lane env e)
+    | _ -> lane env e
+  in
+  fun e ->
+    match row [] e with
+    | Lane (BB _, _) -> unsup "output value is boolean"
+    | r -> as_rexpr r
+
+(* --- row programs ------------------------------------------------------- *)
+
+(* An affine form seen from a row: [base + step * x] at row coordinate
+   [x], where [base] sums the other dimensions of the point. *)
+type strided = { s0 : int; sdims : int array; scoefs : int array; step : int }
+
+let strided ~row_dim a =
+  let ds =
+    List.filter (fun d -> d <> row_dim && a.co.(d) <> 0) (List.init (Array.length a.co) Fun.id)
+  in
+  { s0 = a.c0;
+    sdims = Array.of_list ds;
+    scoefs = Array.of_list (List.map (fun d -> a.co.(d)) ds);
+    step = a.co.(row_dim) }
+
+let[@inline] row_base s (point : int array) =
+  let b = ref s.s0 in
+  for k = 0 to Array.length s.sdims - 1 do
+    b := !b + (Array.unsafe_get s.scoefs k * point.(Array.unsafe_get s.sdims k))
+  done;
+  !b
+
+(* The addresses [a0 + step * l], l in [0, n), are within [0, len): an
+   affine sequence is, iff its two ends are. *)
+let[@inline] check_span a0 step n len =
+  let a1 = a0 + (step * (n - 1)) in
+  if a0 < 0 || a0 >= len || a1 < 0 || a1 >= len then invalid_arg "index out of bounds"
+
+(* One job's view of a row program: its state and its registers. *)
+type ctx = { st : state; regs : float array array }
+
+(* An instruction, instantiated once per job, fills its register over the
+   lanes [0, n) of the strip that starts at row coordinate [x0]. *)
+type instr = ctx -> int -> int -> unit
+
+let read_instr pos s r { st; regs } =
+  let data = st.bufs.(pos) and dst = regs.(r) and point = st.point in
+  let len = Array.length data and step = s.step in
+  fun x0 n ->
+    let a0 = row_base s point + (step * x0) in
+    check_span a0 step n len;
+    for l = 0 to n - 1 do
+      Array.unsafe_set dst l (Array.unsafe_get data (a0 + (step * l)))
+    done
+
+let ramp_instr s r { st; regs } =
+  let dst = regs.(r) and point = st.point and step = s.step in
+  fun x0 n ->
+    let a0 = row_base s point + (step * x0) in
+    for l = 0 to n - 1 do
+      Array.unsafe_set dst l (float_of_int (a0 + (step * l)))
+    done
+
+let[@inline] map2 op (a : float array) (b : float array) (d : float array) n =
+  for l = 0 to n - 1 do
+    Array.unsafe_set d l (arith op (Array.unsafe_get a l) (Array.unsafe_get b l))
+  done
+
+let bin_instr op ra rb r { regs; _ } =
+  let a = regs.(ra) and b = regs.(rb) and d = regs.(r) in
+  match op with
+  | Expr.Add -> fun _ n -> map2 Expr.Add a b d n
+  | Expr.Sub -> fun _ n -> map2 Expr.Sub a b d n
+  | Expr.Mul -> fun _ n -> map2 Expr.Mul a b d n
+  | Expr.Div -> fun _ n -> map2 Expr.Div a b d n
+  | Expr.Min -> fun _ n -> map2 Expr.Min a b d n
+  | Expr.Max -> fun _ n -> map2 Expr.Max a b d n
+  | _ -> invalid_arg "Specializer.bin_instr"
+
+let neg_instr ra r { regs; _ } =
+  let a = regs.(ra) and d = regs.(r) in
+  fun _ n ->
+    for l = 0 to n - 1 do
+      Array.unsafe_set d l (-.Array.unsafe_get a l)
+    done
+
+let round_instr ra r { regs; _ } =
+  let a = regs.(ra) and d = regs.(r) in
+  fun _ n ->
+    for l = 0 to n - 1 do
+      Array.unsafe_set d l (round_f32 (Array.unsafe_get a l))
+    done
+
+(* [copies_f]: (cell slot, register) of each enclosing float [Let];
+   [copies_i]: (cell slot, value) of each enclosing integer one *)
+let lane_instr ~row_dim thunk copies_f copies_i r { st; regs } =
+  let g = thunk st and dst = regs.(r) and point = st.point in
+  let fslots = Array.of_list (List.map fst copies_f)
+  and fsrcs = Array.of_list (List.map (fun (_, reg) -> regs.(reg)) copies_f)
+  and islots = Array.of_list (List.map fst copies_i)
+  and ivals = Array.of_list (List.map snd copies_i) in
+  fun x0 n ->
+    for l = 0 to n - 1 do
+      point.(row_dim) <- x0 + l;
+      for k = 0 to Array.length fslots - 1 do
+        st.fcells.(fslots.(k)) <- fsrcs.(k).(l)
+      done;
+      for k = 0 to Array.length islots - 1 do
+        let a = ivals.(k) in
+        let v = ref a.c0 in
+        for d = 0 to Array.length a.co - 1 do
+          v := !v + (a.co.(d) * point.(d))
+        done;
+        st.icells.(islots.(k)) <- !v
+      done;
+      dst.(l) <- g ()
+    done
+
+type program = {
+  code : instr array;  (** in evaluation order *)
+  consts : (int * float) list;  (** registers filled once per job *)
+  nregs : int;
+  root : int;  (** the register of the point values *)
+}
+
+(* Lower a row expression to instructions over numbered registers. *)
+let lower ~row_dim rx =
+  let nregs = ref 0 and consts = ref [] and code = ref [] and vars = ref [] in
+  let fresh () =
+    let r = !nregs in
+    incr nregs;
+    r
+  in
+  let emit mk =
+    let r = fresh () in
+    code := mk r :: !code;
+    r
+  in
+  let rec go = function
+    | R_const x ->
+      let r = fresh () in
+      consts := (r, x) :: !consts;
+      r
+    | R_var s -> List.assoc s !vars
+    | R_let (s, v, b) ->
+      let rv = go v in
+      vars := (s, rv) :: !vars;
+      go b
+    | R_read (pos, a) -> emit (read_instr pos (strided ~row_dim a))
+    | R_ramp a -> emit (ramp_instr (strided ~row_dim a))
+    | R_bin (op, a, b) ->
+      let ra = go a in
+      let rb = go b in
+      emit (bin_instr op ra rb)
+    | R_neg a ->
+      let ra = go a in
+      emit (neg_instr ra)
+    | R_round a ->
+      let ra = go a in
+      emit (round_instr ra)
+    | R_lane (thunk, bounds) ->
+      let copies_f =
+        List.filter_map
+          (function Bound_f s -> Some (s, List.assoc s !vars) | Bound_i _ -> None)
+          bounds
+      and copies_i =
+        List.filter_map (function Bound_i (s, a) -> Some (s, a) | Bound_f _ -> None) bounds
+      in
+      emit (lane_instr ~row_dim thunk copies_f copies_i)
+  in
+  let root = go rx in
+  { code = Array.of_list (List.rev !code); consts = !consts; nregs = !nregs; root }
 
 (* --- loop-nest compilation ------------------------------------------- *)
 
@@ -308,11 +583,19 @@ type nest_step =
   | S_tile_outer of { tile : int; extent : int; slot : int }
   | S_tile_inner of { dim : int; tile : int; extent : int; slot : int }
 
-type out_plan = {
-  out : Md_hom.output;
-  build_point : state -> unit -> float;
-  direct_write : bool;  (** out_view is the identity on the result shape *)
-}
+(* What runs a job's innermost level as a row: the last step of the
+   sequential nest; with no nest, the tree-reduce range; with neither, the
+   last distributed dimension. *)
+type row_kind = Row_nest | Row_tree | Row_dist
+
+(* How write-back maps the accumulator onto an output's store. *)
+type view =
+  | View_affine of { o0 : int; extents : int array; weights : int array }
+      (** flat output address [o0 + Σ weights.(k) * x_k] over the
+          accumulator's dimensions of extent > 1, outermost first *)
+  | View_opaque  (** through [Index_fn.apply], which checks every index *)
+
+type out_plan = { out : Md_hom.output; prog : program; view : view }
 
 type compiled = {
   digest : string;  (** [Plan.digest] of the source plan, the profile key *)
@@ -324,13 +607,14 @@ type compiled = {
   dist_level : int;  (** plan-level index of the [Distribute] level, or -1 *)
   tree : (int * int) option;  (** tree-reduce (dim, extent) *)
   tree_level : int;  (** plan-level index of the [Tree_reduce] level, or -1 *)
+  row : row_kind;
+  row_dim : int;  (** the dimension a row runs along *)
+  reglen : int;  (** register length: {!strip} capped at the longest row *)
   acc_shape : int array;  (** [Md_hom.result_shape] *)
   acc_size : int;
-  astride : int array;  (** accumulator stride per iteration dim; 0 on pw dims *)
-  pw : (float * (float -> float -> float)) option;
-      (** identity and combiner of the (single) pw operator *)
-  scans : (int * (float -> float -> float)) array;
-      (** ps dims with their combiners, innermost first *)
+  acc_addr : strided;  (** accumulator address; no terms on pw dims *)
+  pw : fold option;  (** the (single) pw operator *)
+  scans : (int * fold) array;  (** ps dims with their operators, innermost first *)
   scan_levels : int array;
       (** plan-level index of each [scans] entry's [Scan] level, or -1 *)
   n_base : int;
@@ -338,15 +622,33 @@ type compiled = {
   outs : out_plan list;
 }
 
-let builtin_double_op (fn : Combine.custom_fn) =
-  if not fn.Combine.builtin then None
-  else
-    match fn.Combine.fn_name with
-    | "add" -> Some (0.0, ( +. ))
-    | "mul" -> Some (1.0, ( *. ))
-    | "min" -> Some (infinity, Float.min)
-    | "max" -> Some (neg_infinity, Float.max)
-    | _ -> None
+(* Lanes per strip: long enough to amortise one instruction call per node,
+   short enough that a strip's registers stay in cache. *)
+let strip = 256
+
+(* The affine write-back of [o]'s view, when its index function is affine
+   and maps the accumulator box into the output's shape. *)
+let view_of acc_shape (o : Md_hom.output) =
+  match o.out_access.fn with
+  | Index_fn.Affine { arity; coords } as fn
+    when arity = Array.length acc_shape
+         && Array.length coords = Array.length o.out_shape
+         && Array.for_all (fun x -> x >= 0) (Index_fn.min_index fn acc_shape)
+         && Array.for_all2 ( < ) (Index_fn.max_index fn acc_shape) o.out_shape ->
+    let ostr = row_major_strides o.out_shape in
+    let weight d =
+      let w = ref 0 in
+      Array.iteri (fun j (c : Index_fn.coord) -> w := !w + (ostr.(j) * c.coeffs.(d))) coords;
+      !w
+    in
+    let ds = List.filter (fun d -> acc_shape.(d) > 1) (List.init arity Fun.id) in
+    let o0 = ref 0 in
+    Array.iteri (fun j (c : Index_fn.coord) -> o0 := !o0 + (ostr.(j) * c.offset)) coords;
+    View_affine
+      { o0 = !o0;
+        extents = Array.of_list (List.map (fun d -> acc_shape.(d)) ds);
+        weights = Array.of_list (List.map weight ds) }
+  | Index_fn.Affine _ | Index_fn.Opaque _ -> View_opaque
 
 let compile (plan : Plan.t) (md : Md_hom.t) =
   try
@@ -368,8 +670,8 @@ let compile (plan : Plan.t) (md : Md_hom.t) =
       | fn :: rest ->
         if List.exists (fun f -> not (String.equal f.Combine.fn_name fn.Combine.fn_name)) rest
         then unsup "multiple distinct pw operators";
-        (match builtin_double_op fn with
-        | Some p -> Some p
+        (match fold_of fn with
+        | Some op -> Some op
         | None -> unsup "non-builtin pw operator %s" fn.Combine.fn_name)
     in
     let scans =
@@ -380,8 +682,8 @@ let compile (plan : Plan.t) (md : Md_hom.t) =
              let d = rank - 1 - d in
              match md.combine_ops.(d) with
              | Combine.Ps fn -> (
-               match builtin_double_op fn with
-               | Some (_, op) -> Some (d, op)
+               match fold_of fn with
+               | Some op -> Some (d, op)
                | None -> unsup "non-builtin ps operator %s" fn.Combine.fn_name)
              | _ -> None)
            (List.init rank Fun.id))
@@ -434,35 +736,29 @@ let compile (plan : Plan.t) (md : Md_hom.t) =
     in
     let dist = Array.of_list (Plan.distributed plan) in
     let tree = Option.map (fun (d, extent, _) -> (d, extent)) (Plan.tree plan) in
+    let row, row_dim, row_extent =
+      match (List.rev nest, tree) with
+      | (_, S_loop { dim; extent }) :: _, _ -> (Row_nest, dim, extent)
+      | (_, S_tile_inner { dim; tile; _ }) :: _, _ -> (Row_nest, dim, tile)
+      | (_, S_tile_outer _) :: _, _ -> unsup "plan nest ends in a tile loop"
+      | [], Some (dim, extent) -> (Row_tree, dim, extent)
+      | [], None ->
+        if Array.length dist = 0 then unsup "plan has no levels";
+        let dim, extent = dist.(Array.length dist - 1) in
+        (Row_dist, dim, extent)
+    in
     let slots = { nf = 0; ni = 0; nb = 0 } in
     let outs =
       List.map
         (fun (o : Md_hom.output) ->
           if not (Scalar.equal_ty o.out_ty Scalar.Fp32) then
             unsup "non-fp32 output %s" o.out_name;
-          let build_point, s = compile_expr md o.value in
+          let s = { nf = 0; ni = 0; nb = 0 } in
+          let prog = lower ~row_dim (row_compiler md s (point_compiler md s) o.value) in
           slots.nf <- max slots.nf s.nf;
           slots.ni <- max slots.ni s.ni;
           slots.nb <- max slots.nb s.nb;
-          let direct_write =
-            Shape.equal o.out_shape acc_shape
-            &&
-            match o.out_access.fn with
-            | Index_fn.Affine { arity; coords } ->
-              arity = Array.length acc_shape
-              && Array.length coords = arity
-              && Array.for_all Fun.id
-                   (Array.mapi
-                      (fun j (c : Index_fn.coord) ->
-                        c.offset = 0
-                        && Array.for_all Fun.id
-                             (Array.mapi
-                                (fun d x -> x = if d = j then 1 else 0)
-                                c.coeffs))
-                      coords)
-            | Index_fn.Opaque _ -> false
-          in
-          { out = o; build_point; direct_write })
+          { out = o; prog; view = view_of acc_shape o })
         md.outputs
     in
     let scan_levels =
@@ -477,8 +773,11 @@ let compile (plan : Plan.t) (md : Md_hom.t) =
       { digest = Plan.digest plan; rank;
         nest = Array.of_list (List.map snd nest);
         nest_levels = Array.of_list (List.map fst nest);
-        dist; dist_level; tree; tree_level; acc_shape; acc_size;
-        astride; pw; scans; scan_levels; n_base = !n_base; slots; outs }
+        dist; dist_level; tree; tree_level; row; row_dim;
+        reglen = max 1 (Int.min strip row_extent);
+        acc_shape; acc_size;
+        acc_addr = strided ~row_dim { c0 = 0; co = astride };
+        pw; scans; scan_levels; n_base = !n_base; slots; outs }
   with Unsupported msg -> Error msg
 
 (* --- execution -------------------------------------------------------- *)
@@ -493,50 +792,121 @@ let mk_state c bufs =
 
 (* Per-job level timers: [tot.(l)] accumulates the inclusive wall time of
    nest step [l] (deeper levels included) and [cnt.(l)] its entries; slot
-   [n] is the point computation itself. *)
+   [n] is the point computation itself, counted in iteration points. *)
 type timers = { tot : float array; cnt : int array }
+
+let charge tm l ~count t0 =
+  tm.tot.(l) <- tm.tot.(l) +. Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0);
+  tm.cnt.(l) <- tm.cnt.(l) + count
 
 (* [f] with a clock around every call, charged to slot [l]. Self time
    telescopes exactly — self(l) = tot(l) - tot(l+1) — because clock reads
    at a child's boundary land in the parent's self time, which is what
    keeps the per-level sum equal to the in-nest time. The overhead (two
-   clock reads per level entry, the innermost per point) is the
-   documented price of a profiled run. *)
+   clock reads per level entry and per strip) is the documented price of
+   a profiled run. *)
 let timed tm l f () =
   let t0 = Clock.now_ns () in
   f ();
-  tm.tot.(l) <- tm.tot.(l) +. Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0);
-  tm.cnt.(l) <- tm.cnt.(l) + 1
+  charge tm l ~count:1 t0
+
+let timed_strip tm l f x0 n =
+  let t0 = Clock.now_ns () in
+  f x0 n;
+  charge tm l ~count:n t0
+
+let[@inline] fold_one op (acc : float array) i (v : float array) n =
+  let s = ref acc.(i) in
+  for l = 0 to n - 1 do
+    s := combine op !s (Array.unsafe_get v l)
+  done;
+  acc.(i) <- !s
+
+let[@inline] fold_strided op (acc : float array) i0 step (v : float array) n =
+  check_span i0 step n (Array.length acc);
+  for l = 0 to n - 1 do
+    let i = i0 + (step * l) in
+    Array.unsafe_set acc i (combine op (Array.unsafe_get acc i) (Array.unsafe_get v l))
+  done
+
+(* Fold a strip's point values [v] into the accumulator, each element in
+   iteration order: into one local when the row runs along a pw
+   dimension, at the row's accumulator stride otherwise. *)
+let fold_strip c st (acc : float array) (v : float array) =
+  let s = c.acc_addr and point = st.point in
+  let step = s.step in
+  match c.pw with
+  | Some op when step = 0 -> (
+    match op with
+    | F_add -> fun _ n -> fold_one F_add acc (row_base s point) v n
+    | F_mul -> fun _ n -> fold_one F_mul acc (row_base s point) v n
+    | F_min -> fun _ n -> fold_one F_min acc (row_base s point) v n
+    | F_max -> fun _ n -> fold_one F_max acc (row_base s point) v n)
+  | Some op -> (
+    let at x0 = row_base s point + (step * x0) in
+    match op with
+    | F_add -> fun x0 n -> fold_strided F_add acc (at x0) step v n
+    | F_mul -> fun x0 n -> fold_strided F_mul acc (at x0) step v n
+    | F_min -> fun x0 n -> fold_strided F_min acc (at x0) step v n
+    | F_max -> fun x0 n -> fold_strided F_max acc (at x0) step v n)
+  | None ->
+    fun x0 n ->
+      let i0 = row_base s point + (step * x0) in
+      check_span i0 step n (Array.length acc);
+      for l = 0 to n - 1 do
+        Array.unsafe_set acc (i0 + (step * l)) (Array.unsafe_get v l)
+      done
+
+(* The row step of one job for output [op]: [row lo hi] evaluates the
+   points [lo, hi) of the row dimension, at the state's other coordinates,
+   one strip at a time into the registers, and folds each strip into
+   [acc]. With [timers], every strip is charged to the leaf slot. *)
+let stage_row c op st acc timers =
+  let prog = op.prog in
+  let regs = Array.init prog.nregs (fun _ -> Array.create_float c.reglen) in
+  List.iter (fun (r, x) -> Array.fill regs.(r) 0 c.reglen x) prog.consts;
+  let ctx = { st; regs } in
+  let code = Array.map (fun i -> i ctx) prog.code in
+  let fold = fold_strip c st acc regs.(prog.root) in
+  let run x0 n =
+    for k = 0 to Array.length code - 1 do
+      (Array.unsafe_get code k) x0 n
+    done;
+    fold x0 n
+  in
+  let run =
+    match timers with
+    | Some tm -> timed_strip tm (Array.length c.nest) run
+    | None -> run
+  in
+  let reglen = c.reglen in
+  fun lo hi ->
+    let x = ref lo in
+    while !x < hi do
+      let n = Int.min reglen (hi - !x) in
+      run !x n;
+      x := !x + n
+    done
 
 (* Stage the sequential nest for one job as closures, outermost level
-   first: the returned thunk runs the whole nest at the state's current
-   outer coordinates, accumulating into [acc]. Only with [timers] is a
-   level (or the point body) wrapped in [timed]; unprofiled closures read
-   no clock. *)
-let stage_nest c st pf acc timers =
-  let astride = c.astride and rank = c.rank in
+   first, with the row step as its last level: the returned thunk runs the
+   whole nest at the state's current outer coordinates. Only with
+   [timers] is a level wrapped in [timed]; unprofiled closures read no
+   clock. *)
+let stage_nest c st row timers =
   let point = st.point in
   let wrap l f = match timers with Some tm -> timed tm l f | None -> f in
-  let body =
-    match c.pw with
-    | Some (_, op) ->
-      fun () ->
-        let ai = ref 0 in
-        for d = 0 to rank - 1 do
-          ai := !ai + (astride.(d) * point.(d))
-        done;
-        acc.(!ai) <- op acc.(!ai) (pf ())
-    | None ->
-      fun () ->
-        let ai = ref 0 in
-        for d = 0 to rank - 1 do
-          ai := !ai + (astride.(d) * point.(d))
-        done;
-        acc.(!ai) <- pf ()
-  in
   let n = Array.length c.nest in
   let rec stage l =
-    if l = n then wrap n body
+    if l = n - 1 then
+      wrap l
+        (match c.nest.(l) with
+        | S_loop { extent; _ } -> fun () -> row 0 extent
+        | S_tile_inner { tile; extent; slot; _ } ->
+          fun () ->
+            let b = st.base.(slot) in
+            row b (Int.min (b + tile) extent)
+        | S_tile_outer _ -> invalid_arg "Specializer.stage_nest")
     else
       let inner = stage (l + 1) in
       wrap l
@@ -558,7 +928,7 @@ let stage_nest c st pf acc timers =
         | S_tile_inner { dim; tile; extent; slot } ->
           fun () ->
             let b = st.base.(slot) in
-            let hi = min (b + tile) extent in
+            let hi = Int.min (b + tile) extent in
             for x = b to hi - 1 do
               point.(dim) <- x;
               inner ()
@@ -623,7 +993,7 @@ let decode_dist dist point lin =
    level, the indices [tlo, tlo + tsz) of tree dimension [td], running the
    staged nest at each into [acc], which it returns. A profiled job
    flushes its level times once, at the end. *)
-let run_job c bufs pf ~profiling (dlo, dsz) tree acc () =
+let run_job c bufs op ~profiling (dlo, dsz) tree acc () =
   let st = mk_state c bufs in
   let n = Array.length c.nest in
   let timers =
@@ -631,50 +1001,101 @@ let run_job c bufs pf ~profiling (dlo, dsz) tree acc () =
       Some { tot = Array.make (n + 1) 0.0; cnt = Array.make (n + 1) 0 }
     else None
   in
-  let nest = stage_nest c st (pf st) acc timers in
-  let sweep =
-    match tree with
-    | Some (td, tlo, tsz) ->
-      fun () ->
-        for x = tlo to tlo + tsz - 1 do
-          st.point.(td) <- x;
-          nest ()
-        done
-    | None -> nest
-  in
+  let row = stage_row c op st acc timers in
   let t0 = if profiling then Clock.now_ns () else 0L in
-  for i = dlo to dlo + dsz - 1 do
-    decode_dist c.dist st.point i;
-    sweep ()
-  done;
+  (match (c.row, tree) with
+  | Row_nest, _ ->
+    let nest = stage_nest c st row timers in
+    let sweep =
+      match tree with
+      | Some (td, tlo, tsz) ->
+        fun () ->
+          for x = tlo to tlo + tsz - 1 do
+            st.point.(td) <- x;
+            nest ()
+          done
+      | None -> nest
+    in
+    for i = dlo to dlo + dsz - 1 do
+      decode_dist c.dist st.point i;
+      sweep ()
+    done
+  | Row_tree, Some (_, tlo, tsz) ->
+    for i = dlo to dlo + dsz - 1 do
+      decode_dist c.dist st.point i;
+      row tlo (tlo + tsz)
+    done
+  | Row_tree, None -> invalid_arg "Specializer.run_job"
+  | Row_dist, _ ->
+    (* the last distributed dimension varies fastest: decode once per row *)
+    let extent = snd c.dist.(Array.length c.dist - 1) in
+    let i = ref dlo and stop = dlo + dsz in
+    while !i < stop do
+      decode_dist c.dist st.point !i;
+      let x = !i mod extent in
+      let len = Int.min (extent - x) (stop - !i) in
+      row x (x + len);
+      i := !i + len
+    done);
   Option.iter
     (flush_profile c ~wall:(Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0)))
     timers;
   acc
 
+let[@inline] combine_into op (acc : float array) (part : float array) =
+  for i = 0 to Array.length acc - 1 do
+    acc.(i) <- combine op acc.(i) part.(i)
+  done
+
+let combine_partial op acc part =
+  match op with
+  | F_add -> combine_into F_add acc part
+  | F_mul -> combine_into F_mul acc part
+  | F_min -> combine_into F_min acc part
+  | F_max -> combine_into F_max acc part
+
+(* Every element whose coordinate along the scanned dimension is [x > 0]
+   becomes [prev ⊕ itself], in increasing address order. *)
+let[@inline] scan_loop op (acc : float array) ~stride ~extent =
+  let block = stride * extent in
+  for b = 0 to (Array.length acc / block) - 1 do
+    for x = 1 to extent - 1 do
+      let first = (b * block) + (x * stride) in
+      for i = first to first + stride - 1 do
+        acc.(i) <- combine op acc.(i - stride) acc.(i)
+      done
+    done
+  done
+
+let post_scan op acc ~stride ~extent =
+  match op with
+  | F_add -> scan_loop F_add acc ~stride ~extent
+  | F_mul -> scan_loop F_mul acc ~stride ~extent
+  | F_min -> scan_loop F_min acc ~stride ~extent
+  | F_max -> scan_loop F_max acc ~stride ~extent
+
 let exec_output c pool bufs op =
   (* sampled once per output, so every job of one run agrees *)
   let profiling = Profile.enabled () in
   let fresh () =
-    Array.make c.acc_size (match c.pw with Some (id, _) -> id | None -> 0.0)
+    Array.make c.acc_size (match c.pw with Some op -> identity op | None -> 0.0)
   in
   let acc = fresh () in
   let dist_points =
     Array.fold_left (fun a (_, extent) -> a * extent) 1 c.dist
   in
   let all_points = (0, dist_points) in
-  let job = run_job c bufs op.build_point ~profiling in
+  let job = run_job c bufs op ~profiling in
   let chunks extent =
     Array.of_list (Pool.split_range ~extent ~pieces:(Pool.chunk_budget pool))
   in
   let parallel =
     Pool.num_workers pool > 1 && (Array.length c.dist > 0 || c.tree <> None)
   in
-  (match (parallel, c.tree) with
-  | true, Some (td, extent) ->
+  (match (parallel, c.tree, c.pw) with
+  | true, Some (td, extent), Some pw ->
     (* tree reduction: per-chunk private accumulators over the whole
        result, combined in chunk order so associativity suffices *)
-    let _, combine = Option.get c.pw in
     let partials =
       Pool.run_in_parallel pool
         (Array.map
@@ -682,18 +1103,13 @@ let exec_output c pool bufs op =
            (chunks extent))
     in
     profile_segment c (level_path c.tree_level) (fun () ->
-        Array.iter
-          (fun part ->
-            for i = 0 to c.acc_size - 1 do
-              acc.(i) <- combine acc.(i) part.(i)
-            done)
-          partials)
-  | true, None ->
+        Array.iter (combine_partial pw acc) partials)
+  | true, _, _ ->
     (* distributed cc dims: disjoint accumulator slabs, shared array *)
     ignore
       (Pool.run_in_parallel pool
          (Array.map (fun r -> job r None acc) (chunks dist_points)))
-  | false, tree ->
+  | false, tree, _ ->
     let tree = Option.map (fun (td, extent) -> (td, 0, extent)) tree in
     ignore (job all_points tree acc ()));
   (* post-scan ps dimensions, innermost first, over the accumulator *)
@@ -706,25 +1122,40 @@ let exec_output c pool bufs op =
           if c.scan_levels.(k) >= 0 then level_path c.scan_levels.(k)
           else "scan"
         in
-        profile_segment c path (fun () ->
-            for lin = 0 to c.acc_size - 1 do
-              if lin / stride mod extent > 0 then
-                acc.(lin) <- op acc.(lin - stride) acc.(lin)
-            done))
+        profile_segment c path (fun () -> post_scan op acc ~stride ~extent))
     c.scans;
   acc
 
-(* Round the double accumulator into the output's fp32 store, in place. *)
-let write_back c out op acc =
-  if op.direct_write then Array.iteri (fun i v -> out.(i) <- Scalar.round_f32 v) acc
-  else begin
+(* Round the double accumulator into the output's fp32 store, in place:
+   along the view's affine form with a running address, innermost
+   accumulator dimension in a tight loop. *)
+let write_back c (out : float array) op (acc : float array) =
+  match op.view with
+  | View_affine { o0; extents; weights } ->
+    let r = Array.length extents in
+    let i = ref 0 in
+    let rec walk k base =
+      let w = weights.(k) in
+      if k = r - 1 then begin
+        let i0 = !i in
+        for x = 0 to extents.(k) - 1 do
+          out.(base + (w * x)) <- round_f32 acc.(i0 + x)
+        done;
+        i := i0 + extents.(k)
+      end
+      else
+        for x = 0 to extents.(k) - 1 do
+          walk (k + 1) (base + (w * x))
+        done
+    in
+    if r = 0 then out.(o0) <- round_f32 acc.(0) else walk 0 o0
+  | View_opaque ->
     let o = op.out in
     let lin = ref 0 in
     Shape.iter c.acc_shape (fun pt ->
         out.(Shape.linearize o.Md_hom.out_shape (Index_fn.apply o.out_access.fn pt)) <-
-          Scalar.round_f32 acc.(!lin);
+          round_f32 acc.(!lin);
         incr lin)
-  end
 
 (* --- the digest-keyed compile cache ----------------------------------- *)
 

@@ -1,18 +1,48 @@
 (** Plan-compiled fp32 execution: the generic counterpart of the
     hand-written {!Fastpath} kernels.
 
-    Any fp32 [Plan.t] is compiled once — the loop nest is driven by the
-    plan's Distribute/Tile/Seq/Accumulate/Scan levels, buffer reads go
-    through precomputed row-major strides into the inputs' fp32 stores,
-    and the point expression is staged into unboxed thunks — so executing
-    a plan costs no per-point tensor boxing or environment lookups. A run
-    copies nothing in: it reads each input's store in place
-    ({!Mdh_tensor.Dense.floats}) and never writes it, and it rounds its
-    double accumulator with [Scalar.round_f32] straight into each output's
+    Any fp32 [Plan.t] is compiled once. The plan's Distribute, Tile,
+    Seq, Accumulate and Scan levels drive the loop nest, staged once per
+    job as closures. A run copies nothing in: it reads each input's store
+    in place ({!Mdh_tensor.Dense.floats}) and never writes it, and it
+    rounds its double accumulator to fp32 straight into each output's
     store. Compiled plans are memoized process-wide under
     {!Mdh_lowering.Plan.digest} (plus a fingerprint of the computation),
     in the {!Mdh_support.Memo} table [runtime.specializer], with cache
     traffic on [runtime.specializer.hits|misses|compiles].
+
+    {b Row steps.} The innermost level of every job runs as one strided
+    row loop: the last Seq/Accumulate/Scan/tile-inner step of the nest;
+    with no nest, the [Tree_reduce] range; with neither, the last
+    [Distribute] dimension, decoded once per row. A row is evaluated one
+    strip of up to 256 points at a time. Each node of the value
+    expression fills a float register of the strip's length, allocated
+    once per job, with the operator chosen outside the element loop. A
+    read whose indices are affine in the iteration variables (integer
+    [Let]s substituted) is one offset plus one coefficient per dimension
+    over the input's flat store. The strip then folds into the
+    accumulator with the builtin pw operator inlined: into one local when
+    the row runs along a pw dimension, at a constant stride otherwise.
+    Every accumulator element is combined in the order the nest visits
+    its points, so the outputs do not depend on the strip length.
+
+    {b Lane-filled forms.} What the row compiler leaves out — [If],
+    comparisons, booleans, non-affine integers and the reads they index —
+    fills its register one lane at a time through a per-point closure,
+    after the enclosing row-compiled [Let]s are copied into their cells.
+    The nest, the fold and the epilogue are the same for both; a profiled
+    run times the same row step, charging each strip to the leaf cell
+    with a count of its points.
+
+    {b No allocation per point.} A warm run allocates per call and per
+    job (state, registers, staged closures), never per iteration point
+    or per row, except in lane-filled forms. On a pool without worker
+    domains the minor-word count is deterministic; [test_specializer.ml]
+    ("no allocation per iteration point") pins that it does not grow
+    with the iteration space on the catalogue's fp32 reductions,
+    stencil and scan and on pw [mul]/[min]/[max]. The post-scan of ps
+    dimensions and the combine of tree partials run one direct loop per
+    builtin operator.
 
     Eligibility: all inputs read and all outputs are [fp32]; every
     reduction operator ([pw]/[ps]) is one builtin ([add]/[mul]/[min]/[max]),

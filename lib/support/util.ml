@@ -21,9 +21,14 @@ let pow2_up_to n =
   let rec loop p acc = if p > n then List.rev acc else loop (p * 2) (p :: acc) in
   loop 1 []
 
+(* An infinity equals only itself: its relative bound [rel *. infinity]
+   would admit every finite value. *)
 let float_equal ?(rel = 1e-6) ?(abs = 1e-9) a b =
-  let diff = Float.abs (a -. b) in
-  diff <= abs || diff <= rel *. Float.max (Float.abs a) (Float.abs b)
+  a = b
+  || Float.is_finite a && Float.is_finite b
+     &&
+     let diff = Float.abs (a -. b) in
+     diff <= abs || diff <= rel *. Float.max (Float.abs a) (Float.abs b)
 
 let list_result_all results =
   let rec loop acc = function

@@ -54,7 +54,14 @@
 #   - the differential stage fails: the plan-compiled specializer and (when
 #     gcc is on PATH) the compiled OpenMP C must reproduce the reference
 #     interpreter's results; without gcc the C half prints an explicit SKIP
-#     line — it is never silently skipped.
+#     line — it is never silently skipped. The specializer half covers every
+#     case exec-fp32 serves from the Specializer (bmatmul, ccsd(t),
+#     jacobi_3d, mbbs, mcc) plus matmul and jacobi1d; the C half keeps its
+#     four workloads, since cc refuses MCC,
+#   - the profiler stage fails: `mdhc profile` must render for matmul, for
+#     jacobi_3d (whose row is driven by a Distribute level) and for
+#     ccsd(t) (driven by a Tree_reduce level) on the specializer, and for
+#     prl on the walker.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -236,10 +243,11 @@ diff -u scripts/check_diagnostics.golden "$chaos_dir/diagnostics.txt" || {
 
 # differential stage: execute what we generate. The specializer backend
 # must reproduce the reference interpreter on representative workloads
-# (reduction, scan, stencil, high-rank contraction); with gcc the same
-# set round-trips through the generated OpenMP C. `mdhc run` exits
-# non-zero on any oracle mismatch, so success is the assertion.
-for wl in matmul mbbs jacobi1d 'ccsd(t)'; do
+# (reduction, scan, stencil, high-rank contraction, batched contraction,
+# convolution); with gcc the first four round-trip through the generated
+# OpenMP C. `mdhc run` exits non-zero on any oracle mismatch, so success
+# is the assertion.
+for wl in matmul mbbs jacobi1d 'ccsd(t)' bmatmul jacobi_3d mcc; do
     dune exec bin/mdhc.exe -- run "$wl" --backend special > /dev/null || {
         echo "error: specializer differential failed on $wl" >&2; exit 1; }
 done
@@ -255,8 +263,10 @@ fi
 # profiler stage: `mdhc profile` must render a per-plan-level breakdown on
 # both backends and honour its JSON/flame contracts (bit-identity of
 # unprofiled runs and the 5% sum bound are pinned by the test suite)
-dune exec bin/mdhc.exe -- profile matmul > /dev/null || {
-    echo "error: mdhc profile matmul (specializer) failed" >&2; exit 1; }
+for wl in matmul jacobi_3d 'ccsd(t)'; do
+    dune exec bin/mdhc.exe -- profile "$wl" > /dev/null || {
+        echo "error: mdhc profile $wl (specializer) failed" >&2; exit 1; }
+done
 dune exec bin/mdhc.exe -- profile prl --backend interp \
     --flame "$chaos_dir/prl.folded" > /dev/null 2> /dev/null || {
     echo "error: mdhc profile prl (walker) failed" >&2; exit 1; }

@@ -8,7 +8,10 @@
    never silently). The satellites ride along: commuted-multiplicand
    fast-path matching, hit-vs-error fast-path accounting with fallback,
    zero-extent executor semantics, digest-cache hit counting and the
-   ?specialize:false escape hatch. *)
+   ?specialize:false escape hatch. Three pins cover the specializer's row
+   steps: hand-built directives with the expression forms and operators
+   the catalogue lacks, outputs bit-identical across pool sizes, and the
+   allocation gate (no minor words per iteration point). *)
 
 module W = Mdh_workloads.Workload
 module Catalog = Mdh_workloads.Catalog
@@ -426,6 +429,272 @@ let test_cc_matches_reference () =
             (outputs_agree ~rel:1e-3 ~abs:1e-4 md got (Semantics.exec md env)))
       Catalog.all
 
+(* --- the forms the catalogue does not exercise --- *)
+
+(* A fp32 directive with output [r]: [loops] outermost first, one combine
+   operator per loop, every input declared with its shape (non-affine
+   accesses leave nothing to infer one from). *)
+let hand_built ~name ~ops ~loops ~inp ~out_idx value =
+  let nest =
+    List.fold_right
+      (fun (v, n) body -> D.for_ v n body)
+      loops
+      (D.body [ D.assign "r" out_idx value ])
+  in
+  Transform.to_md_hom_exn
+    (D.make ~name
+       ~out:[ D.buffer "r" Scalar.Fp32 ]
+       ~inp:(List.map (fun (n, shape) -> D.buffer ~shape n Scalar.Fp32) inp)
+       ~combine_ops:ops nest)
+
+let env_for seed (md : Md_hom.t) =
+  let rng = Rng.create seed in
+  Buffer.env_of_list
+    (List.map
+       (fun (i : Md_hom.input) -> W.float_buffer i.Md_hom.inp_name rng i.inp_shape)
+       md.Md_hom.inputs)
+
+let neg e = Expr.Unop (Expr.Neg, e)
+let not_ e = Expr.Unop (Expr.Not, e)
+let emin a b = Expr.Binop (Expr.Min, a, b)
+let emax a b = Expr.Binop (Expr.Max, a, b)
+
+let i_ = Expr.idx "i"
+let j_ = Expr.idx "j"
+let k_ = Expr.idx "k"
+
+let fold_ops =
+  [ ("Add", Combine.add Scalar.Fp32); ("Mul", Combine.mul Scalar.Fp32);
+    ("Min", Combine.min Scalar.Fp32); ("Max", Combine.max Scalar.Fp32) ]
+
+(* A one-dimensional pw reduction with [op] over [k] points; the value
+   stays near 1 so that a product of thousands of them neither overflows
+   nor underflows. *)
+let pw_reduction (opname, op) k =
+  hand_built ~name:("SpecPw" ^ opname) ~ops:[ Combine.pw op ] ~loops:[ ("k", k) ]
+    ~inp:[ ("x", [| k |]); ("y", [| k |]) ] ~out_idx:[ Expr.int 0 ]
+    Expr.(f32 1.0 + (read "x" [ k_ ] * read "y" [ k_ ] * f32 0.001))
+
+let let_leaf () =
+  Expr.(
+    let_ "j" (k_ + int 1)
+      (if_ (var "j" > int 250) (read "y" [ var "j" - int 1 ]) (f32 0.5)))
+
+(* Each case mixes row-compiled nodes with the forms a row leaves to a
+   lane-filled leaf ([If], comparisons, booleans, non-affine integers and
+   the reads they index); rows of 300 and 600 points span several strips
+   and end in a partial one. *)
+let coverage_cases () =
+  let cc = Combine.cc in
+  let add = Combine.pw (Combine.add Scalar.Fp32) in
+  [ (* a float Let held in a register and copied into its cell for the If
+       leaf that reads it; an affine integer Let substituted into a read
+       and copied in for the leaf; float and integer comparisons, And, Or,
+       Not, a float negation *)
+    hand_built ~name:"SpecLaneMix" ~ops:[ cc; add ] ~loops:[ ("i", 6); ("k", 300) ]
+      ~inp:[ ("x", [| 6; 300 |]); ("y", [| 300 |]) ] ~out_idx:[ i_ ]
+      Expr.(
+        let_ "a" (read "x" [ i_; k_ ])
+          (let_ "j" (k_ + int 1)
+             ((var "a"
+              * if_
+                  ((var "a" >= f32 0.0 && not_ (var "j" > int 250)) || i_ = int 2)
+                  (read "y" [ var "j" - int 1 ])
+                  (neg (read "y" [ k_ ])))
+             + if_ (i_ <> k_ || k_ <= int 3) (f32 1.0) (f32 0.5))));
+    (* casts both ways, an integer converted to float, a negated index
+       (a row that runs backwards), float Sub, Div, Min and Max *)
+    hand_built ~name:"SpecCasts" ~ops:[ cc; cc ] ~loops:[ ("i", 5); ("k", 300) ]
+      ~inp:[ ("x", [| 5; 300 |]) ] ~out_idx:[ i_; k_ ]
+      Expr.(
+        cast Scalar.Fp32 (read "x" [ i_; k_ ] * f32 3.0)
+        + cast Scalar.Fp32 (k_ - i_)
+        + cast Scalar.Fp32 (cast Scalar.Int32 (read "x" [ i_; k_ ] * f32 4.0))
+        - read "x" [ i_; int 299 + neg k_ ]
+        + (emin (read "x" [ i_; k_ ]) (f32 0.25) / emax (read "x" [ i_; k_ ]) (f32 0.5)));
+    (* non-affine indices (integer Div, Mul of two indices, Min, Max), an
+       integer quotient used as a float, a non-affine integer Let *)
+    hand_built ~name:"SpecNonAffine" ~ops:[ cc; add ] ~loops:[ ("i", 6); ("k", 300) ]
+      ~inp:[ ("x", [| 6; 300 |]); ("y", [| 300 |]); ("z", [| 6; 300 |]) ]
+      ~out_idx:[ i_ ]
+      Expr.(
+        (read "x" [ i_; k_ / int 2 ] * read "y" [ i_ * k_ / int 6 ])
+        + read "z" [ emin i_ (int 3); emax k_ (int 5) - int 5 ]
+        + cast Scalar.Fp32 (k_ / int 7)
+        + let_ "q" (i_ * k_) (read "y" [ var "q" / int 6 ]));
+    (* the whole value is one lane-filled leaf *)
+    hand_built ~name:"SpecRootIf" ~ops:[ add ] ~loops:[ ("k", 600) ]
+      ~inp:[ ("x", [| 600 |]); ("y", [| 600 |]) ] ~out_idx:[ Expr.int 0 ]
+      Expr.(
+        if_ (read "x" [ k_ ] > read "y" [ k_ ]) (read "x" [ k_ ])
+          (read "y" [ k_ ] * f32 0.5));
+    (* an affine integer Let whose body is one lane-filled leaf (the shape
+       CSE gives [if k+1 > 250 then y[k] else 0.5]): the whole value, and
+       an operand of a float [+] *)
+    hand_built ~name:"SpecLetLeafRoot" ~ops:[ add ] ~loops:[ ("k", 300) ]
+      ~inp:[ ("y", [| 300 |]) ] ~out_idx:[ Expr.int 0 ] (let_leaf ());
+    hand_built ~name:"SpecLetLeafOperand" ~ops:[ cc ] ~loops:[ ("k", 300) ]
+      ~inp:[ ("x", [| 300 |]); ("y", [| 300 |]) ] ~out_idx:[ k_ ]
+      Expr.(read "x" [ k_ ] + let_leaf ());
+    (* ps over the innermost dimension: the row runs along the scan *)
+    hand_built ~name:"SpecScanInner" ~ops:[ cc; Combine.ps (Combine.add Scalar.Fp32) ]
+      ~loops:[ ("i", 4); ("j", 300) ] ~inp:[ ("x", [| 4; 300 |]) ] ~out_idx:[ i_; j_ ]
+      Expr.(read "x" [ i_; j_ ]) ]
+  (* pw mul, min and max: along the row, and across rows into a strided
+     accumulator (the pw dimension outermost) *)
+  @ List.concat_map
+      (fun ((opname, op) as fop) ->
+        if opname = "Add" then []
+        else
+          [ pw_reduction fop 600;
+            hand_built ~name:("SpecPwOuter" ^ opname) ~ops:[ Combine.pw op; cc ]
+              ~loops:[ ("k", 23); ("i", 300) ] ~inp:[ ("x", [| 23; 300 |]) ]
+              ~out_idx:[ i_ ]
+              Expr.(f32 1.0 + (read "x" [ k_; i_ ] * f32 0.01)) ])
+      fold_ops
+  (* ps over a dimension that is not innermost, with every operator *)
+  @ List.map
+      (fun (opname, op) ->
+        hand_built ~name:("SpecScanMid" ^ opname) ~ops:[ cc; Combine.ps op; cc ]
+          ~loops:[ ("i", 3); ("j", 5); ("k", 70) ] ~inp:[ ("x", [| 3; 5; 70 |]) ]
+          ~out_idx:[ i_; j_; k_ ]
+          Expr.(read "x" [ i_; j_; k_ ] + f32 0.5))
+      fold_ops
+
+let test_uncatalogued_forms_match_reference () =
+  let rng = Rng.create 4242 in
+  with_pool (fun pool ->
+      List.iter
+        (fun (md : Md_hom.t) ->
+          let name = md.Md_hom.hom_name in
+          let env = env_for 11 md in
+          let expected = Semantics.exec md env in
+          let run what sched =
+            let plan = plan_of md sched in
+            match Specializer.try_run pool plan md env with
+            | None ->
+              Alcotest.failf "%s under %s: specializer refused (%s)" name what
+                (match Specializer.supported plan md with
+                | Error e -> e
+                | Ok () -> "buffer binding failed")
+            | Some got ->
+              check Alcotest.bool (Printf.sprintf "%s under %s" name what) true
+                (outputs_agree md got expected)
+          in
+          run "the sequential schedule" (Schedule.sequential md);
+          let tried = ref 0 and draws = ref 0 in
+          while !tried < 3 && !draws < 50 do
+            incr draws;
+            match Test_plan_exec.random_schedule rng md cpu with
+            | None -> ()
+            | Some sched ->
+              incr tried;
+              run (Schedule.to_string sched) sched
+          done)
+        (coverage_cases ()))
+
+(* --- outputs do not depend on the pool size --- *)
+
+let parallel_schedule md =
+  { (Schedule.sequential md) with
+    Schedule.parallel_dims = Lower.parallelisable_dims md }
+
+let test_pool_size_bit_identity () =
+  List.iter
+    (fun (w : W.t) ->
+      let md = W.to_md_hom w w.W.test_params in
+      let env = w.W.gen w.W.test_params ~seed:17 in
+      let plan = plan_of md (parallel_schedule md) in
+      let outputs num_domains =
+        Pool.with_pool ~num_domains (fun pool -> Specializer.try_run pool plan md env)
+      in
+      match outputs 0 with
+      | None -> ()  (* refused (PRL, KMeans): nothing to compare *)
+      | Some base ->
+        List.iter
+          (fun num_domains ->
+            match outputs num_domains with
+            | None -> Alcotest.failf "%s refused on %d domains" w.W.wl_name num_domains
+            | Some got ->
+              List.iter
+                (fun (o : Md_hom.output) ->
+                  let data e = Buffer.data (Buffer.env_find e o.Md_hom.out_name) in
+                  check Alcotest.bool
+                    (Printf.sprintf "%s.%s: 0 and %d worker domains agree bit for bit"
+                       w.W.wl_name o.Md_hom.out_name num_domains)
+                    true
+                    (Dense.equal (data base) (data got)))
+                md.Md_hom.outputs)
+          [ 1; 3 ])
+    Catalog.all
+
+(* --- allocation gate: no allocation per iteration point --- *)
+
+(* Minor words one warm call may allocate beyond the same call on the
+   smaller input: per-call set-up that depends on the sizes (the cache
+   key's digits, registers sized to a row, small output buffers), which
+   stays under 700 words on every case below. Each pair of sizes differs
+   by at least 8x and by 14,000 iteration points or more, so allocating a
+   word per point, or a few words per row, exceeds it. *)
+let alloc_slack = 2048.0
+
+let test_no_allocation_per_point () =
+  let minor_words pool plan md env =
+    let w0 = Gc.minor_words () in
+    let r = Specializer.try_run pool plan md env in
+    let w1 = Gc.minor_words () in
+    if r = None then Alcotest.failf "%s refused" md.Md_hom.hom_name;
+    w1 -. w0
+  in
+  let catalogue name small big =
+    let w = Option.get (Catalog.find name) in
+    (name, (fun p -> W.to_md_hom w p), small, big)
+  in
+  let hand ((opname, _) as fop) =
+    ( "SpecPw" ^ opname,
+      (fun p -> pw_reduction fop (List.assoc "k" p)),
+      [ ("k", 1024) ],
+      [ ("k", 16384) ] )
+  in
+  let cases =
+    [ catalogue "dot" [ ("K", 1024) ] [ ("K", 16384) ];
+      catalogue "matvec" [ ("I", 16); ("K", 64) ] [ ("I", 64); ("K", 256) ];
+      catalogue "matmul" [ ("I", 8); ("J", 8); ("K", 16) ] [ ("I", 16); ("J", 16); ("K", 64) ];
+      catalogue "bmatmul" [ ("B", 2); ("I", 4); ("J", 4); ("K", 16) ]
+        [ ("B", 4); ("I", 8); ("J", 16); ("K", 32) ];
+      catalogue "ccsd(t)"
+        [ ("h3", 2); ("h2", 2); ("h1", 2); ("p6", 2); ("p5", 2); ("p4", 2); ("h7", 4) ]
+        [ ("h3", 4); ("h2", 4); ("h1", 4); ("p6", 4); ("p5", 2); ("p4", 2); ("h7", 16) ];
+      catalogue "jacobi_3d" [ ("N", 6) ] [ ("N", 26) ];
+      catalogue "mbbs" [ ("I", 8); ("J", 16) ] [ ("I", 64); ("J", 256) ];
+      catalogue "mcc"
+        [ ("N", 1); ("P", 2); ("Q", 2); ("K", 2); ("R", 2); ("S", 2); ("C", 4) ]
+        [ ("N", 1); ("P", 4); ("Q", 4); ("K", 8); ("R", 3); ("S", 3); ("C", 16) ] ]
+    @ List.filter_map (fun ((n, _) as fop) -> if n = "Add" then None else Some (hand fop)) fold_ops
+  in
+  Pool.with_pool ~num_domains:0 (fun pool ->
+      List.iter
+        (fun (name, make, small, big) ->
+          List.iter
+            (fun (what, schedule) ->
+              let words params =
+                let md = make params in
+                let env = env_for 5 md in
+                let plan = plan_of md (schedule md) in
+                ignore (minor_words pool plan md env);  (* compiles *)
+                (minor_words pool plan md env, Md_hom.total_points md)
+              in
+              let ws, ps = words small and wb, pb = words big in
+              if pb < 8 * ps || pb - ps < 14_000 then
+                Alcotest.failf "%s: sizes too close (%d vs %d points)" name ps pb;
+              if wb -. ws > alloc_slack then
+                Alcotest.failf
+                  "%s under the %s schedule: %.0f minor words at %d points, %.0f at %d \
+                   (%.2f words per extra point; slack %.0f)"
+                  name what ws ps wb pb ((wb -. ws) /. float_of_int (pb - ps)) alloc_slack)
+            [ ("sequential", Schedule.sequential); ("parallel", parallel_schedule) ])
+        cases)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "specializer",
@@ -440,4 +709,9 @@ let suite =
       tc "zero-extent workloads execute" `Quick test_zero_extent_runs;
       tc "generated C reduction identities" `Slow test_openmp_identity_init;
       tc "compiled C matches reference across catalogue" `Slow
-        test_cc_matches_reference ] )
+        test_cc_matches_reference;
+      tc "uncatalogued forms match reference" `Quick
+        test_uncatalogued_forms_match_reference;
+      tc "outputs bit-identical across pool sizes" `Quick
+        test_pool_size_bit_identity;
+      tc "no allocation per iteration point" `Quick test_no_allocation_per_point ] )

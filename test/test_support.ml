@@ -138,7 +138,14 @@ let test_pow2_up_to () =
 
 let test_float_equal () =
   check Alcotest.bool "close" true (Util.float_equal 1.0 (1.0 +. 1e-9));
-  check Alcotest.bool "far" false (Util.float_equal 1.0 1.1)
+  check Alcotest.bool "far" false (Util.float_equal 1.0 1.1);
+  (* an infinity equals only itself; NaN equals nothing *)
+  check Alcotest.bool "inf = inf" true (Util.float_equal infinity infinity);
+  check Alcotest.bool "-inf = -inf" true (Util.float_equal neg_infinity neg_infinity);
+  check Alcotest.bool "inf <> 1e30" false (Util.float_equal infinity 1e30);
+  check Alcotest.bool "1e30 <> inf" false (Util.float_equal 1e30 infinity);
+  check Alcotest.bool "inf <> -inf" false (Util.float_equal infinity neg_infinity);
+  check Alcotest.bool "nan <> nan" false (Util.float_equal nan nan)
 
 let test_string_of_dims () =
   check Alcotest.string "dims" "4096x4096" (Util.string_of_dims [| 4096; 4096 |])
