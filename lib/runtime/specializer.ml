@@ -29,26 +29,12 @@ let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 (* --- per-job evaluation state ---------------------------------------- *)
 
 (* Compilation happens once per plan digest; instantiation happens once per
-   job. A compiled expression is a two-stage closure: applied to a [state]
-   it resolves buffers and local-variable cells, returning the per-point
-   thunk a lane-filled strip calls — no environment lookups, no index
-   tensors. *)
+   job, against the job's own state. *)
 type state = {
   bufs : float array array;  (** one flat array per input, in [md.inputs] order *)
   point : int array;  (** current iteration point, length = rank *)
   base : int array;  (** cache-tile block origins, one slot per Tile level *)
-  fcells : float array;  (** [Let]-bound float locals *)
-  icells : int array;  (** [Let]-bound integer locals *)
-  bcells : bool array;  (** [Let]-bound boolean locals *)
 }
-
-type 'a inst = state -> unit -> 'a
-
-type staged = BF of float inst | BI of int inst | BB of bool inst
-
-type slots = { mutable nf : int; mutable ni : int; mutable nb : int }
-
-type binding = Slot_f of int | Slot_i of int | Slot_b of int
 
 (* --- the builtin operators, inlined -------------------------------------- *)
 
@@ -90,7 +76,7 @@ let[@inline] arith op (a : float) (b : float) =
   | Expr.Max -> Float.max a b
   | _ -> invalid_arg "Specializer.arith"
 
-(* --- expression compilation: per-point closures ------------------------ *)
+(* --- expression compilation ------------------------------------------- *)
 
 let row_major_strides shape =
   let r = Array.length shape in
@@ -99,20 +85,6 @@ let row_major_strides shape =
     s.(d) <- s.(d + 1) * shape.(d + 1)
   done;
   s
-
-let lift_f = function
-  | BF f -> f
-  | BI f -> fun st -> let g = f st in fun () -> float_of_int (g ())
-  | BB _ -> unsup "boolean used where a number is required"
-
-let as_i = function BI f -> f | _ -> unsup "non-integer index expression"
-let as_b = function BB f -> f | _ -> unsup "non-boolean condition"
-
-(* Run [pre] (a cell store) before the body thunk, preserving its kind. *)
-let with_pre pre = function
-  | BF f -> BF (fun st -> let p = pre st and g = f st in fun () -> p (); g ())
-  | BI f -> BI (fun st -> let p = pre st and g = f st in fun () -> p (); g ())
-  | BB f -> BB (fun st -> let p = pre st and g = f st in fun () -> p (); g ())
 
 let dim_pos (md : Md_hom.t) name =
   let rec go d =
@@ -137,162 +109,6 @@ let input_of (md : Md_hom.t) buf idxs =
   in
   go 0 md.inputs
 
-(* [comp env e] stages [e] as a per-point closure: the lane-filled form of
-   a row, and the validator of every form a row leaves out. *)
-let point_compiler (md : Md_hom.t) slots =
-  let rec comp env e =
-    match e with
-    | Expr.Const (Scalar.F32 x) ->
-      let x = round_f32 x in
-      BF (fun _ () -> x)
-    | Expr.Const (Scalar.F64 x) -> BF (fun _ () -> x)
-    | Expr.Const (Scalar.I32 x) ->
-      let x = Int32.to_int x in
-      BI (fun _ () -> x)
-    | Expr.Const (Scalar.I64 x) ->
-      let x = Int64.to_int x in
-      BI (fun _ () -> x)
-    | Expr.Const (Scalar.B x) -> BB (fun _ () -> x)
-    | Expr.Const (Scalar.C _ | Scalar.R _) -> unsup "char/record constant"
-    | Expr.Idx name ->
-      let d = dim_pos md name in
-      BI (fun st () -> st.point.(d))
-    | Expr.Var name -> (
-      match List.assoc_opt name env with
-      | Some (Slot_f s) -> BF (fun st () -> st.fcells.(s))
-      | Some (Slot_i s) -> BI (fun st () -> st.icells.(s))
-      | Some (Slot_b s) -> BB (fun st () -> st.bcells.(s))
-      | None -> unsup "unbound local %s" name)
-    | Expr.Read (buf, idxs) ->
-      let pos, str = input_of md buf idxs in
-      let fs = Array.of_list (List.map (fun ix -> as_i (comp env ix)) idxs) in
-      BF
-        (fun st ->
-          let gs = Array.map (fun f -> f st) fs and data = st.bufs.(pos) in
-          fun () ->
-            let lin = ref 0 in
-            for d = 0 to Array.length gs - 1 do
-              lin := !lin + (str.(d) * gs.(d) ())
-            done;
-            data.(!lin))
-    | Expr.Binop (op, a, b) -> comp_binop env op a b
-    | Expr.Unop (Expr.Neg, a) -> (
-      match comp env a with
-      | BF f -> BF (fun st -> let g = f st in fun () -> -.g ())
-      | BI f -> BI (fun st -> let g = f st in fun () -> -g ())
-      | BB _ -> unsup "negation of a boolean")
-    | Expr.Unop (Expr.Not, a) ->
-      let f = as_b (comp env a) in
-      BB (fun st -> let g = f st in fun () -> not (g ()))
-    | Expr.If (c, t, f) -> (
-      let fc = as_b (comp env c) in
-      match (comp env t, comp env f) with
-      | BF ft, BF ff ->
-        BF
-          (fun st ->
-            let c = fc st and t = ft st and f = ff st in
-            fun () -> if c () then t () else f ())
-      | BI ft, BI ff ->
-        BI
-          (fun st ->
-            let c = fc st and t = ft st and f = ff st in
-            fun () -> if c () then t () else f ())
-      | BB ft, BB ff ->
-        BB
-          (fun st ->
-            let c = fc st and t = ft st and f = ff st in
-            fun () -> if c () then t () else f ())
-      | _ -> unsup "if branches of different types")
-    | Expr.Let (name, v, body) -> (
-      match comp env v with
-      | BF vf ->
-        let s = slots.nf in
-        slots.nf <- s + 1;
-        with_pre
-          (fun st -> let g = vf st in fun () -> st.fcells.(s) <- g ())
-          (comp ((name, Slot_f s) :: env) body)
-      | BI vf ->
-        let s = slots.ni in
-        slots.ni <- s + 1;
-        with_pre
-          (fun st -> let g = vf st in fun () -> st.icells.(s) <- g ())
-          (comp ((name, Slot_i s) :: env) body)
-      | BB vf ->
-        let s = slots.nb in
-        slots.nb <- s + 1;
-        with_pre
-          (fun st -> let g = vf st in fun () -> st.bcells.(s) <- g ())
-          (comp ((name, Slot_b s) :: env) body))
-    | Expr.Field _ | Expr.MkRecord _ -> unsup "record expression"
-    | Expr.Cast (Scalar.Fp32, a) -> (
-      match comp env a with
-      | BF f -> BF (fun st -> let g = f st in fun () -> round_f32 (g ()))
-      | BI f -> BF (fun st -> let g = f st in fun () -> float_of_int (g ()))
-      | BB _ -> unsup "cast of a boolean")
-    | Expr.Cast ((Scalar.Int32 | Scalar.Int64), a) -> (
-      match comp env a with
-      | BI f -> BI f
-      | BF f -> BI (fun st -> let g = f st in fun () -> int_of_float (g ()))
-      | BB _ -> unsup "cast of a boolean")
-    | Expr.Cast _ -> unsup "unsupported cast target"
-  and comp_binop env op a b =
-    let ba = comp env a and bb = comp env b in
-    match op with
-    | Expr.And ->
-      let fa = as_b ba and fb = as_b bb in
-      BB (fun st -> let a = fa st and b = fb st in fun () -> a () && b ())
-    | Expr.Or ->
-      let fa = as_b ba and fb = as_b bb in
-      BB (fun st -> let a = fa st and b = fb st in fun () -> a () || b ())
-    | Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Min | Expr.Max -> (
-      match (ba, bb) with
-      | BI fa, BI fb ->
-        let mk =
-          match op with
-          | Expr.Add -> ( + )
-          | Expr.Sub -> ( - )
-          | Expr.Mul -> ( * )
-          | Expr.Div -> ( / )
-          | Expr.Min -> min
-          | Expr.Max -> max
-          | _ -> assert false
-        in
-        BI (fun st -> let a = fa st and b = fb st in fun () -> mk (a ()) (b ()))
-      | _ ->
-        let fa = lift_f ba and fb = lift_f bb in
-        BF (fun st -> let a = fa st and b = fb st in fun () -> arith op (a ()) (b ())))
-    | Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge -> (
-      match (ba, bb) with
-      | BI fa, BI fb ->
-        let mk : int -> int -> bool =
-          match op with
-          | Expr.Eq -> ( = )
-          | Expr.Ne -> ( <> )
-          | Expr.Lt -> ( < )
-          | Expr.Le -> ( <= )
-          | Expr.Gt -> ( > )
-          | Expr.Ge -> ( >= )
-          | _ -> assert false
-        in
-        BB (fun st -> let a = fa st and b = fb st in fun () -> mk (a ()) (b ()))
-      | _ ->
-        let fa = lift_f ba and fb = lift_f bb in
-        let mk : float -> float -> bool =
-          match op with
-          | Expr.Eq -> ( = )
-          | Expr.Ne -> ( <> )
-          | Expr.Lt -> ( < )
-          | Expr.Le -> ( <= )
-          | Expr.Gt -> ( > )
-          | Expr.Ge -> ( >= )
-          | _ -> assert false
-        in
-        BB (fun st -> let a = fa st and b = fb st in fun () -> mk (a ()) (b ())))
-  in
-  comp
-
-(* --- expression compilation: rows ---------------------------------------- *)
-
 (* An integer affine in the iteration point: [c0 + Σ_d co.(d) * point.(d)].
    Integer arithmetic wraps, so the rearrangement is exact. *)
 type affine = { c0 : int; co : int array }
@@ -311,66 +127,47 @@ type rexpr =
   | R_bin of Expr.binop * rexpr * rexpr  (** Add/Sub/Mul/Div/Min/Max *)
   | R_neg of rexpr
   | R_round of rexpr
-  | R_var of int  (** a float [Let], by its cell slot *)
-  | R_let of int * rexpr * rexpr  (** cell slot, value, body *)
-  | R_lane of float inst * bound list
-      (** filled one lane at a time by the per-point closure, after the
-          enclosing row-compiled [Let]s are copied into their cells *)
+  | R_var of int  (** a float [Let], by its number *)
+  | R_let of int * rexpr * rexpr  (** number, value, body *)
 
-(* a row-compiled [Let]-bound name: a float in the register of its value,
-   or an affine integer, substituted where it is used *)
-and bound = Bound_f of int | Bound_i of int * affine
+(* A compiled value: a float row expression, or an integer affine in the
+   iteration point. A [Let]-bound name stands for one: a float [Let] as
+   its [R_var], an integer [Let] as its value, substituted where used. *)
+type row = Row_f of rexpr | Row_i of affine
 
-(* A [Lane] keeps the row-compiled [Let]s its closure was compiled under,
-   so it stays valid wherever it is used: an integer [Let] passes its
-   body's [Lane] up to its parent. *)
-type row = Row_f of rexpr | Row_i of affine | Lane of staged * bound list
-
-(* Compile [e] to a row expression. Forms left out — [If], comparisons,
-   booleans, non-affine integers and the reads they index — become
-   [R_lane] leaves that run [comp]'s closure lane by lane. [comp] is also
-   the validator: every form a row does not compile reaches it, so the
-   refusal set and messages are the per-point compiler's. *)
-let row_compiler (md : Md_hom.t) slots comp =
+(* Compile [e] to a row expression, or raise [Unsupported] naming the
+   first form a row cannot compute: [If], comparisons, booleans, records,
+   float-to-integer casts, a float [Let] whose body is an integer, and
+   integer arithmetic not affine in the iteration variables, with the
+   reads such an integer indexes. *)
+let row_compiler (md : Md_hom.t) =
   let rank = Md_hom.rank md in
-  let slot_env env =
-    List.map
-      (fun (n, b) ->
-        (n, match b with Bound_f s -> Slot_f s | Bound_i (s, _) -> Slot_i s))
-      env
-  in
-  let lane env e = Lane (comp (slot_env env) e, List.map snd env) in
-  let as_rexpr = function
-    | Row_f r -> r
-    | Row_i a -> R_ramp a
-    | Lane (b, bounds) -> R_lane (lift_f b, bounds)
-  in
+  let nlets = ref 0 in
+  let as_rexpr = function Row_f r -> r | Row_i a -> R_ramp a in
   let rec row env e =
     match e with
     | Expr.Const (Scalar.F32 x) -> Row_f (R_const (round_f32 x))
     | Expr.Const (Scalar.F64 x) -> Row_f (R_const x)
     | Expr.Const (Scalar.I32 x) -> Row_i (aff_const rank (Int32.to_int x))
     | Expr.Const (Scalar.I64 x) -> Row_i (aff_const rank (Int64.to_int x))
+    | Expr.Const (Scalar.B _ | Scalar.C _ | Scalar.R _) -> unsup "boolean/char/record constant"
     | Expr.Idx name ->
       let d = dim_pos md name in
       Row_i { c0 = 0; co = Array.init rank (fun e -> if e = d then 1 else 0) }
     | Expr.Var name -> (
       match List.assoc_opt name env with
-      | Some (Bound_f s) -> Row_f (R_var s)
-      | Some (Bound_i (_, a)) -> Row_i a
-      | None -> lane env e)
-    | Expr.Read (buf, idxs) -> (
+      | Some r -> r
+      | None -> unsup "unbound local %s" name)
+    | Expr.Read (buf, idxs) ->
       let pos, str = input_of md buf idxs in
       let rec addr acc d = function
-        | [] -> Some acc
+        | [] -> acc
         | ix :: rest -> (
           match row env ix with
           | Row_i a -> addr (aff_add acc (aff_scale str.(d) a)) (d + 1) rest
-          | Row_f _ | Lane _ -> None)
+          | Row_f _ -> unsup "non-integer index expression")
       in
-      match addr (aff_const rank 0) 0 idxs with
-      | Some a -> Row_f (R_read (pos, a))
-      | None -> lane env e)
+      Row_f (R_read (pos, addr (aff_const rank 0) 0 idxs))
     | Expr.Binop
         (((Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Min | Expr.Max) as op), a, b)
       -> (
@@ -379,39 +176,39 @@ let row_compiler (md : Md_hom.t) slots comp =
       | Expr.Sub, Row_i x, Row_i y -> Row_i (aff_add x (aff_scale (-1) y))
       | Expr.Mul, Row_i x, Row_i y when aff_is_const x -> Row_i (aff_scale x.c0 y)
       | Expr.Mul, Row_i x, Row_i y when aff_is_const y -> Row_i (aff_scale y.c0 x)
-      | _, (Row_i _ | Lane (BI _, _)), (Row_i _ | Lane (BI _, _)) -> lane env e
+      | _, Row_i _, Row_i _ ->
+        unsup "integer %a not affine in the iteration variables" Expr.pp_binop op
       | _, ra, rb -> Row_f (R_bin (op, as_rexpr ra, as_rexpr rb)))
+    | Expr.Binop (((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge) as op), _, _) ->
+      unsup "comparison %a" Expr.pp_binop op
+    | Expr.Binop (((Expr.And | Expr.Or) as op), _, _) -> unsup "boolean %a" Expr.pp_binop op
+    | Expr.Unop (Expr.Not, _) -> unsup "boolean negation"
     | Expr.Unop (Expr.Neg, a) -> (
       match row env a with
       | Row_f r -> Row_f (R_neg r)
-      | Row_i x -> Row_i (aff_scale (-1) x)
-      | Lane _ -> lane env e)
-    | Expr.Cast (Scalar.Fp32, a) -> (
-      match row env a with
-      | Row_f r -> Row_f (R_round r)
-      | Row_i x -> Row_f (R_ramp x)
-      | Lane _ -> lane env e)
-    | Expr.Cast ((Scalar.Int32 | Scalar.Int64), a) -> (
-      match row env a with Row_i x -> Row_i x | Row_f _ | Lane _ -> lane env e)
+      | Row_i x -> Row_i (aff_scale (-1) x))
+    | Expr.If _ -> unsup "if-then-else"
     | Expr.Let (name, v, body) -> (
       match row env v with
       | Row_f r -> (
-        let s = slots.nf in
-        slots.nf <- s + 1;
-        match row ((name, Bound_f s) :: env) body with
-        | Row_f b -> Row_f (R_let (s, r, b))
-        | Row_i _ | Lane _ -> lane env e)
-      | Row_i a ->
-        let s = slots.ni in
-        slots.ni <- s + 1;
-        row ((name, Bound_i (s, a)) :: env) body
-      | Lane _ -> lane env e)
-    | _ -> lane env e
+        let n = !nlets in
+        incr nlets;
+        match row ((name, Row_f (R_var n)) :: env) body with
+        | Row_f b -> Row_f (R_let (n, r, b))
+        | Row_i _ -> unsup "integer body under a float let")
+      | Row_i _ as i -> row ((name, i) :: env) body)
+    | Expr.Field _ | Expr.MkRecord _ -> unsup "record expression"
+    | Expr.Cast (Scalar.Fp32, a) -> (
+      match row env a with
+      | Row_f r -> Row_f (R_round r)
+      | Row_i x -> Row_f (R_ramp x))
+    | Expr.Cast ((Scalar.Int32 | Scalar.Int64), a) -> (
+      match row env a with
+      | Row_i x -> Row_i x
+      | Row_f _ -> unsup "float-to-integer cast")
+    | Expr.Cast _ -> unsup "unsupported cast target"
   in
-  fun e ->
-    match row [] e with
-    | Lane (BB _, _) -> unsup "output value is boolean"
-    | r -> as_rexpr r
+  fun e -> as_rexpr (row [] e)
 
 (* --- row programs ------------------------------------------------------- *)
 
@@ -496,31 +293,6 @@ let round_instr ra r { regs; _ } =
       Array.unsafe_set d l (round_f32 (Array.unsafe_get a l))
     done
 
-(* [copies_f]: (cell slot, register) of each enclosing float [Let];
-   [copies_i]: (cell slot, value) of each enclosing integer one *)
-let lane_instr ~row_dim thunk copies_f copies_i r { st; regs } =
-  let g = thunk st and dst = regs.(r) and point = st.point in
-  let fslots = Array.of_list (List.map fst copies_f)
-  and fsrcs = Array.of_list (List.map (fun (_, reg) -> regs.(reg)) copies_f)
-  and islots = Array.of_list (List.map fst copies_i)
-  and ivals = Array.of_list (List.map snd copies_i) in
-  fun x0 n ->
-    for l = 0 to n - 1 do
-      point.(row_dim) <- x0 + l;
-      for k = 0 to Array.length fslots - 1 do
-        st.fcells.(fslots.(k)) <- fsrcs.(k).(l)
-      done;
-      for k = 0 to Array.length islots - 1 do
-        let a = ivals.(k) in
-        let v = ref a.c0 in
-        for d = 0 to Array.length a.co - 1 do
-          v := !v + (a.co.(d) * point.(d))
-        done;
-        st.icells.(islots.(k)) <- !v
-      done;
-      dst.(l) <- g ()
-    done
-
 type program = {
   code : instr array;  (** in evaluation order *)
   consts : (int * float) list;  (** registers filled once per job *)
@@ -546,10 +318,10 @@ let lower ~row_dim rx =
       let r = fresh () in
       consts := (r, x) :: !consts;
       r
-    | R_var s -> List.assoc s !vars
-    | R_let (s, v, b) ->
+    | R_var n -> List.assoc n !vars
+    | R_let (n, v, b) ->
       let rv = go v in
-      vars := (s, rv) :: !vars;
+      vars := (n, rv) :: !vars;
       go b
     | R_read (pos, a) -> emit (read_instr pos (strided ~row_dim a))
     | R_ramp a -> emit (ramp_instr (strided ~row_dim a))
@@ -563,15 +335,6 @@ let lower ~row_dim rx =
     | R_round a ->
       let ra = go a in
       emit (round_instr ra)
-    | R_lane (thunk, bounds) ->
-      let copies_f =
-        List.filter_map
-          (function Bound_f s -> Some (s, List.assoc s !vars) | Bound_i _ -> None)
-          bounds
-      and copies_i =
-        List.filter_map (function Bound_i (s, a) -> Some (s, a) | Bound_f _ -> None) bounds
-      in
-      emit (lane_instr ~row_dim thunk copies_f copies_i)
   in
   let root = go rx in
   { code = Array.of_list (List.rev !code); consts = !consts; nregs = !nregs; root }
@@ -618,7 +381,6 @@ type compiled = {
   scan_levels : int array;
       (** plan-level index of each [scans] entry's [Scan] level, or -1 *)
   n_base : int;
-  slots : slots;
   outs : out_plan list;
 }
 
@@ -650,7 +412,7 @@ let view_of acc_shape (o : Md_hom.output) =
         weights = Array.of_list (List.map weight ds) }
   | Index_fn.Affine _ | Index_fn.Opaque _ -> View_opaque
 
-let compile (plan : Plan.t) (md : Md_hom.t) =
+let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
   try
     let rank = Md_hom.rank md in
     (* one pw operator, builtin: the accumulator folds every pw dimension
@@ -747,17 +509,12 @@ let compile (plan : Plan.t) (md : Md_hom.t) =
         let dim, extent = dist.(Array.length dist - 1) in
         (Row_dist, dim, extent)
     in
-    let slots = { nf = 0; ni = 0; nb = 0 } in
     let outs =
       List.map
         (fun (o : Md_hom.output) ->
           if not (Scalar.equal_ty o.out_ty Scalar.Fp32) then
             unsup "non-fp32 output %s" o.out_name;
-          let s = { nf = 0; ni = 0; nb = 0 } in
-          let prog = lower ~row_dim (row_compiler md s (point_compiler md s) o.value) in
-          slots.nf <- max slots.nf s.nf;
-          slots.ni <- max slots.ni s.ni;
-          slots.nb <- max slots.nb s.nb;
+          let prog = lower ~row_dim (row_compiler md o.value) in
           { out = o; prog; view = view_of acc_shape o })
         md.outputs
     in
@@ -770,14 +527,14 @@ let compile (plan : Plan.t) (md : Md_hom.t) =
         scans
     in
     Ok
-      { digest = Plan.digest plan; rank;
+      { digest; rank;
         nest = Array.of_list (List.map snd nest);
         nest_levels = Array.of_list (List.map fst nest);
         dist; dist_level; tree; tree_level; row; row_dim;
         reglen = max 1 (Int.min strip row_extent);
         acc_shape; acc_size;
         acc_addr = strided ~row_dim { c0 = 0; co = astride };
-        pw; scans; scan_levels; n_base = !n_base; slots; outs }
+        pw; scans; scan_levels; n_base = !n_base; outs }
   with Unsupported msg -> Error msg
 
 (* --- execution -------------------------------------------------------- *)
@@ -785,10 +542,7 @@ let compile (plan : Plan.t) (md : Md_hom.t) =
 let mk_state c bufs =
   { bufs;
     point = Array.make (max 1 c.rank) 0;
-    base = Array.make (max 1 c.n_base) 0;
-    fcells = Array.make (max 1 c.slots.nf) 0.0;
-    icells = Array.make (max 1 c.slots.ni) 0;
-    bcells = Array.make (max 1 c.slots.nb) false }
+    base = Array.make (max 1 c.n_base) 0 }
 
 (* Per-job level timers: [tot.(l)] accumulates the inclusive wall time of
    nest step [l] (deeper levels included) and [cnt.(l)] its entries; slot
@@ -1169,21 +923,18 @@ let m_compiles = Metrics.counter "runtime.specializer.compiles"
 let h_compile = Metrics.histogram "runtime.specializer.compile_s"
 let h_run = Metrics.histogram "runtime.specializer.run_s"
 
-let cache_key plan md =
-  Memo.key [ Plan.digest plan; Format.asprintf "%a" Md_hom.pp md ]
-
 let compiled plan md =
-  Memo.find_or_add cache (cache_key plan md) (fun () ->
+  let digest = Plan.digest plan in
+  Memo.find_or_add cache (Memo.key [ digest; Format.asprintf "%a" Md_hom.pp md ]) (fun () ->
       let t0 = Clock.now_ns () in
       let result =
         Trace.with_span ~cat:"runtime" "specializer.compile"
-          ~args:[ ("hom", md.Md_hom.hom_name); ("digest", Plan.digest plan) ]
-          (fun () -> compile plan md)
+          ~args:[ ("hom", md.Md_hom.hom_name); ("digest", digest) ]
+          (fun () -> compile ~digest plan md)
       in
       let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
       Metrics.observe h_compile dt;
-      Profile.add ~digest:(Plan.digest plan) ~path:"phase:specializer.compile"
-        dt;
+      Profile.add ~digest ~path:"phase:specializer.compile" dt;
       match result with
       | Ok c ->
         Metrics.incr m_compiles;
@@ -1232,7 +983,7 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
       | None -> None
       | Some bufs ->
         Trace.with_span ~cat:"runtime" "exec.specialized"
-          ~args:[ ("hom", md.Md_hom.hom_name); ("digest", Plan.digest plan) ]
+          ~args:[ ("hom", md.Md_hom.hom_name); ("digest", c.digest) ]
           (fun () ->
             let t0 = Clock.now_ns () in
             let env = Semantics.alloc_outputs md env in

@@ -24,31 +24,32 @@
     accumulator with the builtin pw operator inlined: into one local when
     the row runs along a pw dimension, at a constant stride otherwise.
     Every accumulator element is combined in the order the nest visits
-    its points, so the outputs do not depend on the strip length.
-
-    {b Lane-filled forms.} What the row compiler leaves out — [If],
-    comparisons, booleans, non-affine integers and the reads they index —
-    fills its register one lane at a time through a per-point closure,
-    after the enclosing row-compiled [Let]s are copied into their cells.
-    The nest, the fold and the epilogue are the same for both; a profiled
-    run times the same row step, charging each strip to the leaf cell
-    with a count of its points.
+    its points, so the outputs do not depend on the strip length. A
+    profiled run times the same row step, charging each strip to the
+    leaf cell with a count of its points.
 
     {b No allocation per point.} A warm run allocates per call and per
     job (state, registers, staged closures), never per iteration point
-    or per row, except in lane-filled forms. On a pool without worker
-    domains the minor-word count is deterministic; [test_specializer.ml]
-    ("no allocation per iteration point") pins that it does not grow
-    with the iteration space on the catalogue's fp32 reductions,
-    stencil and scan and on pw [mul]/[min]/[max]. The post-scan of ps
-    dimensions and the combine of tree partials run one direct loop per
-    builtin operator.
+    or per row. On a pool without worker domains the minor-word count is
+    deterministic; [test_specializer.ml] ("no allocation per iteration
+    point") pins that it does not grow with the iteration space on every
+    catalogue computation the Specializer accepts and on every form a row
+    compiles. The post-scan of ps dimensions and the combine of tree
+    partials run one direct loop per builtin operator.
 
-    Eligibility: all inputs read and all outputs are [fp32]; every
+    {b Eligibility.} All inputs read and all outputs are [fp32]; every
     reduction operator ([pw]/[ps]) is one builtin ([add]/[mul]/[min]/[max]),
     with a single pw operator across dimensions (the same restriction the
-    reference executor enforces); the value expression uses no
-    record types. Everything else falls back to the generic box walker.
+    reference executor enforces). The value expression is built from fp32
+    and fp64 constants, reads, float [Add]/[Sub]/[Mul]/[Div]/[Min]/[Max],
+    negation, casts to [fp32], and [Let]s; its integers (indices, integer
+    [Let]s, integer-to-float casts) are affine in the iteration
+    variables. Refused, with an error naming the form: [If], comparisons,
+    [And]/[Or]/[Not], boolean, char and record constants, records,
+    float-to-integer casts, a float [Let] whose body is an integer, and
+    integer arithmetic not affine in the iteration variables (with any
+    read it indexes). Everything refused
+    falls back to the generic box walker.
 
     Accumulation happens in double precision with one rounding per output
     element, so results are tolerance-equal — not bit-equal — to the

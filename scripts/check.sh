@@ -55,9 +55,8 @@
 #     gcc is on PATH) the compiled OpenMP C must reproduce the reference
 #     interpreter's results; without gcc the C half prints an explicit SKIP
 #     line — it is never silently skipped. The specializer half covers every
-#     case exec-fp32 serves from the Specializer (bmatmul, ccsd(t),
-#     jacobi_3d, mbbs, mcc) plus matmul and jacobi1d; the C half keeps its
-#     four workloads, since cc refuses MCC,
+#     catalogue workload the Specializer accepts (all but prl and kmeans);
+#     the C half keeps its four workloads, since cc refuses MCC,
 #   - the profiler stage fails: `mdhc profile` must render for matmul, for
 #     jacobi_3d (whose row is driven by a Distribute level) and for
 #     ccsd(t) (driven by a Tree_reduce level) on the specializer, and for
@@ -242,12 +241,13 @@ diff -u scripts/check_diagnostics.golden "$chaos_dir/diagnostics.txt" || {
     exit 1; }
 
 # differential stage: execute what we generate. The specializer backend
-# must reproduce the reference interpreter on representative workloads
-# (reduction, scan, stencil, high-rank contraction, batched contraction,
-# convolution); with gcc the first four round-trip through the generated
-# OpenMP C. `mdhc run` exits non-zero on any oracle mismatch, so success
-# is the assertion.
-for wl in matmul mbbs jacobi1d 'ccsd(t)' bmatmul jacobi_3d mcc; do
+# must reproduce the reference interpreter on every workload it accepts
+# (reductions, scan, stencils, high-rank and batched contractions,
+# convolutions); with gcc matmul, mbbs, jacobi1d and ccsd(t) round-trip
+# through the generated OpenMP C. `mdhc run` exits non-zero on any oracle
+# mismatch, so success is the assertion.
+for wl in dot matvec matmul 'matmul^t' bmatmul gaussian_2d jacobi1d jacobi_3d \
+    mbbs 'ccsd(t)' mcc mcc_caps; do
     dune exec bin/mdhc.exe -- run "$wl" --backend special > /dev/null || {
         echo "error: specializer differential failed on $wl" >&2; exit 1; }
 done

@@ -10,8 +10,9 @@
    zero-extent executor semantics, digest-cache hit counting and the
    ?specialize:false escape hatch. Three pins cover the specializer's row
    steps: hand-built directives with the expression forms and operators
-   the catalogue lacks, outputs bit-identical across pool sizes, and the
-   allocation gate (no minor words per iteration point). *)
+   the catalogue lacks (each form a row refuses is named by the refusal
+   and runs on the walker), outputs bit-identical across pool sizes, and
+   the allocation gate (no minor words per iteration point). *)
 
 module W = Mdh_workloads.Workload
 module Catalog = Mdh_workloads.Catalog
@@ -475,123 +476,184 @@ let pw_reduction (opname, op) k =
     ~inp:[ ("x", [| k |]); ("y", [| k |]) ] ~out_idx:[ Expr.int 0 ]
     Expr.(f32 1.0 + (read "x" [ k_ ] * read "y" [ k_ ] * f32 0.001))
 
-let let_leaf () =
-  Expr.(
-    let_ "j" (k_ + int 1)
-      (if_ (var "j" > int 250) (read "y" [ var "j" - int 1 ]) (f32 0.5)))
-
-(* Each case mixes row-compiled nodes with the forms a row leaves to a
-   lane-filled leaf ([If], comparisons, booleans, non-affine integers and
-   the reads they index); rows of 300 and 600 points span several strips
-   and end in a partial one. *)
-let coverage_cases () =
+(* Every form a row compiles, as a function of the row length [n]. *)
+let row_cases =
   let cc = Combine.cc in
   let add = Combine.pw (Combine.add Scalar.Fp32) in
-  [ (* a float Let held in a register and copied into its cell for the If
-       leaf that reads it; an affine integer Let substituted into a read
-       and copied in for the leaf; float and integer comparisons, And, Or,
-       Not, a float negation *)
-    hand_built ~name:"SpecLaneMix" ~ops:[ cc; add ] ~loops:[ ("i", 6); ("k", 300) ]
-      ~inp:[ ("x", [| 6; 300 |]); ("y", [| 300 |]) ] ~out_idx:[ i_ ]
-      Expr.(
-        let_ "a" (read "x" [ i_; k_ ])
-          (let_ "j" (k_ + int 1)
-             ((var "a"
-              * if_
-                  ((var "a" >= f32 0.0 && not_ (var "j" > int 250)) || i_ = int 2)
-                  (read "y" [ var "j" - int 1 ])
-                  (neg (read "y" [ k_ ])))
-             + if_ (i_ <> k_ || k_ <= int 3) (f32 1.0) (f32 0.5))));
-    (* casts both ways, an integer converted to float, a negated index
-       (a row that runs backwards), float Sub, Div, Min and Max *)
-    hand_built ~name:"SpecCasts" ~ops:[ cc; cc ] ~loops:[ ("i", 5); ("k", 300) ]
-      ~inp:[ ("x", [| 5; 300 |]) ] ~out_idx:[ i_; k_ ]
-      Expr.(
-        cast Scalar.Fp32 (read "x" [ i_; k_ ] * f32 3.0)
-        + cast Scalar.Fp32 (k_ - i_)
-        + cast Scalar.Fp32 (cast Scalar.Int32 (read "x" [ i_; k_ ] * f32 4.0))
-        - read "x" [ i_; int 299 + neg k_ ]
-        + (emin (read "x" [ i_; k_ ]) (f32 0.25) / emax (read "x" [ i_; k_ ]) (f32 0.5)));
-    (* non-affine indices (integer Div, Mul of two indices, Min, Max), an
-       integer quotient used as a float, a non-affine integer Let *)
-    hand_built ~name:"SpecNonAffine" ~ops:[ cc; add ] ~loops:[ ("i", 6); ("k", 300) ]
-      ~inp:[ ("x", [| 6; 300 |]); ("y", [| 300 |]); ("z", [| 6; 300 |]) ]
-      ~out_idx:[ i_ ]
-      Expr.(
-        (read "x" [ i_; k_ / int 2 ] * read "y" [ i_ * k_ / int 6 ])
-        + read "z" [ emin i_ (int 3); emax k_ (int 5) - int 5 ]
-        + cast Scalar.Fp32 (k_ / int 7)
-        + let_ "q" (i_ * k_) (read "y" [ var "q" / int 6 ]));
-    (* the whole value is one lane-filled leaf *)
-    hand_built ~name:"SpecRootIf" ~ops:[ add ] ~loops:[ ("k", 600) ]
-      ~inp:[ ("x", [| 600 |]); ("y", [| 600 |]) ] ~out_idx:[ Expr.int 0 ]
-      Expr.(
-        if_ (read "x" [ k_ ] > read "y" [ k_ ]) (read "x" [ k_ ])
-          (read "y" [ k_ ] * f32 0.5));
-    (* an affine integer Let whose body is one lane-filled leaf (the shape
-       CSE gives [if k+1 > 250 then y[k] else 0.5]): the whole value, and
-       an operand of a float [+] *)
-    hand_built ~name:"SpecLetLeafRoot" ~ops:[ add ] ~loops:[ ("k", 300) ]
-      ~inp:[ ("y", [| 300 |]) ] ~out_idx:[ Expr.int 0 ] (let_leaf ());
-    hand_built ~name:"SpecLetLeafOperand" ~ops:[ cc ] ~loops:[ ("k", 300) ]
-      ~inp:[ ("x", [| 300 |]); ("y", [| 300 |]) ] ~out_idx:[ k_ ]
-      Expr.(read "x" [ k_ ] + let_leaf ());
+  [ (* a float Let held in a register and used twice; an affine integer
+       Let substituted into a read and converted to float; a float
+       negation *)
+    (fun n ->
+      hand_built ~name:"SpecLets" ~ops:[ cc; add ] ~loops:[ ("i", 6); ("k", n) ]
+        ~inp:[ ("x", [| 6; n |]); ("y", [| n |]) ] ~out_idx:[ i_ ]
+        Expr.(
+          let_ "a" (read "x" [ i_; k_ ])
+            (let_ "j" (k_ + int 1)
+               ((var "a" * read "y" [ var "j" - int 1 ])
+               + neg (var "a")
+               + cast Scalar.Fp32 (var "j")))));
+    (* an fp32 cast, an integer converted to float, a negated index (a row
+       that runs backwards), float Sub, Div, Min and Max *)
+    (fun n ->
+      let last = Expr.int (n - 1) in
+      hand_built ~name:"SpecCasts" ~ops:[ cc; cc ] ~loops:[ ("i", 5); ("k", n) ]
+        ~inp:[ ("x", [| 5; n |]) ] ~out_idx:[ i_; k_ ]
+        Expr.(
+          cast Scalar.Fp32 (read "x" [ i_; k_ ] * f32 3.0)
+          + cast Scalar.Fp32 (k_ - i_)
+          - read "x" [ i_; last + neg k_ ]
+          + (emin (read "x" [ i_; k_ ]) (f32 0.25) / emax (read "x" [ i_; k_ ]) (f32 0.5))));
     (* ps over the innermost dimension: the row runs along the scan *)
-    hand_built ~name:"SpecScanInner" ~ops:[ cc; Combine.ps (Combine.add Scalar.Fp32) ]
-      ~loops:[ ("i", 4); ("j", 300) ] ~inp:[ ("x", [| 4; 300 |]) ] ~out_idx:[ i_; j_ ]
-      Expr.(read "x" [ i_; j_ ]) ]
+    (fun n ->
+      hand_built ~name:"SpecScanInner" ~ops:[ cc; Combine.ps (Combine.add Scalar.Fp32) ]
+        ~loops:[ ("i", 4); ("j", n) ] ~inp:[ ("x", [| 4; n |]) ] ~out_idx:[ i_; j_ ]
+        Expr.(read "x" [ i_; j_ ])) ]
   (* pw mul, min and max: along the row, and across rows into a strided
      accumulator (the pw dimension outermost) *)
   @ List.concat_map
       (fun ((opname, op) as fop) ->
         if opname = "Add" then []
         else
-          [ pw_reduction fop 600;
-            hand_built ~name:("SpecPwOuter" ^ opname) ~ops:[ Combine.pw op; cc ]
-              ~loops:[ ("k", 23); ("i", 300) ] ~inp:[ ("x", [| 23; 300 |]) ]
-              ~out_idx:[ i_ ]
-              Expr.(f32 1.0 + (read "x" [ k_; i_ ] * f32 0.01)) ])
+          [ pw_reduction fop;
+            (fun n ->
+              hand_built ~name:("SpecPwOuter" ^ opname) ~ops:[ Combine.pw op; cc ]
+                ~loops:[ ("k", 23); ("i", n) ] ~inp:[ ("x", [| 23; n |]) ] ~out_idx:[ i_ ]
+                Expr.(f32 1.0 + (read "x" [ k_; i_ ] * f32 0.01))) ])
       fold_ops
   (* ps over a dimension that is not innermost, with every operator *)
   @ List.map
-      (fun (opname, op) ->
+      (fun (opname, op) n ->
         hand_built ~name:("SpecScanMid" ^ opname) ~ops:[ cc; Combine.ps op; cc ]
-          ~loops:[ ("i", 3); ("j", 5); ("k", 70) ] ~inp:[ ("x", [| 3; 5; 70 |]) ]
+          ~loops:[ ("i", 3); ("j", 5); ("k", n) ] ~inp:[ ("x", [| 3; 5; n |]) ]
           ~out_idx:[ i_; j_; k_ ]
           Expr.(read "x" [ i_; j_; k_ ] + f32 0.5))
       fold_ops
 
+let let_leaf () =
+  Expr.(
+    let_ "j" (k_ + int 1)
+      (if_ (var "j" > int 250) (read "y" [ var "j" - int 1 ]) (f32 0.5)))
+
+(* A value that binds the boolean [cond] (over the float [a] and the
+   integer [j]) and selects with it. *)
+let bool_case name cond =
+  hand_built ~name ~ops:[ Combine.cc; Combine.pw (Combine.add Scalar.Fp32) ]
+    ~loops:[ ("i", 6); ("k", 300) ] ~inp:[ ("x", [| 6; 300 |]); ("y", [| 300 |]) ]
+    ~out_idx:[ i_ ]
+    Expr.(
+      let_ "a" (read "x" [ i_; k_ ])
+        (let_ "j" (k_ + int 1)
+           (let_ "c" cond
+              (var "a" * if_ (var "c") (read "y" [ var "j" - int 1 ]) (neg (read "y" [ k_ ]))))))
+
+(* The forms a row refuses, each with the words its refusal names. *)
+let refused_cases () =
+  let add = Combine.pw (Combine.add Scalar.Fp32) in
+  [ (* the whole value is a conditional *)
+    ( hand_built ~name:"SpecRootIf" ~ops:[ add ] ~loops:[ ("k", 600) ]
+        ~inp:[ ("x", [| 600 |]); ("y", [| 600 |]) ] ~out_idx:[ Expr.int 0 ]
+        Expr.(
+          if_ (read "x" [ k_ ] > read "y" [ k_ ]) (read "x" [ k_ ])
+            (read "y" [ k_ ] * f32 0.5)),
+      "if-then-else" );
+    (* a conditional under an affine integer Let (the shape CSE gives
+       [if k+1 > 250 then y[k] else 0.5]): the whole value, and an operand
+       of a float [+] *)
+    ( hand_built ~name:"SpecLetLeafRoot" ~ops:[ add ] ~loops:[ ("k", 300) ]
+        ~inp:[ ("y", [| 300 |]) ] ~out_idx:[ Expr.int 0 ] (let_leaf ()),
+      "if-then-else" );
+    ( hand_built ~name:"SpecLetLeafOperand" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
+        ~inp:[ ("x", [| 300 |]); ("y", [| 300 |]) ] ~out_idx:[ k_ ]
+        Expr.(read "x" [ k_ ] + let_leaf ()),
+      "if-then-else" );
+    (* comparisons of floats and of integers, combined with And, Or and Not *)
+    (bool_case "SpecCompare" Expr.(var "a" >= f32 0.0), "comparison >=");
+    ( bool_case "SpecOr"
+        Expr.((var "a" >= f32 0.0 && not_ (var "j" > int 250)) || i_ = int 2),
+      "boolean ||" );
+    (bool_case "SpecAnd" Expr.(i_ <> k_ && k_ <= int 3), "boolean &&");
+    (bool_case "SpecNot" (not_ Expr.(var "j" > int 250)), "boolean negation");
+    ( hand_built ~name:"SpecFloatToInt" ~ops:[ Combine.cc; Combine.cc ]
+        ~loops:[ ("i", 5); ("k", 300) ] ~inp:[ ("x", [| 5; 300 |]) ] ~out_idx:[ i_; k_ ]
+        Expr.(
+          read "x" [ i_; k_ ]
+          + cast Scalar.Fp32 (cast Scalar.Int32 (read "x" [ i_; k_ ] * f32 4.0))),
+      "float-to-integer cast" );
+    (* non-affine indices: integer Div, Mul of two indices, Min, Max, and
+       an integer quotient used as a float *)
+    ( hand_built ~name:"SpecNonAffine" ~ops:[ Combine.cc; add ]
+        ~loops:[ ("i", 6); ("k", 300) ]
+        ~inp:[ ("x", [| 6; 300 |]); ("y", [| 300 |]); ("z", [| 6; 300 |]) ]
+        ~out_idx:[ i_ ]
+        Expr.(
+          (read "x" [ i_; k_ / int 2 ] * read "y" [ i_ * k_ / int 6 ])
+          + read "z" [ emin i_ (int 3); emax k_ (int 5) - int 5 ]
+          + cast Scalar.Fp32 (k_ / int 7)),
+      "not affine" );
+    ( hand_built ~name:"SpecNonAffineLet" ~ops:[ Combine.cc; add ]
+        ~loops:[ ("i", 6); ("k", 300) ] ~inp:[ ("y", [| 300 |]) ] ~out_idx:[ i_ ]
+        Expr.(let_ "q" (i_ * k_) (read "y" [ var "q" / int 6 ])),
+      "not affine" );
+    (* a float Let with an integer body, under an integer division that
+       truncates *)
+    ( hand_built ~name:"SpecFloatLetIntBody" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
+        ~inp:[ ("x", [| 300 |]) ] ~out_idx:[ k_ ]
+        Expr.(read "x" [ k_ ] + cast Scalar.Fp32 (let_ "a" (read "x" [ k_ ]) k_ / int 2)),
+      "integer body under a float let" ) ]
+
+(* The row cases run on the Specializer, with rows of 300 and 600 points
+   that span two and three strips and end in a partial one, and the
+   refused cases on the walker; both against [Semantics.exec], under the
+   sequential schedule and three pinned-random legal ones. *)
 let test_uncatalogued_forms_match_reference () =
   let rng = Rng.create 4242 in
   with_pool (fun pool ->
+      let each_schedule (md : Md_hom.t) run =
+        let env = env_for 11 md in
+        let expected = Semantics.exec md env in
+        let label what = Printf.sprintf "%s under %s" md.Md_hom.hom_name what in
+        run (label "the sequential schedule") (Schedule.sequential md) env expected;
+        let tried = ref 0 and draws = ref 0 in
+        while !tried < 3 && !draws < 50 do
+          incr draws;
+          match Test_plan_exec.random_schedule rng md cpu with
+          | None -> ()
+          | Some sched ->
+            incr tried;
+            run (label (Schedule.to_string sched)) sched env expected
+        done
+      in
       List.iter
-        (fun (md : Md_hom.t) ->
-          let name = md.Md_hom.hom_name in
-          let env = env_for 11 md in
-          let expected = Semantics.exec md env in
-          let run what sched =
-            let plan = plan_of md sched in
-            match Specializer.try_run pool plan md env with
-            | None ->
-              Alcotest.failf "%s under %s: specializer refused (%s)" name what
-                (match Specializer.supported plan md with
-                | Error e -> e
-                | Ok () -> "buffer binding failed")
-            | Some got ->
-              check Alcotest.bool (Printf.sprintf "%s under %s" name what) true
-                (outputs_agree md got expected)
-          in
-          run "the sequential schedule" (Schedule.sequential md);
-          let tried = ref 0 and draws = ref 0 in
-          while !tried < 3 && !draws < 50 do
-            incr draws;
-            match Test_plan_exec.random_schedule rng md cpu with
-            | None -> ()
-            | Some sched ->
-              incr tried;
-              run (Schedule.to_string sched) sched
-          done)
-        (coverage_cases ()))
+        (fun make ->
+          List.iter
+            (fun n ->
+              let md = make n in
+              each_schedule md (fun label sched env expected ->
+                  let label = Printf.sprintf "%s (row of %d)" label n in
+                  let plan = plan_of md sched in
+                  match Specializer.try_run pool plan md env with
+                  | None ->
+                    Alcotest.failf "%s: specializer refused (%s)" label
+                      (match Specializer.supported plan md with
+                      | Error e -> e
+                      | Ok () -> "buffer binding failed")
+                  | Some got -> check Alcotest.bool label true (outputs_agree md got expected)))
+            [ 300; 600 ])
+        row_cases;
+      List.iter
+        (fun (md, form) ->
+          each_schedule md (fun label sched env expected ->
+              (match Specializer.supported (plan_of md sched) md with
+              | Ok () -> Alcotest.failf "%s: specializer accepted a form it refuses (%s)" label form
+              | Error e ->
+                if not (contains e form) then
+                  Alcotest.failf "%s: refusal %S does not name %s" label e form);
+              match Exec.run ~device:cpu pool md sched env with
+              | Error e -> Alcotest.failf "%s: walker failed: %s" label e
+              | Ok got ->
+                check Alcotest.bool (label ^ " on the walker") true
+                  (outputs_agree md got expected)))
+        (refused_cases ()))
 
 (* --- outputs do not depend on the pool size --- *)
 
@@ -650,11 +712,11 @@ let test_no_allocation_per_point () =
     let w = Option.get (Catalog.find name) in
     (name, (fun p -> W.to_md_hom w p), small, big)
   in
-  let hand ((opname, _) as fop) =
-    ( "SpecPw" ^ opname,
-      (fun p -> pw_reduction fop (List.assoc "k" p)),
-      [ ("k", 1024) ],
-      [ ("k", 16384) ] )
+  let hand make =
+    ( (make 1024).Md_hom.hom_name,
+      (fun p -> make (List.assoc "n" p)),
+      [ ("n", 1024) ],
+      [ ("n", 16384) ] )
   in
   let cases =
     [ catalogue "dot" [ ("K", 1024) ] [ ("K", 16384) ];
@@ -669,8 +731,14 @@ let test_no_allocation_per_point () =
       catalogue "mbbs" [ ("I", 8); ("J", 16) ] [ ("I", 64); ("J", 256) ];
       catalogue "mcc"
         [ ("N", 1); ("P", 2); ("Q", 2); ("K", 2); ("R", 2); ("S", 2); ("C", 4) ]
-        [ ("N", 1); ("P", 4); ("Q", 4); ("K", 8); ("R", 3); ("S", 3); ("C", 16) ] ]
-    @ List.filter_map (fun ((n, _) as fop) -> if n = "Add" then None else Some (hand fop)) fold_ops
+        [ ("N", 1); ("P", 4); ("Q", 4); ("K", 8); ("R", 3); ("S", 3); ("C", 16) ];
+      catalogue "gaussian_2d" [ ("N", 8); ("M", 256) ] [ ("N", 128); ("M", 256) ];
+      catalogue "jacobi1d" [ ("N", 1024) ] [ ("N", 16384) ];
+      catalogue "matmul^t" [ ("I", 4); ("J", 4); ("K", 256) ] [ ("I", 16); ("J", 16); ("K", 256) ];
+      catalogue "mcc_caps"
+        [ ("N", 1); ("P", 2); ("Q", 2); ("K", 2); ("R", 2); ("S", 2); ("C", 2); ("M", 4) ]
+        [ ("N", 1); ("P", 4); ("Q", 4); ("K", 8); ("R", 3); ("S", 3); ("C", 4); ("M", 4) ] ]
+    @ List.map hand row_cases
   in
   Pool.with_pool ~num_domains:0 (fun pool ->
       List.iter
