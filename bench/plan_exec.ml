@@ -3,9 +3,11 @@
 
    - interp:  the generic plan walker (fast path and specializer off) —
               boxed per-point interpretation, the semantic baseline;
-   - special: the plan-compiled fp32 specializer, timed on its compiled
-              closure (compilation is cached under Plan.digest and the
-              warm runs are asserted to recompile nothing);
+   - special: the plan-compiled specializer (every catalogue workload,
+              PRL's and KMeans's records and custom operators included),
+              timed on its compiled row programs (compilation is cached
+              under Plan.digest and the warm runs are asserted to
+              recompile nothing);
    - cc:      the generated OpenMP C, compiled once with gcc -O3 -fopenmp
               and timed per driver invocation (build time reported
               separately; skipped with a printed note when gcc is absent

@@ -2,9 +2,10 @@ module Scalar = Mdh_tensor.Scalar
 module Combine = Mdh_combine.Combine
 module Rewrite = Mdh_rewrite.Rewrite
 
-(* memoized per (seed, type, operator name): the report describes the
-   implementation (declarations are judged elsewhere), and operators are
-   deduplicated by name exactly like the analyzer's opcheck pass. The
+(* memoized per (seed, type, operator key): the report describes the
+   implementation (declarations are judged elsewhere). The key is the
+   operator's name and, when it has one, its printed body, so two
+   operators that share a name but not a body get a report each. The
    table is shared by pool domains and mdhd handler threads, hence a
    locked Memo; verification is pure, so a rare duplicate compute under
    concurrent misses is harmless. *)
@@ -13,7 +14,7 @@ let memo : Opcheck.report Mdh_support.Memo.t =
 
 let report ?(seed = 42) ~ty fn =
   let key =
-    Printf.sprintf "%d/%s/%s" seed (Scalar.ty_to_string ty) fn.Combine.fn_name
+    Printf.sprintf "%d/%s/%s" seed (Scalar.ty_to_string ty) (Combine.key fn)
   in
   Mdh_support.Memo.find_or_add memo key (fun () -> Opcheck.verify ~seed ~ty fn)
 

@@ -13,6 +13,8 @@ val report :
     concurrent domains and threads. *)
 
 val oracle : ?seed:int -> unit -> Mdh_rewrite.Rewrite.oracle
-(** Verification reports are memoized per (type, operator-name) — the
-    same dedup key the analyzer's operator pass uses — so repeated
-    rewrites of one workload verify each operator once per process. *)
+(** Verification reports are memoized per (type, {!Mdh_combine.Combine.key})
+    — the operator's name and, when it has one, its printed body — so
+    repeated rewrites of one workload verify each operator once per
+    process, and two operators that share a name but not a body get a
+    report each. *)

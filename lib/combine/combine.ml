@@ -1,10 +1,12 @@
 module Scalar = Mdh_tensor.Scalar
 module Dense = Mdh_tensor.Dense
 module Shape = Mdh_tensor.Shape
+module Expr = Mdh_expr.Expr
 
 type custom_fn = {
   fn_name : string;
   apply : Scalar.value -> Scalar.value -> Scalar.value;
+  body : Expr.t option;
   associative : bool;
   commutative : bool;
   identity : Scalar.value option;
@@ -38,7 +40,8 @@ let parallelisable = function
 let custom_fn_of = function Cc -> None | Pw f | Ps f -> Some f
 
 let builtin fn_name identity apply =
-  { fn_name; apply; associative = true; commutative = true; identity; builtin = true }
+  { fn_name; apply; body = None; associative = true; commutative = true; identity;
+    builtin = true }
 
 let add ty =
   let identity = Some (Scalar.zero ty) in
@@ -59,7 +62,28 @@ let max _ty = builtin "max" None Scalar.max_v
 let min _ty = builtin "min" None Scalar.min_v
 
 let custom ~name ?(associative = true) ?(commutative = false) ?identity apply =
-  { fn_name = name; apply; associative; commutative; identity; builtin = false }
+  { fn_name = name; apply; body = None; associative; commutative; identity;
+    builtin = false }
+
+let of_body ~name ~ty ?associative ?commutative ?identity body =
+  let locals = [ ("lhs", ty); ("rhs", ty) ] in
+  let env = { Mdh_expr.Typecheck.iter_vars = []; buffer_ty = (fun _ -> None) } in
+  (match Mdh_expr.Typecheck.check ~locals env ~expected:ty body with
+  | Ok () -> ()
+  | Error e ->
+    invalid_arg
+      (Format.asprintf "Combine.of_body %s: %a" name Mdh_expr.Typecheck.pp_error e));
+  let ctx =
+    { Mdh_expr.Eval.iter = [];
+      read = (fun buf _ -> invalid_arg ("Combine.of_body: read of " ^ buf)) }
+  in
+  let apply lhs rhs = Mdh_expr.Eval.eval ~locals:[ ("lhs", lhs); ("rhs", rhs) ] ctx body in
+  { (custom ~name ?associative ?commutative ?identity apply) with body = Some body }
+
+let key fn =
+  match fn.body with
+  | Some body -> fn.fn_name ^ " = " ^ Expr.to_string body
+  | None -> fn.fn_name
 
 (* bitwise-or reduction over integer elements; declared associative only —
    commutativity is left for the property verifier to discover (MDH112) *)

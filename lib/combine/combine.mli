@@ -23,6 +23,11 @@
 type custom_fn = {
   fn_name : string;
   apply : Mdh_tensor.Scalar.value -> Mdh_tensor.Scalar.value -> Mdh_tensor.Scalar.value;
+  body : Mdh_expr.Expr.t option;
+      (** The operator as an expression in [Var "lhs"] and [Var "rhs"] of
+          its element type, from which [apply] is derived ({!of_body}).
+          [None] for the builtins and for operators given only as a
+          closure ({!custom}), which the Specializer cannot compile. *)
   associative : bool;
       (** Declared by the operator author; checked by property tests. *)
   commutative : bool;
@@ -85,9 +90,31 @@ val custom :
   ?identity:Mdh_tensor.Scalar.value ->
   (Mdh_tensor.Scalar.value -> Mdh_tensor.Scalar.value -> Mdh_tensor.Scalar.value) ->
   custom_fn
-(** A user-defined customising function (the paper's [@pw_custom_func], e.g.
-    [prl_max] in Listing 11). [associative] defaults to [true],
-    [commutative] to [false]. *)
+(** A user-defined customising function given only as a closure, for an
+    operator an {!Mdh_expr.Expr.t} cannot state (e.g. {!bor}, which needs
+    bitwise operators). [associative] defaults to [true], [commutative] to
+    [false]. *)
+
+val of_body :
+  name:string ->
+  ty:Mdh_tensor.Scalar.ty ->
+  ?associative:bool ->
+  ?commutative:bool ->
+  ?identity:Mdh_tensor.Scalar.value ->
+  Mdh_expr.Expr.t ->
+  custom_fn
+(** A user-defined customising function (the paper's [@pw_custom_func],
+    e.g. [prl_max] in Listing 11) given as an expression [body] in
+    [Var "lhs"] and [Var "rhs"], both of the element type [ty]. The body
+    is type-checked: [lhs], [rhs] and the result must all have type [ty],
+    and an ill-typed body raises [Invalid_argument]. [apply] evaluates the
+    body ({!Mdh_expr.Eval}), so the operator has one definition. Defaults
+    as in {!custom}. *)
+
+val key : custom_fn -> string
+(** What a cache keyed on an operator must key on: its name, followed by
+    its printed body when it has one (two operators can share a name).
+    A closure-only operator is keyed by its name alone. *)
 
 val with_declared :
   ?associative:bool ->

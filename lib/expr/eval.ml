@@ -92,6 +92,6 @@ and eval_index_with locals ctx e =
   | I64 x -> Int64.to_int x
   | v -> err "index expression evaluated to non-integer %s" (Scalar.value_to_string v)
 
-let eval ctx e = eval_with [] ctx e
+let eval ?(locals = []) ctx e = eval_with locals ctx e
 let eval_index ctx e = eval_index_with [] ctx e
 let eval_indices ctx idxs = Array.of_list (List.map (eval_index ctx) idxs)

@@ -9,9 +9,14 @@ type ctx = {
 
 exception Eval_error of string
 
-val eval : ctx -> Expr.t -> Mdh_tensor.Scalar.value
-(** Raises [Eval_error] on unbound variables or dynamic type errors (a
-    type-checked expression never raises). *)
+val eval :
+  ?locals:(string * Mdh_tensor.Scalar.value) list ->
+  ctx ->
+  Expr.t ->
+  Mdh_tensor.Scalar.value
+(** [locals] (default none) binds free [Var]s, e.g. a combine operator's
+    [lhs] and [rhs]. Raises [Eval_error] on unbound variables or dynamic
+    type errors (a type-checked expression never raises). *)
 
 val eval_index : ctx -> Expr.t -> int
 (** Evaluate an index expression to an int. *)

@@ -110,10 +110,10 @@ and check_indices locals env ctx idxs =
   in
   loop idxs
 
-let infer env e = infer_with [] env e
+let infer ?(locals = []) env e = infer_with locals env e
 
-let check env ~expected e =
-  let* ty = infer env e in
+let check ?locals env ~expected e =
+  let* ty = infer ?locals env e in
   if Scalar.equal_ty ty expected then Ok ()
   else
     error e "expected type %a but expression has type %a" Scalar.pp_ty expected

@@ -14,7 +14,17 @@ type error = { expr : Expr.t; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 
-val infer : env -> Expr.t -> (Mdh_tensor.Scalar.ty, error) result
-(** Type of a closed expression (no free [Var]s other than [Let]-bound). *)
+val infer :
+  ?locals:(string * Mdh_tensor.Scalar.ty) list ->
+  env ->
+  Expr.t ->
+  (Mdh_tensor.Scalar.ty, error) result
+(** Type of an expression whose free [Var]s are [Let]-bound or among
+    [locals] (default none), e.g. a combine operator's [lhs] and [rhs]. *)
 
-val check : env -> expected:Mdh_tensor.Scalar.ty -> Expr.t -> (unit, error) result
+val check :
+  ?locals:(string * Mdh_tensor.Scalar.ty) list ->
+  env ->
+  expected:Mdh_tensor.Scalar.ty ->
+  Expr.t ->
+  (unit, error) result

@@ -16,12 +16,16 @@
 
     Dispatch order: when the computation structurally matches one of the
     flat-array kernels (dot/matvec/matmul, see {!Fastpath}), the
-    interpreter is bypassed; otherwise any fp32 plan is compiled once to a
-    flat-array closure and executed (see {!Specializer}); the generic box
-    walker is the fallback for everything else. Both accelerated paths
-    accumulate in double and are tolerance-equal to the interpreter —
-    disable with [~fastpath:false ~specialize:false] where bit-identity
-    with the sequential interpreter matters. *)
+    interpreter is bypassed; otherwise a plan the {!Specializer} accepts
+    — every catalogue computation: fp32 and fp64 arithmetic, records,
+    selects and custom combine operators with an expression body, such
+    as PRL's and KMeans's — is compiled once to strided row programs over
+    flat float stores and executed; the generic box walker is the
+    fallback for everything else (e.g. an operator given only as a
+    closure). Both accelerated paths accumulate fp32 in double and are
+    tolerance-equal to the interpreter there — disable with
+    [~fastpath:false ~specialize:false] where bit-identity with the
+    sequential interpreter matters. *)
 
 val run :
   ?device:Mdh_machine.Device.t ->

@@ -1,15 +1,16 @@
-(** Plan-compiled fp32 execution: the generic counterpart of the
-    hand-written {!Fastpath} kernels.
+(** Plan-compiled execution: the generic counterpart of the hand-written
+    {!Fastpath} kernels.
 
-    Any fp32 [Plan.t] is compiled once. The plan's Distribute, Tile,
-    Seq, Accumulate and Scan levels drive the loop nest, staged once per
-    job as closures. A run copies nothing in: it reads each input's store
-    in place ({!Mdh_tensor.Dense.floats}) and never writes it, and it
-    rounds its double accumulator to fp32 straight into each output's
-    store. Compiled plans are memoized process-wide under
-    {!Mdh_lowering.Plan.digest} (plus a fingerprint of the computation),
-    in the {!Mdh_support.Memo} table [runtime.specializer], with cache
-    traffic on [runtime.specializer.hits|misses|compiles].
+    A [Plan.t] is compiled once. The plan's Distribute, Tile, Seq,
+    Accumulate and Scan levels drive the loop nest, staged once per job
+    as closures. A run reads each fp32 or fp64 input's store in place
+    ({!Mdh_tensor.Dense.floats}) and never writes it, and writes its
+    double accumulators straight into each float output's store
+    (rounded for fp32). Compiled plans are memoized process-wide under
+    {!Mdh_lowering.Plan.digest} plus the printed computation and the
+    bodies of its custom operators ({!Mdh_combine.Combine.key}), in the
+    {!Mdh_support.Memo} table [runtime.specializer], with cache traffic on
+    [runtime.specializer.hits|misses|compiles].
 
     {b Row steps.} The innermost level of every job runs as one strided
     row loop: the last Seq/Accumulate/Scan/tile-inner step of the nest;
@@ -20,40 +21,90 @@
     once per job, with the operator chosen outside the element loop. A
     read whose indices are affine in the iteration variables (integer
     [Let]s substituted) is one offset plus one coefficient per dimension
-    over the input's flat store. The strip then folds into the
-    accumulator with the builtin pw operator inlined: into one local when
-    the row runs along a pw dimension, at a constant stride otherwise.
-    Every accumulator element is combined in the order the nest visits
-    its points, so the outputs do not depend on the strip length. A
-    profiled run times the same row step, charging each strip to the
-    leaf cell with a count of its points.
+    over a flat store, emitted once however often it is read. The strip
+    then folds into the accumulator: a builtin pw operator inlined, into
+    one local when the row runs along a pw dimension, at a constant
+    stride otherwise; a custom operator through its compiled body (below).
+    Every accumulator cell is combined in the order the nest visits its
+    points, so the outputs do not depend on the strip length. A profiled
+    run times the same row step, charging each strip to the leaf cell
+    with a count of its points.
+
+    {b Records and custom operators.} Nothing record-shaped exists at run
+    time. A record input is unpacked on each call, through
+    {!Mdh_tensor.Dense.record_field}, into one float store per field a
+    program reads: O(input elements) per call, with no boxing per
+    element (profiled as the [unpack] segment). A read of a record is one
+    read per field, [Field] picks one, and [MkRecord] and a record [Let]
+    bind one value per field. An output's accumulator is one double
+    array per field of its type. A custom pw operator's body
+    ({!Mdh_combine.Combine.custom_fn.body}) compiles, by the same row
+    compiler, to one program with [lhs] bound to an accumulator cell's
+    fields and [rhs] to a lane's; each cell is seeded by its first point,
+    as in {!Mdh_core.Semantics.exec}, which a visited map per accumulator
+    records. Along a pw row the body folds lane after lane into the one
+    cell; along a cc row it runs once over the strip, every lane into its
+    own cell; on a pool with workers, tree partials combine cell by cell
+    through it, in chunk order. Write-back packs a record output element
+    by element ({!Mdh_tensor.Dense.set_record}).
 
     {b No allocation per point.} A warm run allocates per call and per
-    job (state, registers, staged closures), never per iteration point
-    or per row. On a pool without worker domains the minor-word count is
-    deterministic; [test_specializer.ml] ("no allocation per iteration
-    point") pins that it does not grow with the iteration space on every
-    catalogue computation the Specializer accepts and on every form a row
-    compiles. The post-scan of ps dimensions and the combine of tree
-    partials run one direct loop per builtin operator.
+    job (state, registers, staged closures, unpacked stores), and per
+    element of a record output, never per iteration point or per row. On
+    a pool without worker domains the minor-word count is deterministic;
+    [test_specializer.ml] ("no allocation per iteration point") pins that
+    it does not grow with the iteration space on every catalogue
+    computation and on every form a row compiles. The post-scan of ps
+    dimensions and the combine of builtin tree partials run one direct
+    loop per builtin operator.
 
-    {b Eligibility.} All inputs read and all outputs are [fp32]; every
-    reduction operator ([pw]/[ps]) is one builtin ([add]/[mul]/[min]/[max]),
-    with a single pw operator across dimensions (the same restriction the
-    reference executor enforces). The value expression is built from fp32
-    and fp64 constants, reads, float [Add]/[Sub]/[Mul]/[Div]/[Min]/[Max],
-    negation, casts to [fp32], and [Let]s; its integers (indices, integer
-    [Let]s, integer-to-float casts) are affine in the iteration
-    variables. Refused, with an error naming the form: [If], comparisons,
-    [And]/[Or]/[Not], boolean, char and record constants, records,
-    float-to-integer casts, a float [Let] whose body is an integer, and
-    integer arithmetic not affine in the iteration variables (with any
-    read it indexes). Everything refused
-    falls back to the generic box walker.
+    {b Eligibility.} Registers are float, and every value keeps a kind
+    that says how exact it is. Inputs are fp32, fp64, or records of
+    int32, fp32 and fp64 fields; outputs are fp32, fp64, or records
+    (fields fp32, fp64, int32, int64 or bool). The value expression may
+    use constants (not char), reads, [Let]s, records ([Field],
+    [MkRecord]), float [Add]/[Sub]/[Mul]/[Div]/[Min]/[Max] and negation,
+    comparisons, [And]/[Or]/[Not], [If] and numeric casts, under these
+    rules:
+    - Integers affine in the iteration variables stay affine (indices
+      must be); one enters a register wrapped to 32 bits if it is an
+      int32, as the walker's arithmetic wraps it, and only within 2^53
+      over the iteration box if it is an int64.
+      Other int32 values live in registers exactly: [Add], [Sub] and
+      negation wrap to 32 bits, [Min]/[Max] select. Int64 values must be
+      affine; on data they are only moved, compared and selected.
+    - fp64 arithmetic is exact. fp32 is computed in double and rounded
+      only by casts, so a computed fp32 value is not exact.
+    - A comparison fills a 0/1 mask; its operands must be exact: ints,
+      booleans, fp64, and fp32 reads, constants and casts of exact
+      values. [And]/[Or]/[Not] combine masks.
+    - [If] is a select over a mask. Both branches (and the right operand
+      of [And]/[Or]) are computed at every lane, so every read under them
+      must be proven in range over the iteration box.
+    Every reduction operator is one builtin ([add]/[mul]/[min]/[max]) or
+    a pw operator with a body, with a single pw operator across
+    dimensions (the restriction the reference executor enforces); a
+    custom operator over several pw dimensions must be associative and
+    commutative.
+    Refused, with an error naming the form: a custom [ps] operator, an
+    operator with no body (e.g. [Combine.bor]), a read under a branch not
+    proven in range, a comparison of computed fp32 values, int64
+    arithmetic on data (or its cast to int32), a record input with an
+    int64 field (which no float store holds exactly), float-to-integer
+    casts, integer arithmetic not affine in the iteration variables where
+    an index or an int64 needs it, an int32 index that leaves int32 over
+    the iteration box, [Mul]/[Div] on int32 data, char constants, and a
+    builtin reduction of a record output. Everything refused falls back
+    to the generic box walker.
 
-    Accumulation happens in double precision with one rounding per output
-    element, so results are tolerance-equal — not bit-equal — to the
-    per-op-rounding interpreter, exactly like the fast-path kernels. *)
+    A float accumulation happens in double precision with one rounding
+    per fp32 output element, so fp32 results are tolerance-equal — not
+    bit-equal — to the per-op-rounding interpreter, exactly like the
+    fast-path kernels. The values of every other type equal
+    {!Mdh_core.Semantics.exec}'s bit for bit, and so do the outputs of a
+    selection such as PRL's and KMeans's; only a builtin fold that is
+    not exactly associative (fp64 [add], [mul]) can differ, by the order
+    the plan accumulates in. *)
 
 val supported :
   Mdh_lowering.Plan.t -> Mdh_core.Md_hom.t -> (unit, string) result
@@ -68,12 +119,11 @@ val try_run :
   Mdh_tensor.Buffer.env ->
   Mdh_tensor.Buffer.env option
 (** [Some env'] iff the plan compiled (possibly from cache) and the
-    supplied buffers match the declared fp32 shapes; parallel over the
+    supplied buffers match the declared types and shapes; parallel over the
     plan's Distribute/Tree_reduce levels when the pool has more than one
     worker, cut into {!Pool.chunk_budget} jobs as the walker's boxes
     are. [None] means the generic walker should run — unsupported
-    computation, zero-extent iteration space, or mismatched buffers
-    (including a buffer without a float store). *)
+    computation, zero-extent iteration space, or mismatched buffers. *)
 
 type stats = { hits : int; misses : int; compiles : int }
 

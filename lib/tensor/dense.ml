@@ -52,6 +52,46 @@ let scalar v =
   set_linear t 0 v;
   t
 
+let record_field t name =
+  let bad () = invalid_arg ("Dense.record_field: no int32, fp32 or fp64 field " ^ name) in
+  match (t.ty, t.store) with
+  | Scalar.Record fields, Boxed a ->
+    let ty =
+      match List.assoc_opt name fields with
+      | Some ((Scalar.Int32 | Scalar.Fp32 | Scalar.Fp64) as ty) -> ty
+      | _ -> bad ()
+    in
+    let dst = Array.create_float (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      match a.(i) with
+      | Scalar.R fs -> (
+        (* [List.assoc], not [assoc_opt]: no option allocated per element;
+           the field's constructor must be its declared type's *)
+        match (ty, List.assoc name fs) with
+        | Scalar.Fp32, Scalar.F32 x | Scalar.Fp64, Scalar.F64 x -> dst.(i) <- x
+        | Scalar.Int32, Scalar.I32 x -> dst.(i) <- Int32.to_float x
+        | _ | (exception Not_found) -> bad ())
+      | _ -> bad ()
+    done;
+    dst
+  | _ -> bad ()
+
+let of_float ty x =
+  match ty with
+  | Scalar.Fp32 -> Scalar.F32 (Scalar.round_f32 x)
+  | Scalar.Fp64 -> Scalar.F64 x
+  | Scalar.Int32 -> Scalar.I32 (Int32.of_float x)
+  | Scalar.Int64 -> Scalar.I64 (Int64.of_float x)
+  | Scalar.Bool -> Scalar.B (x <> 0.0)
+  | Scalar.Char | Scalar.Record _ ->
+    invalid_arg ("Dense.set_record: field of type " ^ Scalar.ty_to_string ty)
+
+let set_record t i fields j =
+  match (t.ty, t.store) with
+  | Scalar.Record tys, Boxed a ->
+    a.(i) <- Scalar.R (List.mapi (fun k (name, ty) -> (name, of_float ty fields.(k).(j))) tys)
+  | _ -> invalid_arg "Dense.set_record: not a record tensor"
+
 let copy t =
   match t.store with
   | Flat a -> { t with store = Flat (Array.copy a) }

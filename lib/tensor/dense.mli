@@ -49,6 +49,23 @@ val floats : t -> float array option
     [get]. [None] for every other type. A write into an fp32 store must
     round with {!Scalar.round_f32}. *)
 
+val record_field : t -> string -> float array
+(** [record_field t name] unpacks field [name] of every element of the
+    record tensor [t], row-major, into a fresh float array: the per-field
+    store [Mdh_runtime.Specializer] reads a record input from. An int32,
+    fp32 or fp64 field converts exactly, with no boxing per element.
+    Raises [Invalid_argument] for any other tensor or field type (an
+    int64 field has no exact home in a float store), and for an element
+    that lacks the field or holds it under another type's constructor. *)
+
+val set_record : t -> int -> float array array -> int -> unit
+(** [set_record t i fields j] packs element [i] (row-major) of the record
+    tensor [t] from per-field stores: field [k] of the record type takes
+    [fields.(k).(j)], rounded for fp32, truncated for int32 and int64,
+    non-zero for bool. The inverse of {!record_field}, one element at a
+    time, for write-back. Raises [Invalid_argument] for any other tensor
+    or a char or record field. *)
+
 val copy : t -> t
 
 val fill : t -> Scalar.value -> unit

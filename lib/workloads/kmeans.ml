@@ -23,17 +23,30 @@ let assign_record_ty =
    the order, so a tie means the operands are equal — the selection is
    associative AND commutative, like {!Prl.prl_best}. *)
 let nearest =
-  Combine.custom ~name:"kmeans_nearest" ~associative:true ~commutative:true
-    (fun lhs rhs ->
-      let s v = Scalar.to_float (Scalar.field v "score") in
-      let d v = Scalar.to_float (Scalar.field v "dist") in
-      let id v = Scalar.to_int (Scalar.field v "cluster_id") in
-      if s lhs < s rhs then lhs
-      else if s lhs > s rhs then rhs
-      else if d lhs < d rhs then lhs
-      else if d lhs > d rhs then rhs
-      else if id lhs <= id rhs then lhs
-      else rhs)
+  let fields f = Expr.(field (var "lhs") f, field (var "rhs") f) in
+  let s_l, s_r = fields "score" and d_l, d_r = fields "dist" in
+  let id_l, id_r = fields "cluster_id" in
+  let lhs = Expr.var "lhs" and rhs = Expr.var "rhs" in
+  Combine.of_body ~name:"kmeans_nearest" ~ty:assign_record_ty ~associative:true
+    ~commutative:true
+    Expr.(
+      if_ (s_l < s_r) lhs
+        (if_ (s_l > s_r) rhs
+           (if_ (d_l < d_r) lhs (if_ (d_l > d_r) rhs (if_ (id_l <= id_r) lhs rhs)))))
+
+(* The oracle's selection, written by hand rather than taken from
+   [nearest], so that the oracle checks the operator's body instead of
+   sharing it. *)
+let oracle_nearest lhs rhs =
+  let s v = Scalar.to_float (Scalar.field v "score") in
+  let d v = Scalar.to_float (Scalar.field v "dist") in
+  let id v = Scalar.to_int (Scalar.field v "cluster_id") in
+  if s lhs < s rhs then lhs
+  else if s lhs > s rhs then rhs
+  else if d lhs < d rhs then lhs
+  else if d lhs > d rhs then rhs
+  else if id lhs <= id rhs then lhs
+  else rhs
 
 let distance_exprs () =
   (* dist = sum of squared per-feature differences; score = the same sum
@@ -114,7 +127,7 @@ let reference params env =
           in
           match !best with
           | None -> best := Some candidate
-          | Some b -> best := Some (nearest.Combine.apply b candidate)
+          | Some b -> best := Some (oracle_nearest b candidate)
         done;
         Option.get !best)
   in

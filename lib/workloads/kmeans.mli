@@ -18,5 +18,13 @@ val assign_record_ty : Mdh_tensor.Scalar.ty
 (** [{cluster_id:int64; score:fp64; dist:fp64}] *)
 
 val nearest : Mdh_combine.Combine.custom_fn
+(** Written as an expression body ({!Mdh_combine.Combine.of_body}) with
+    [If], [Field] and comparisons, which the Specializer compiles. *)
+
+val oracle_nearest :
+  Mdh_tensor.Scalar.value -> Mdh_tensor.Scalar.value -> Mdh_tensor.Scalar.value
+(** The same selection written by hand, which the workload's reference
+    folds with, so that the oracle checks [nearest]'s body rather than
+    sharing it. *)
 
 val kmeans : Workload.t

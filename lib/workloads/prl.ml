@@ -26,17 +26,30 @@ let match_record_ty =
    a tie means the operands are equal — the selection is associative AND
    commutative (the property verifier in Mdh_analysis.Opcheck confirms both) *)
 let prl_best =
-  Combine.custom ~name:"prl_best" ~associative:true ~commutative:true
-    (fun lhs rhs ->
-      let w v = Scalar.to_float (Scalar.field v "match_weight") in
-      let m v = Scalar.to_int (Scalar.field v "id_measure") in
-      let id v = Scalar.to_int (Scalar.field v "match_id") in
-      if w lhs > w rhs then lhs
-      else if w lhs < w rhs then rhs
-      else if m lhs > m rhs then lhs
-      else if m lhs < m rhs then rhs
-      else if id lhs <= id rhs then lhs
-      else rhs)
+  let fields f = Expr.(field (var "lhs") f, field (var "rhs") f) in
+  let w_l, w_r = fields "match_weight" and m_l, m_r = fields "id_measure" in
+  let id_l, id_r = fields "match_id" in
+  let lhs = Expr.var "lhs" and rhs = Expr.var "rhs" in
+  Combine.of_body ~name:"prl_best" ~ty:match_record_ty ~associative:true
+    ~commutative:true
+    Expr.(
+      if_ (w_l > w_r) lhs
+        (if_ (w_l < w_r) rhs
+           (if_ (m_l > m_r) lhs (if_ (m_l < m_r) rhs (if_ (id_l <= id_r) lhs rhs)))))
+
+(* The oracle's selection, written by hand rather than taken from
+   [prl_best], so that the oracle checks the operator's body instead of
+   sharing it. *)
+let oracle_best lhs rhs =
+  let w v = Scalar.to_float (Scalar.field v "match_weight") in
+  let m v = Scalar.to_int (Scalar.field v "id_measure") in
+  let id v = Scalar.to_int (Scalar.field v "match_id") in
+  if w lhs > w rhs then lhs
+  else if w lhs < w rhs then rhs
+  else if m lhs > m rhs then lhs
+  else if m lhs < m rhs then rhs
+  else if id lhs <= id rhs then lhs
+  else rhs
 
 let scoring_exprs () =
   (* weight = sum of per-attribute log-weights; agreements = #equal fields *)
@@ -130,7 +143,7 @@ let reference params env =
           in
           match !best with
           | None -> best := Some candidate
-          | Some b -> best := Some (prl_best.Combine.apply b candidate)
+          | Some b -> best := Some (oracle_best b candidate)
         done;
         Option.get !best)
   in

@@ -25,6 +25,14 @@ val match_record_ty : Mdh_tensor.Scalar.ty
 (** [{match_id:int64; match_weight:fp64; id_measure:int32}] *)
 
 val prl_best : Mdh_combine.Combine.custom_fn
+(** Written as an expression body ({!Mdh_combine.Combine.of_body}) with
+    [If], [Field] and comparisons, which the Specializer compiles. *)
+
+val oracle_best :
+  Mdh_tensor.Scalar.value -> Mdh_tensor.Scalar.value -> Mdh_tensor.Scalar.value
+(** The same selection written by hand, which the workload's reference
+    folds with, so that the oracle checks [prl_best]'s body rather than
+    sharing it. *)
 
 val certain_measure : int
 (** The id_measure code for an all-attributes match (the paper's 14). *)

@@ -54,9 +54,10 @@
 #   - the differential stage fails: the plan-compiled specializer and (when
 #     gcc is on PATH) the compiled OpenMP C must reproduce the reference
 #     interpreter's results; without gcc the C half prints an explicit SKIP
-#     line — it is never silently skipped. The specializer half covers every
-#     catalogue workload the Specializer accepts (all but prl and kmeans);
-#     the C half keeps its four workloads, since cc refuses MCC,
+#     line — it is never silently skipped. The specializer half covers all
+#     14 catalogue workloads, prl's and kmeans's custom operators and
+#     records included; the C half keeps its four workloads, since cc
+#     refuses MCC,
 #   - the profiler stage fails: `mdhc profile` must render for matmul, for
 #     jacobi_3d (whose row is driven by a Distribute level) and for
 #     ccsd(t) (driven by a Tree_reduce level) on the specializer, and for
@@ -241,13 +242,14 @@ diff -u scripts/check_diagnostics.golden "$chaos_dir/diagnostics.txt" || {
     exit 1; }
 
 # differential stage: execute what we generate. The specializer backend
-# must reproduce the reference interpreter on every workload it accepts
+# must reproduce the reference interpreter on every catalogue workload
 # (reductions, scan, stencils, high-rank and batched contractions,
-# convolutions); with gcc matmul, mbbs, jacobi1d and ccsd(t) round-trip
-# through the generated OpenMP C. `mdhc run` exits non-zero on any oracle
-# mismatch, so success is the assertion.
+# convolutions, and the custom-operator record workloads prl and kmeans);
+# with gcc matmul, mbbs, jacobi1d and ccsd(t) round-trip through the
+# generated OpenMP C. `mdhc run` exits non-zero on any oracle mismatch, so
+# success is the assertion.
 for wl in dot matvec matmul 'matmul^t' bmatmul gaussian_2d jacobi1d jacobi_3d \
-    mbbs 'ccsd(t)' mcc mcc_caps; do
+    mbbs 'ccsd(t)' mcc mcc_caps prl kmeans; do
     dune exec bin/mdhc.exe -- run "$wl" --backend special > /dev/null || {
         echo "error: specializer differential failed on $wl" >&2; exit 1; }
 done

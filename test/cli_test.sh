@@ -85,10 +85,14 @@ grep -q 'runtime\.specializer\.' "$tmp/run_special.txt" ||
   fail "run --backend interp exited non-zero"
 grep -q 'result check: OK' "$tmp/run_interp.txt" || fail "interp check failed"
 
-# a record-typed workload is not specializable: a clean error, not a crash
-if "$MDHC" run prl --backend special >/dev/null 2>&1; then
-  fail "run prl --backend special exited 0"
-fi
+# the record-typed workloads with a custom combine operator run on the
+# specializer too, and match their hand-written oracles
+for wl in prl kmeans; do
+  "$MDHC" run "$wl" --backend special >"$tmp/run_special_$wl.txt" 2>&1 ||
+    fail "run $wl --backend special exited non-zero"
+  grep -q 'result check: OK' "$tmp/run_special_$wl.txt" ||
+    fail "specializer result check failed on $wl"
+done
 
 # compiled OpenMP C, when a C compiler is present (skip, never silently)
 if command -v gcc >/dev/null 2>&1; then
@@ -319,14 +323,15 @@ fi
 grep -Eq '^matmul;[0-9a-f]{8};L0 .* [0-9]+$' "$tmp/matmul.folded" ||
   fail "flame file has no collapsed stacks"
 
-# the walker backend profiles workloads the specializer rejects...
+# the walker backend profiles prl...
 "$MDHC" profile prl --backend interp >"$tmp/profile_prl.txt" 2>&1 ||
   fail "profile prl --backend interp exited non-zero"
 grep -Eq '^  exec ' "$tmp/profile_prl.txt" || fail "walker profile has no exec row"
-# ...and forcing the specializer on them is a clean error, not a crash
-if "$MDHC" profile prl --backend special >/dev/null 2>&1; then
-  fail "profile prl --backend special exited 0"
-fi
+# ...and so does the specializer, which now runs it
+"$MDHC" profile prl --backend special >"$tmp/profile_prl_special.txt" 2>&1 ||
+  fail "profile prl --backend special exited non-zero"
+grep -q 'specializer.run' "$tmp/profile_prl_special.txt" ||
+  fail "specializer profile of prl printed no phases"
 if "$MDHC" profile no-such-workload >/dev/null 2>&1; then
   fail "profile of unknown workload exited 0"
 fi

@@ -43,6 +43,29 @@ let test_builtin_flags () =
   let custom = Combine.custom ~name:"prl_max" (fun a _ -> a) in
   check Alcotest.bool "custom not builtin" false custom.Combine.builtin
 
+(* An operator with a body: type-checked, applied through Eval, keyed by
+   its body as well as its name *)
+let test_operator_bodies () =
+  let module Expr = Mdh_expr.Expr in
+  let lhs = Expr.var "lhs" and rhs = Expr.var "rhs" in
+  let larger = Combine.of_body ~name:"larger" ~ty:Scalar.Int32 Expr.(if_ (lhs >= rhs) lhs rhs) in
+  check Test_util.scalar_value "applies its body" (Scalar.i32 7)
+    (larger.Combine.apply (Scalar.i32 3) (Scalar.i32 7));
+  check Alcotest.bool "not builtin" false larger.Combine.builtin;
+  let smaller = Combine.of_body ~name:"larger" ~ty:Scalar.Int32 Expr.(if_ (lhs <= rhs) lhs rhs) in
+  check Alcotest.bool "same name, different keys" false
+    (String.equal (Combine.key larger) (Combine.key smaller));
+  check Alcotest.string "a closure is keyed by its name" "bor"
+    (Combine.key (Combine.bor Scalar.Int32));
+  let ill_typed body =
+    match Combine.of_body ~name:"bad" ~ty:Scalar.Int32 body with
+    | _ -> Alcotest.failf "accepted %s" (Expr.to_string body)
+    | exception Invalid_argument _ -> ()
+  in
+  ill_typed Expr.(lhs < rhs);
+  ill_typed Expr.(lhs + f64 1.0);
+  ill_typed Expr.(var "acc" + rhs)
+
 let test_combine_cc () =
   let lhs = i32_tensor [| 1; 2 |] and rhs = i32_tensor [| 3 |] in
   let out = Combine.combine_partials Combine.cc ~dim:0 lhs rhs in
@@ -225,6 +248,7 @@ let suite =
       tc "result extent" `Quick test_result_extent;
       tc "parallelisable" `Quick test_parallelisable;
       tc "builtin flags" `Quick test_builtin_flags;
+      tc "operator bodies" `Quick test_operator_bodies;
       tc "combine cc" `Quick test_combine_cc;
       tc "combine pw" `Quick test_combine_pw;
       tc "pw requires collapsed" `Quick test_combine_pw_requires_collapsed;

@@ -330,6 +330,107 @@ let prop_record_codegen =
           Test_util.contains src "mdh_combine_lex_max"
         | Error _ -> false))
 
+(* --- the Specializer on records, selects and a custom operator body:
+   random fp64 and int32 expressions over a record input (both exact in a
+   row), selected by a lexicographic-max body along a pw dimension, must
+   be accepted and equal Semantics.exec bit for bit under random legal
+   schedules --- *)
+
+let scored_ty = Scalar.Record [ ("v", Scalar.Fp64); ("c", Scalar.Int32) ]
+let item_ty = Scalar.Record [ ("a", Scalar.Int32); ("w", Scalar.Fp64) ]
+
+let scored_max =
+  let lhs = Expr.var "lhs" and rhs = Expr.var "rhs" in
+  let v e = Expr.field e "v" and c e = Expr.field e "c" in
+  Combine.of_body ~name:"scored_max" ~ty:scored_ty ~commutative:true
+    Expr.(if_ (v lhs > v rhs || (v lhs = v rhs && c lhs >= c rhs)) lhs rhs)
+
+let gen_select_sample rng =
+  let item f = Expr.(field (read "db" [ idx "i"; idx "j" ]) f) in
+  let pick xs = xs.(Rng.int rng (Array.length xs)) in
+  let rec int_e d =
+    if d = 0 || Rng.int rng 3 = 0 then
+      pick
+        [| item "a"; Expr.idx "i"; Expr.idx "j"; Expr.int (Rng.int_in rng (-3) 3);
+           Expr.int 2147483600 |]
+    else
+      let d = d - 1 in
+      match Rng.int rng 6 with
+      | 0 -> Expr.(int_e d + int_e d)
+      | 1 -> Expr.(int_e d - int_e d)
+      | 2 -> Expr.Unop (Expr.Neg, int_e d)
+      | 3 -> Expr.Binop (pick [| Expr.Min; Expr.Max |], int_e d, int_e d)
+      | _ -> Expr.if_ (bool_e d) (int_e d) (int_e d)
+  and fp_e d =
+    if d = 0 || Rng.int rng 3 = 0 then
+      pick
+        [| item "w"; Expr.f64 (pick [| 0.5; -1.0; 2.0; 0.0 |]);
+           Expr.cast Scalar.Fp64 (int_e 0) |]
+    else
+      let d = d - 1 in
+      match Rng.int rng 5 with
+      | 0 ->
+        Expr.Binop
+          (pick [| Expr.Add; Expr.Sub; Expr.Mul; Expr.Div; Expr.Min; Expr.Max |], fp_e d, fp_e d)
+      | 1 -> Expr.Unop (Expr.Neg, fp_e d)
+      | 2 ->
+        let i = int_e d in
+        Expr.cast Scalar.Fp64 (if Rng.bool rng then i else Expr.cast Scalar.Int64 i)
+      | _ -> Expr.if_ (bool_e d) (fp_e d) (fp_e d)
+  and bool_e d =
+    let cmp = pick [| Expr.Eq; Expr.Ne; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge |] in
+    match Rng.int rng 4 with
+    | 0 when d > 0 -> Expr.Binop (pick [| Expr.And; Expr.Or |], bool_e (d - 1), bool_e (d - 1))
+    | 1 when d > 0 -> Expr.Unop (Expr.Not, bool_e (d - 1))
+    | 2 -> Expr.Binop (cmp, int_e d, int_e d)
+    | _ -> Expr.Binop (cmp, fp_e d, fp_e d)
+  in
+  let n = Rng.int_in rng 1 4 in
+  let m = if Rng.bool rng then Rng.int_in rng 1 6 else Rng.int_in rng 250 300 in
+  (* [c] always reads, so the directive reads its input *)
+  let value = Expr.MkRecord [ ("v", fp_e 3); ("c", Expr.(int_e 3 + item "a")) ] in
+  let dir =
+    D.make ~name:"select_fuzz"
+      ~out:[ D.buffer "best" scored_ty ]
+      ~inp:[ D.buffer "db" item_ty ]
+      ~combine_ops:[ Combine.cc; Combine.pw scored_max ]
+      (D.for_ "i" n (D.for_ "j" m (D.body [ D.assign "best" [ Expr.idx "i" ] value ])))
+  in
+  (dir, n, m, Rng.int rng 1_000_000)
+
+let prop_specializer_selects =
+  QCheck2.Test.make ~name:"fuzz: specializer == exec on records and selects" ~count:100
+    QCheck2.Gen.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dir, n, m, data_seed = gen_select_sample rng in
+      match Mdh_directive.Transform.to_md_hom dir with
+      | Error _ -> false
+      | Ok md ->
+        let data_rng = Rng.create data_seed in
+        let env =
+          Buffer.env_of_list
+            [ Buffer.of_dense "db"
+                (Dense.of_fn item_ty [| n; m |] (fun _ ->
+                     Scalar.R
+                       [ ("a", Scalar.i32 (Rng.int_in data_rng (-9) 9));
+                         ("w", Scalar.F64 (float_of_int (Rng.int_in data_rng (-8) 8) /. 4.0)) ])) ]
+        in
+        let expected = out_tensor_named md env "best" Semantics.exec in
+        let cpu = Mdh_machine.Device.xeon6140_like in
+        let sched =
+          match Test_plan_exec.random_schedule rng md cpu with
+          | Some sched -> sched
+          | None -> Mdh_lowering.Schedule.sequential md
+        in
+        match Mdh_lowering.Plan.build md cpu sched with
+        | Error _ -> false
+        | Ok plan ->
+          Mdh_runtime.Pool.with_pool ~num_domains:2 (fun pool ->
+              match Mdh_runtime.Specializer.try_run pool plan md env with
+              | None -> false
+              | Some got -> Dense.equal expected (Buffer.data (Buffer.env_find got "best"))))
+
 let suite =
   ( "fuzz",
     [ QCheck_alcotest.to_alcotest prop_validation_total;
@@ -340,4 +441,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_tuned_schedule_still_correct;
       QCheck_alcotest.to_alcotest prop_codegen_total;
       QCheck_alcotest.to_alcotest prop_record_cross_evaluator;
-      QCheck_alcotest.to_alcotest prop_record_codegen ] )
+      QCheck_alcotest.to_alcotest prop_record_codegen;
+      QCheck_alcotest.to_alcotest prop_specializer_selects ] )

@@ -39,7 +39,7 @@ let find name =
    deterministic per-device lowering default pinned to the pool's layer *)
 let host_schedule md = { (Lower.mdh_default md cpu) with Schedule.used_layers = [ 0 ] }
 
-let run_profiled ?(schedule = host_schedule) pool (w : W.t) =
+let run_profiled ?(schedule = host_schedule) ?specialize pool (w : W.t) =
   let md = W.to_md_hom w w.W.test_params in
   let env = w.W.gen w.W.test_params ~seed:5 in
   let sched = schedule md in
@@ -48,7 +48,7 @@ let run_profiled ?(schedule = host_schedule) pool (w : W.t) =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  match Exec.run ~fastpath:false pool md sched env with
+  match Exec.run ~fastpath:false ?specialize pool md sched env with
   | Ok env' -> (plan, env')
   | Error e -> Alcotest.fail e
 
@@ -101,14 +101,27 @@ let check_level_sum name plan =
     Alcotest.failf "%s: level sum %.9f vs exec %.9f (%.1f%% off)" name !levels
       !exec (100.0 *. err)
 
-let sum_matches_exec name =
+let sum_matches_exec ?specialize name =
   Pool.with_pool (fun pool ->
       with_profiling (fun () ->
-          let plan, _ = run_profiled pool (find name) in
+          let plan, _ = run_profiled ?specialize pool (find name) in
           check_level_sum name plan))
 
 let test_sum_specializer () = sum_matches_exec "matmul"
-let test_sum_walker () = sum_matches_exec "prl"
+let test_sum_walker () = sum_matches_exec ~specialize:false "prl"
+
+(* prl on the Specializer adds the per-call unpack of its record inputs,
+   a coordinator segment like write-back *)
+let test_sum_specializer_prl () =
+  Pool.with_pool (fun pool ->
+      with_profiling (fun () ->
+          let plan, _ = run_profiled pool (find "prl") in
+          check_level_sum "prl" plan;
+          let paths =
+            List.map (fun e -> e.Profile.path) (Profile.snapshot (Plan.digest plan))
+          in
+          check Alcotest.bool "prl ran on the specializer" true
+            (List.mem "phase:specializer.run" paths && List.mem "unpack" paths)))
 
 (* the default pool has no worker domain on a one-core host, so pin a
    pool with workers: every parallel job of a profiled run must flush its
@@ -214,6 +227,7 @@ let suite =
       tc "catalogue bit-identity off vs on" `Slow test_catalogue_bit_identity;
       tc "level sum = exec cell (specializer)" `Quick test_sum_specializer;
       tc "level sum = exec cell (walker)" `Quick test_sum_walker;
+      tc "level sum = exec cell (prl specializer)" `Quick test_sum_specializer_prl;
       tc "profiled parallel jobs" `Quick test_parallel_jobs_profiled;
       tc "digest-keyed accumulation" `Quick test_digest_accumulation;
       tc "add/add_n/time primitives" `Quick test_add_and_time_primitives;

@@ -1,18 +1,21 @@
 (* Differential harness for the plan-compiled specializer and the
-   compiled-OpenMP-C backend (this PR's tentpole).
+   compiled-OpenMP-C backend.
 
    Both backends are checked against Semantics.exec — the executable
    paper semantics — across the whole catalogue: the specializer under
-   pinned-random legal schedules, the compiled C end to end through
-   gcc when a C compiler is on PATH (an explicit SKIP line otherwise,
-   never silently). The satellites ride along: commuted-multiplicand
-   fast-path matching, hit-vs-error fast-path accounting with fallback,
-   zero-extent executor semantics, digest-cache hit counting and the
-   ?specialize:false escape hatch. Three pins cover the specializer's row
-   steps: hand-built directives with the expression forms and operators
-   the catalogue lacks (each form a row refuses is named by the refusal
-   and runs on the walker), outputs bit-identical across pool sizes, and
-   the allocation gate (no minor words per iteration point). *)
+   pinned-random legal schedules (PRL and KMeans, whose custom operators
+   and record types leave nothing to round, exactly, raw, saturated and
+   optimized), the compiled C end to end through gcc when a C compiler is
+   on PATH (an explicit SKIP line otherwise, never silently). The
+   satellites ride along: commuted-multiplicand fast-path matching,
+   hit-vs-error fast-path accounting with fallback, zero-extent executor
+   semantics, digest-cache hit counting, operator bodies in the cache keys
+   and the ?specialize:false escape hatch. Three pins cover the
+   specializer's row steps: hand-built directives with the expression
+   forms and operators the catalogue lacks (each form a row refuses is
+   named by the refusal and runs on the walker), outputs bit-identical
+   across pool sizes, and the allocation gate (no minor words per
+   iteration point). *)
 
 module W = Mdh_workloads.Workload
 module Catalog = Mdh_workloads.Catalog
@@ -35,6 +38,9 @@ module Fault = Mdh_fault.Fault
 module Cc = Mdh_codegen.Cc
 module Openmp_c = Mdh_codegen.Openmp_c
 module Rng = Mdh_support.Rng
+module Rewrite = Mdh_rewrite.Rewrite
+module Cost = Mdh_lowering.Cost
+module Opcheck_oracle = Mdh_analysis.Opcheck_oracle
 open Mdh_runtime
 
 let check = Alcotest.check
@@ -69,60 +75,74 @@ let plan_of md sched =
   | Ok p -> p
   | Error e -> Alcotest.failf "plan build: %s" e
 
+(* Exact value equality on every output but an fp32 one, which is
+   tolerance-equal: a row rounds fp32 where the expression casts, not after
+   each operation as the walker does. *)
+let matches md a b =
+  List.for_all
+    (fun (o : Md_hom.output) ->
+      let da = Buffer.data (Buffer.env_find a o.Md_hom.out_name) in
+      let db = Buffer.data (Buffer.env_find b o.Md_hom.out_name) in
+      if Scalar.equal_ty o.Md_hom.out_ty Scalar.Fp32 then
+        Dense.approx_equal ~rel:1e-4 ~abs:1e-5 da db
+      else Dense.equal da db)
+    md.Md_hom.outputs
+
 (* --- the specializer computes the reference result, catalogue-wide --- *)
 
 let test_specializer_matches_reference () =
   (* every workload x pinned-random legal schedules: Specializer.try_run
-     agrees with Semantics.exec within the repository tolerance. PRL and
-     KMeans are the computations it must refuse (records + a non-builtin
-     reduction operator) — refusing is part of the contract. *)
+     agrees with Semantics.exec, within the repository tolerance on fp32
+     outputs. PRL and KMeans (records, a custom pw operator, fp64 and
+     int32 arithmetic) agree exactly, under the sequential schedule too,
+     and so do their saturated and optimized computations. *)
   let rng = Rng.create 20260 in
   with_pool (fun pool ->
       List.iter
         (fun (w : W.t) ->
           let md = W.to_md_hom w w.W.test_params in
           let env = w.W.gen w.W.test_params ~seed:17 in
-          if List.mem (String.lowercase_ascii w.W.wl_name) [ "prl"; "kmeans" ]
-          then begin
-            let plan = plan_of md (Schedule.sequential md) in
-            (match Specializer.supported plan md with
-            | Ok () -> Alcotest.failf "%s reported specializable" w.W.wl_name
-            | Error _ -> ());
-            check Alcotest.bool (w.W.wl_name ^ " refused") true
-              (inputs_untouched w.W.wl_name md env (fun () ->
-                   Specializer.try_run pool plan md env)
-              = None)
-          end
-          else begin
-            let expected = Semantics.exec md env in
-            let tried = ref 0 and draws = ref 0 in
-            while !tried < 3 && !draws < 50 do
-              incr draws;
-              match Test_plan_exec.random_schedule rng md cpu with
-              | None -> ()
-              | Some sched -> (
-                incr tried;
-                let plan = plan_of md sched in
-                match
-                  inputs_untouched w.W.wl_name md env (fun () ->
-                      Specializer.try_run pool plan md env)
-                with
-                | None ->
-                  Alcotest.failf "%s under %s: specializer refused (%s)"
-                    w.W.wl_name (Schedule.to_string sched)
-                    (match Specializer.supported plan md with
-                    | Error e -> e
-                    | Ok () -> "buffer binding failed")
-                | Some got ->
-                  check Alcotest.bool
-                    (Printf.sprintf "%s under %s" w.W.wl_name
-                       (Schedule.to_string sched))
-                    true
-                    (outputs_agree md got expected))
-            done;
-            check Alcotest.bool (w.W.wl_name ^ ": legal draws found") true
-              (!tried > 0)
-          end)
+          let expected = Semantics.exec md env in
+          let record_typed =
+            List.mem (String.lowercase_ascii w.W.wl_name) [ "prl"; "kmeans" ]
+          in
+          let run label plan md' =
+            match
+              inputs_untouched w.W.wl_name md env (fun () ->
+                  Specializer.try_run pool plan md' env)
+            with
+            | None ->
+              Alcotest.failf "%s: specializer refused (%s)" label
+                (match Specializer.supported plan md' with
+                | Error e -> e
+                | Ok () -> "buffer binding failed")
+            | Some got -> check Alcotest.bool label true (matches md got expected)
+          in
+          let each sched =
+            let label = Printf.sprintf "%s under %s" w.W.wl_name (Schedule.to_string sched) in
+            run label (plan_of md sched) md;
+            if record_typed then begin
+              let sat = fst (Rewrite.saturate_outputs md) in
+              run (label ^ ", saturated") (plan_of sat sched) sat;
+              match
+                Rewrite.optimize ~oracle:(Opcheck_oracle.oracle ()) md cpu
+                  Cost.tuned_codegen sched
+              with
+              | Ok r -> run (label ^ ", optimized") r.Rewrite.r_plan r.Rewrite.r_md
+              | Error e -> Alcotest.failf "%s: optimize: %s" label e
+            end
+          in
+          if record_typed then each (Schedule.sequential md);
+          let tried = ref 0 and draws = ref 0 in
+          while !tried < 3 && !draws < 50 do
+            incr draws;
+            match Test_plan_exec.random_schedule rng md cpu with
+            | None -> ()
+            | Some sched ->
+              incr tried;
+              each sched
+          done;
+          check Alcotest.bool (w.W.wl_name ^ ": legal draws found") true (!tried > 0))
         Catalog.all)
 
 (* --- digest-keyed memoization: second run is a hit, zero recompiles --- *)
@@ -432,10 +452,10 @@ let test_cc_matches_reference () =
 
 (* --- the forms the catalogue does not exercise --- *)
 
-(* A fp32 directive with output [r]: [loops] outermost first, one combine
-   operator per loop, every input declared with its shape (non-affine
-   accesses leave nothing to infer one from). *)
-let hand_built ~name ~ops ~loops ~inp ~out_idx value =
+(* A directive with output [r] of type [out]: [loops] outermost first, one
+   combine operator per loop, every input declared with its type and shape
+   (non-affine accesses leave nothing to infer one from). *)
+let typed ~name ~ops ~loops ~inp ~out ~out_idx value =
   let nest =
     List.fold_right
       (fun (v, n) body -> D.for_ v n body)
@@ -444,15 +464,34 @@ let hand_built ~name ~ops ~loops ~inp ~out_idx value =
   in
   Transform.to_md_hom_exn
     (D.make ~name
-       ~out:[ D.buffer "r" Scalar.Fp32 ]
-       ~inp:(List.map (fun (n, shape) -> D.buffer ~shape n Scalar.Fp32) inp)
+       ~out:[ D.buffer "r" out ]
+       ~inp:(List.map (fun (n, ty, shape) -> D.buffer ~shape n ty) inp)
        ~combine_ops:ops nest)
+
+(* The same over fp32 buffers. *)
+let hand_built ~name ~ops ~loops ~inp ~out_idx value =
+  typed ~name ~ops ~loops
+    ~inp:(List.map (fun (n, shape) -> (n, Scalar.Fp32, shape)) inp)
+    ~out:Scalar.Fp32 ~out_idx value
+
+let rec random_value rng = function
+  | Scalar.Fp64 -> Scalar.F64 (Rng.float rng 2.0 -. 1.0)
+  | Scalar.Int32 -> Scalar.i32 (Rng.int_in rng (-1000) 1000)
+  | Scalar.Int64 -> Scalar.i64 (Rng.int_in rng (-1000) 1000)
+  | Scalar.Record fields ->
+    Scalar.R (List.map (fun (f, ty) -> (f, random_value rng ty)) fields)
+  | ty -> Alcotest.failf "no random %s values" (Scalar.ty_to_string ty)
 
 let env_for seed (md : Md_hom.t) =
   let rng = Rng.create seed in
   Buffer.env_of_list
     (List.map
-       (fun (i : Md_hom.input) -> W.float_buffer i.Md_hom.inp_name rng i.inp_shape)
+       (fun (i : Md_hom.input) ->
+         match i.Md_hom.inp_ty with
+         | Scalar.Fp32 -> W.float_buffer i.Md_hom.inp_name rng i.inp_shape
+         | ty ->
+           Buffer.of_dense i.Md_hom.inp_name
+             (Dense.of_fn ty i.inp_shape (fun _ -> random_value rng ty)))
        md.Md_hom.inputs)
 
 let neg e = Expr.Unop (Expr.Neg, e)
@@ -463,6 +502,8 @@ let emax a b = Expr.Binop (Expr.Max, a, b)
 let i_ = Expr.idx "i"
 let j_ = Expr.idx "j"
 let k_ = Expr.idx "k"
+let lhs = Expr.var "lhs"
+let rhs = Expr.var "rhs"
 
 let fold_ops =
   [ ("Add", Combine.add Scalar.Fp32); ("Mul", Combine.mul Scalar.Fp32);
@@ -476,13 +517,52 @@ let pw_reduction (opname, op) k =
     ~inp:[ ("x", [| k |]); ("y", [| k |]) ] ~out_idx:[ Expr.int 0 ]
     Expr.(f32 1.0 + (read "x" [ k_ ] * read "y" [ k_ ] * f32 0.001))
 
-(* Every form a row compiles, as a function of the row length [n]. *)
+let let_leaf () =
+  Expr.(
+    let_ "j" (k_ + int 1)
+      (if_ (var "j" > int 250) (read "y" [ var "j" - int 1 ]) (f32 0.5)))
+
+(* A value that binds the boolean [cond] (over the float read [a] and the
+   integer [j]) and selects with it. *)
+let bool_case name cond n =
+  hand_built ~name ~ops:[ Combine.cc; Combine.pw (Combine.add Scalar.Fp32) ]
+    ~loops:[ ("i", 6); ("k", n) ] ~inp:[ ("x", [| 6; n |]); ("y", [| n |]) ]
+    ~out_idx:[ i_ ]
+    Expr.(
+      let_ "a" (read "x" [ i_; k_ ])
+        (let_ "j" (k_ + int 1)
+           (let_ "c" cond
+              (var "a" * if_ (var "c") (read "y" [ var "j" - int 1 ]) (neg (read "y" [ k_ ]))))))
+
+(* The selection of the greater [v], then the lower [id]: a total order,
+   so associative and commutative. *)
+let scored_ty = Scalar.Record [ ("v", Scalar.Fp64); ("id", Scalar.Int64) ]
+
+let sel_max =
+  let v e = Expr.field e "v" and id e = Expr.field e "id" in
+  Combine.of_body ~name:"sel_max" ~ty:scored_ty ~commutative:true
+    Expr.(if_ (v lhs > v rhs || (v lhs = v rhs && id lhs <= id rhs)) lhs rhs)
+
+(* The same over (up, down) pairs of int32s. *)
+let pair_ty = Scalar.Record [ ("up", Scalar.Int32); ("down", Scalar.Int32) ]
+
+let pair_max =
+  let up e = Expr.field e "up" and down e = Expr.field e "down" in
+  Combine.of_body ~name:"pair_max" ~ty:pair_ty ~commutative:true
+    Expr.(if_ (up lhs > up rhs || (up lhs = up rhs && down lhs >= down rhs)) lhs rhs)
+
+let ints_ty = Scalar.Record [ ("a", Scalar.Int32); ("b", Scalar.Int32) ]
+let mixed_ty = Scalar.Record [ ("a", Scalar.Int32); ("w", Scalar.Fp64) ]
+
+(* Every form a row compiles, as a function of the row length [n]. A
+   record output is reduced along [n], so that its size, whose packing
+   allocates per element, does not grow with it. *)
 let row_cases =
   let cc = Combine.cc in
   let add = Combine.pw (Combine.add Scalar.Fp32) in
   [ (* a float Let held in a register and used twice; an affine integer
        Let substituted into a read and converted to float; a float
-       negation *)
+       negation; a float Let whose body is an integer *)
     (fun n ->
       hand_built ~name:"SpecLets" ~ops:[ cc; add ] ~loops:[ ("i", 6); ("k", n) ]
         ~inp:[ ("x", [| 6; n |]); ("y", [| n |]) ] ~out_idx:[ i_ ]
@@ -491,7 +571,8 @@ let row_cases =
             (let_ "j" (k_ + int 1)
                ((var "a" * read "y" [ var "j" - int 1 ])
                + neg (var "a")
-               + cast Scalar.Fp32 (var "j")))));
+               + cast Scalar.Fp32 (var "j")
+               + cast Scalar.Fp32 (let_ "b" (read "x" [ i_; k_ ]) k_)))));
     (* an fp32 cast, an integer converted to float, a negated index (a row
        that runs backwards), float Sub, Div, Min and Max *)
     (fun n ->
@@ -507,7 +588,85 @@ let row_cases =
     (fun n ->
       hand_built ~name:"SpecScanInner" ~ops:[ cc; Combine.ps (Combine.add Scalar.Fp32) ]
         ~loops:[ ("i", 4); ("j", n) ] ~inp:[ ("x", [| 4; n |]) ] ~out_idx:[ i_; j_ ]
-        Expr.(read "x" [ i_; j_ ])) ]
+        Expr.(read "x" [ i_; j_ ]));
+    (* comparisons feeding selects: of fp32 reads, the whole value; of an
+       affine integer, under an integer Let (the shape CSE gives [if k+1 >
+       250 then y[k] else 0.5]), the whole value and an operand of a float
+       [+]; every read under a branch in range *)
+    (fun n ->
+      hand_built ~name:"SpecRootIf" ~ops:[ add ] ~loops:[ ("k", n) ]
+        ~inp:[ ("x", [| n |]); ("y", [| n |]) ] ~out_idx:[ Expr.int 0 ]
+        Expr.(
+          if_ (read "x" [ k_ ] > read "y" [ k_ ]) (read "x" [ k_ ])
+            (read "y" [ k_ ] * f32 0.5)));
+    (fun n ->
+      hand_built ~name:"SpecLetLeafRoot" ~ops:[ add ] ~loops:[ ("k", n) ]
+        ~inp:[ ("y", [| n |]) ] ~out_idx:[ Expr.int 0 ] (let_leaf ()));
+    (fun n ->
+      hand_built ~name:"SpecLetLeafOperand" ~ops:[ cc ] ~loops:[ ("k", n) ]
+        ~inp:[ ("x", [| n |]); ("y", [| n |]) ] ~out_idx:[ k_ ]
+        Expr.(read "x" [ k_ ] + let_leaf ()));
+    (* booleans: a comparison of a float read and of integers, bound by a
+       Let, combined with And, Or and Not *)
+    bool_case "SpecCompare" Expr.(var "a" >= f32 0.0);
+    bool_case "SpecOr" Expr.((var "a" >= f32 0.0 && not_ (var "j" > int 250)) || i_ = int 2);
+    bool_case "SpecAnd" Expr.(i_ <> k_ && k_ <= int 3);
+    bool_case "SpecNot" (not_ Expr.(var "j" > int 250));
+    (* fp64 arithmetic, exact: Add, Sub, Mul, Div, Min, Max, negation, an
+       integer converted to fp64, an int32 that wraps widened to int64, and
+       an fp64 cast to fp32 and back *)
+    (fun n ->
+      typed ~name:"SpecFp64" ~ops:[ cc; cc ] ~loops:[ ("i", 4); ("k", n) ]
+        ~inp:[ ("x", Scalar.Fp64, [| 4; n |]) ] ~out:Scalar.Fp64 ~out_idx:[ i_; k_ ]
+        Expr.(
+          let_ "v" (read "x" [ i_; k_ ])
+            ((var "v" * var "v") - (f64 0.5 / var "v")
+            + emin (var "v") (f64 0.25) + emax (neg (var "v")) (f64 (-0.5))
+            + cast Scalar.Fp64 (k_ - (int 2 * i_))
+            + cast Scalar.Fp64 (cast Scalar.Int64 (k_ + int 2147483600))
+            + cast Scalar.Fp64 (cast Scalar.Fp32 (var "v")))));
+    (* an int32 ramp that wraps to zero from below (-2^32 at k = 4) is +0,
+       as the walker's Int32 arithmetic makes it, so 1 / it is +inf *)
+    (fun n ->
+      typed ~name:"SpecWrapZero" ~ops:[ cc ] ~loops:[ ("k", n) ]
+        ~inp:[ ("x", Scalar.Fp64, [| n |]) ] ~out:Scalar.Fp64 ~out_idx:[ k_ ]
+        Expr.(read "x" [ k_ ] + (f64 1.0 / cast Scalar.Fp64 (neg (k_ * int 1073741824)))));
+    (* a record input read whole into a Let and by field, a record built
+       with MkRecord, folded by a custom operator along a pw row (the
+       sequential schedule's row runs along k, into one cell) *)
+    (fun n ->
+      typed ~name:"SpecRecordPwRow" ~ops:[ cc; Combine.pw sel_max ]
+        ~loops:[ ("i", 4); ("k", n) ] ~inp:[ ("p", mixed_ty, [| 4; n |]) ] ~out:scored_ty
+        ~out_idx:[ i_ ]
+        Expr.(
+          let_ "q" (read "p" [ i_; k_ ])
+            (MkRecord
+               [ ("v", (field (var "q") "w" * f64 2.0) + cast Scalar.Fp64 (field (var "q") "a"));
+                 ("id", cast Scalar.Int64 k_) ])));
+    (* the same operator along a cc row: the pw dimension is outermost, so
+       each lane folds into its own cell *)
+    (fun n ->
+      typed ~name:"SpecRecordCcRow" ~ops:[ Combine.pw sel_max; cc ]
+        ~loops:[ ("k", n); ("i", 23) ] ~inp:[ ("x", Scalar.Fp64, [| n; 23 |]) ]
+        ~out:scored_ty ~out_idx:[ i_ ]
+        (Expr.MkRecord
+           [ ("v", Expr.read "x" [ k_; i_ ]);
+             ("id", Expr.(cast Scalar.Int64 ((k_ * int 23) + i_))) ]));
+    (* int32 data: Add and Sub that wrap at +-2^31, Min, Max and negation,
+       and an affine int32 that wraps, selected by a custom operator over
+       int32 fields *)
+    (fun n ->
+      typed ~name:"SpecInt32Wrap" ~ops:[ cc; Combine.pw pair_max ]
+        ~loops:[ ("i", 3); ("k", n) ] ~inp:[ ("p", ints_ty, [| 3; n |]) ] ~out:pair_ty
+        ~out_idx:[ i_ ]
+        Expr.(
+          let_ "q" (read "p" [ i_; k_ ])
+            (MkRecord
+               [ ( "up",
+                   emax (field (var "q") "a" + int 2147483500) (k_ + int 2147483500) );
+                 ( "down",
+                   neg (emin (field (var "q") "a") (field (var "q") "b"))
+                   - int 2147483000 - int 1000 ) ]))) ]
   (* pw mul, min and max: along the row, and across rows into a strided
      accumulator (the pw dimension outermost) *)
   @ List.concat_map
@@ -529,51 +688,10 @@ let row_cases =
           Expr.(read "x" [ i_; j_; k_ ] + f32 0.5))
       fold_ops
 
-let let_leaf () =
-  Expr.(
-    let_ "j" (k_ + int 1)
-      (if_ (var "j" > int 250) (read "y" [ var "j" - int 1 ]) (f32 0.5)))
-
-(* A value that binds the boolean [cond] (over the float [a] and the
-   integer [j]) and selects with it. *)
-let bool_case name cond =
-  hand_built ~name ~ops:[ Combine.cc; Combine.pw (Combine.add Scalar.Fp32) ]
-    ~loops:[ ("i", 6); ("k", 300) ] ~inp:[ ("x", [| 6; 300 |]); ("y", [| 300 |]) ]
-    ~out_idx:[ i_ ]
-    Expr.(
-      let_ "a" (read "x" [ i_; k_ ])
-        (let_ "j" (k_ + int 1)
-           (let_ "c" cond
-              (var "a" * if_ (var "c") (read "y" [ var "j" - int 1 ]) (neg (read "y" [ k_ ]))))))
-
 (* The forms a row refuses, each with the words its refusal names. *)
 let refused_cases () =
   let add = Combine.pw (Combine.add Scalar.Fp32) in
-  [ (* the whole value is a conditional *)
-    ( hand_built ~name:"SpecRootIf" ~ops:[ add ] ~loops:[ ("k", 600) ]
-        ~inp:[ ("x", [| 600 |]); ("y", [| 600 |]) ] ~out_idx:[ Expr.int 0 ]
-        Expr.(
-          if_ (read "x" [ k_ ] > read "y" [ k_ ]) (read "x" [ k_ ])
-            (read "y" [ k_ ] * f32 0.5)),
-      "if-then-else" );
-    (* a conditional under an affine integer Let (the shape CSE gives
-       [if k+1 > 250 then y[k] else 0.5]): the whole value, and an operand
-       of a float [+] *)
-    ( hand_built ~name:"SpecLetLeafRoot" ~ops:[ add ] ~loops:[ ("k", 300) ]
-        ~inp:[ ("y", [| 300 |]) ] ~out_idx:[ Expr.int 0 ] (let_leaf ()),
-      "if-then-else" );
-    ( hand_built ~name:"SpecLetLeafOperand" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
-        ~inp:[ ("x", [| 300 |]); ("y", [| 300 |]) ] ~out_idx:[ k_ ]
-        Expr.(read "x" [ k_ ] + let_leaf ()),
-      "if-then-else" );
-    (* comparisons of floats and of integers, combined with And, Or and Not *)
-    (bool_case "SpecCompare" Expr.(var "a" >= f32 0.0), "comparison >=");
-    ( bool_case "SpecOr"
-        Expr.((var "a" >= f32 0.0 && not_ (var "j" > int 250)) || i_ = int 2),
-      "boolean ||" );
-    (bool_case "SpecAnd" Expr.(i_ <> k_ && k_ <= int 3), "boolean &&");
-    (bool_case "SpecNot" (not_ Expr.(var "j" > int 250)), "boolean negation");
-    ( hand_built ~name:"SpecFloatToInt" ~ops:[ Combine.cc; Combine.cc ]
+  [ ( hand_built ~name:"SpecFloatToInt" ~ops:[ Combine.cc; Combine.cc ]
         ~loops:[ ("i", 5); ("k", 300) ] ~inp:[ ("x", [| 5; 300 |]) ] ~out_idx:[ i_; k_ ]
         Expr.(
           read "x" [ i_; k_ ]
@@ -594,12 +712,67 @@ let refused_cases () =
         ~loops:[ ("i", 6); ("k", 300) ] ~inp:[ ("y", [| 300 |]) ] ~out_idx:[ i_ ]
         Expr.(let_ "q" (i_ * k_) (read "y" [ var "q" / int 6 ])),
       "not affine" );
-    (* a float Let with an integer body, under an integer division that
-       truncates *)
+    (* an integer quotient used as a value, which the walker truncates:
+       alone, and as the body of a float Let *)
+    ( hand_built ~name:"SpecIntDivValue" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
+        ~inp:[ ("x", [| 300 |]) ] ~out_idx:[ k_ ]
+        Expr.(read "x" [ k_ ] + cast Scalar.Fp32 (k_ / int 7)),
+      "integer / not affine" );
     ( hand_built ~name:"SpecFloatLetIntBody" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
         ~inp:[ ("x", [| 300 |]) ] ~out_idx:[ k_ ]
         Expr.(read "x" [ k_ ] + cast Scalar.Fp32 (let_ "a" (read "x" [ k_ ]) k_ / int 2)),
-      "integer body under a float let" ) ]
+      "integer / not affine" );
+    (* a branch whose read is out of range at k = 299, where the walker
+       does not take it (through a Let, the access is opaque to the
+       directive's own range check) *)
+    ( hand_built ~name:"SpecBranchRange" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
+        ~inp:[ ("y", [| 300 |]) ] ~out_idx:[ k_ ]
+        Expr.(let_ "j" (k_ + int 1) (if_ (var "j" < int 300) (read "y" [ var "j" ]) (f32 0.5))),
+      "read of y under a branch not proven in range" );
+    (* a comparison of a computed fp32 value, which the walker rounds
+       after the product and a row does not *)
+    ( hand_built ~name:"SpecComputedCompare" ~ops:[ add ] ~loops:[ ("k", 300) ]
+        ~inp:[ ("x", [| 300 |]); ("y", [| 300 |]) ] ~out_idx:[ Expr.int 0 ]
+        Expr.(
+          if_ (read "x" [ k_ ] * f32 3.0 > read "y" [ k_ ]) (read "x" [ k_ ]) (read "y" [ k_ ])),
+      "comparison > of computed fp32 values" );
+    (* a custom ps operator *)
+    ( typed ~name:"SpecCustomScan" ~ops:[ Combine.cc; Combine.ps sel_max ]
+        ~loops:[ ("i", 3); ("k", 300) ] ~inp:[ ("x", Scalar.Fp64, [| 3; 300 |]) ]
+        ~out:scored_ty ~out_idx:[ i_; k_ ]
+        (Expr.MkRecord [ ("v", Expr.read "x" [ i_; k_ ]); ("id", Expr.(cast Scalar.Int64 k_)) ]),
+      "non-builtin ps operator sel_max" );
+    (* a commutative operator that is not associative, over two pw
+       dimensions, whose nest may regroup the row-major fold *)
+    ( (let avg =
+         Combine.of_body ~name:"avg" ~ty:Scalar.Fp64 ~associative:false ~commutative:true
+           Expr.((lhs + rhs) * f64 0.5)
+       in
+       typed ~name:"SpecAvgTwoPw" ~ops:[ Combine.pw avg; Combine.pw avg ]
+         ~loops:[ ("i", 3); ("k", 300) ] ~inp:[ ("x", Scalar.Fp64, [| 3; 300 |]) ]
+         ~out:Scalar.Fp64 ~out_idx:[ Expr.int 0 ] (Expr.read "x" [ i_; k_ ])),
+      "operator avg over several pw dimensions is not associative" );
+    (* an operator given only as a closure *)
+    ( typed ~name:"SpecClosureOp" ~ops:[ Combine.pw (Combine.bor Scalar.Int32) ]
+        ~loops:[ ("k", 300) ] ~inp:[ ("p", ints_ty, [| 300 |]) ] ~out:Scalar.Int32
+        ~out_idx:[ Expr.int 0 ]
+        Expr.(field (read "p" [ k_ ]) "a" + int 1000),
+      "operator bor has no expression body" );
+    (* int64 arithmetic on data (not an affine of the iteration point) *)
+    ( typed ~name:"SpecInt64Data" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
+        ~inp:[ ("p", ints_ty, [| 300 |]) ]
+        ~out:(Scalar.Record [ ("v", Scalar.Int64) ]) ~out_idx:[ k_ ]
+        (Expr.MkRecord
+           [ ( "v",
+               Expr.(cast Scalar.Int64 (field (read "p" [ k_ ]) "a") + cast Scalar.Int64 k_) ) ]),
+      "int64 arithmetic on data" );
+    (* a record input with an int64 field, which a float store cannot hold
+       exactly *)
+    ( typed ~name:"SpecInt64Field" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
+        ~inp:[ ("p", Scalar.Record [ ("id", Scalar.Int64); ("w", Scalar.Fp64) ], [| 300 |]) ]
+        ~out:Scalar.Fp64 ~out_idx:[ k_ ]
+        Expr.(field (read "p" [ k_ ]) "w"),
+      "field id of type int64" ) ]
 
 (* The row cases run on the Specializer, with rows of 300 and 600 points
    that span two and three strips and end in a partial one, and the
@@ -637,7 +810,7 @@ let test_uncatalogued_forms_match_reference () =
                       (match Specializer.supported plan md with
                       | Error e -> e
                       | Ok () -> "buffer binding failed")
-                  | Some got -> check Alcotest.bool label true (outputs_agree md got expected)))
+                  | Some got -> check Alcotest.bool label true (matches md got expected)))
             [ 300; 600 ])
         row_cases;
       List.iter
@@ -655,6 +828,63 @@ let test_uncatalogued_forms_match_reference () =
                   (outputs_agree md got expected)))
         (refused_cases ()))
 
+(* --- a record input whose elements are not of its type is declined --- *)
+
+let test_malformed_record_declines () =
+  let md =
+    typed ~name:"SpecMalformed" ~ops:[ Combine.cc ] ~loops:[ ("k", 4) ]
+      ~inp:[ ("p", mixed_ty, [| 4 |]) ] ~out:Scalar.Fp64 ~out_idx:[ k_ ]
+      Expr.(field (read "p" [ k_ ]) "w")
+  in
+  (* a boxed store takes any value: an element that lacks the field [w],
+     and one whose [w] is an int32, not an fp64 *)
+  List.iter
+    (fun (what, elt) ->
+      let p = Dense.of_fn mixed_ty [| 4 |] (fun _ -> elt) in
+      let env = Buffer.env_of_list [ Buffer.of_dense "p" p ] in
+      Pool.with_pool ~num_domains:0 (fun pool ->
+          check Alcotest.bool (what ^ ": declined, not raised") true
+            (Specializer.try_run pool (plan_of md (Schedule.sequential md)) md env = None)))
+    [ ("no field w", Scalar.R [ ("a", Scalar.i32 1) ]);
+      ("int32 w", Scalar.R [ ("a", Scalar.i32 1); ("w", Scalar.i32 1) ]) ]
+
+(* --- operator bodies are part of the cache keys --- *)
+
+(* Two operators named [sel] over the same input, one selecting the
+   maximum and one the minimum: the Specializer's compile cache and the
+   Opcheck oracle each keep them apart, by their bodies. *)
+let test_operator_bodies_key_caches () =
+  let sel cmp =
+    Combine.of_body ~name:"sel" ~ty:Scalar.Fp64 ~commutative:true
+      (Expr.if_ (cmp lhs rhs) lhs rhs)
+  in
+  let smax = sel Expr.( >= ) and smin = sel Expr.( <= ) in
+  let md op =
+    typed ~name:"SpecSel" ~ops:[ Combine.cc; Combine.pw op ] ~loops:[ ("i", 4); ("k", 300) ]
+      ~inp:[ ("x", Scalar.Fp64, [| 4; 300 |]) ] ~out:Scalar.Fp64 ~out_idx:[ i_ ]
+      (Expr.read "x" [ i_; k_ ])
+  in
+  with_pool (fun pool ->
+      let result op =
+        let md = md op in
+        let env = env_for 3 md in
+        match Specializer.try_run pool (plan_of md (Schedule.sequential md)) md env with
+        | None -> Alcotest.fail "sel refused"
+        | Some got ->
+          check Alcotest.bool "sel = Semantics.exec" true
+            (matches md got (Semantics.exec md env));
+          Buffer.data (Buffer.env_find got "r")
+      in
+      let rmax = result smax in
+      let rmin = result smin in
+      check Alcotest.bool "max and min selections differ" false (Dense.equal rmax rmin));
+  let verified = Metrics.counter "analysis.opcheck.operators" in
+  let v0 = Metrics.value verified in
+  let report_max = Opcheck_oracle.report ~seed:977 ~ty:Scalar.Fp64 smax in
+  let report_min = Opcheck_oracle.report ~seed:977 ~ty:Scalar.Fp64 smin in
+  check Alcotest.bool "a separate report for each" true (report_max != report_min);
+  check Alcotest.int "each body verified" (v0 + 2) (Metrics.value verified)
+
 (* --- outputs do not depend on the pool size --- *)
 
 let parallel_schedule md =
@@ -671,7 +901,7 @@ let test_pool_size_bit_identity () =
         Pool.with_pool ~num_domains (fun pool -> Specializer.try_run pool plan md env)
       in
       match outputs 0 with
-      | None -> ()  (* refused (PRL, KMeans): nothing to compare *)
+      | None -> Alcotest.failf "%s refused" w.W.wl_name
       | Some base ->
         List.iter
           (fun num_domains ->
@@ -710,11 +940,12 @@ let test_no_allocation_per_point () =
   in
   let catalogue name small big =
     let w = Option.get (Catalog.find name) in
-    (name, (fun p -> W.to_md_hom w p), small, big)
+    (name, (fun p -> W.to_md_hom w p), (fun p _ -> w.W.gen p ~seed:5), small, big)
   in
   let hand make =
     ( (make 1024).Md_hom.hom_name,
       (fun p -> make (List.assoc "n" p)),
+      (fun _ md -> env_for 5 md),
       [ ("n", 1024) ],
       [ ("n", 16384) ] )
   in
@@ -737,17 +968,21 @@ let test_no_allocation_per_point () =
       catalogue "matmul^t" [ ("I", 4); ("J", 4); ("K", 256) ] [ ("I", 16); ("J", 16); ("K", 256) ];
       catalogue "mcc_caps"
         [ ("N", 1); ("P", 2); ("Q", 2); ("K", 2); ("R", 2); ("S", 2); ("C", 2); ("M", 4) ]
-        [ ("N", 1); ("P", 4); ("Q", 4); ("K", 8); ("R", 3); ("S", 3); ("C", 4); ("M", 4) ] ]
+        [ ("N", 1); ("P", 4); ("Q", 4); ("K", 8); ("R", 3); ("S", 3); ("C", 4); ("M", 4) ];
+      (* the outputs stay fixed; the grown record input is unpacked anew
+         on each call, into float stores that must not box per element *)
+      catalogue "prl" [ ("N", 8); ("I", 256) ] [ ("N", 8); ("I", 2048) ];
+      catalogue "kmeans" [ ("N", 8); ("K", 256) ] [ ("N", 8); ("K", 2048) ] ]
     @ List.map hand row_cases
   in
   Pool.with_pool ~num_domains:0 (fun pool ->
       List.iter
-        (fun (name, make, small, big) ->
+        (fun (name, make, gen, small, big) ->
           List.iter
             (fun (what, schedule) ->
               let words params =
                 let md = make params in
-                let env = env_for 5 md in
+                let env = gen params md in
                 let plan = plan_of md (schedule md) in
                 ignore (minor_words pool plan md env);  (* compiles *)
                 (minor_words pool plan md env, Md_hom.total_points md)
@@ -780,6 +1015,8 @@ let suite =
         test_cc_matches_reference;
       tc "uncatalogued forms match reference" `Quick
         test_uncatalogued_forms_match_reference;
+      tc "operator bodies key the caches" `Quick test_operator_bodies_key_caches;
+      tc "malformed record input declines" `Quick test_malformed_record_declines;
       tc "outputs bit-identical across pool sizes" `Quick
         test_pool_size_bit_identity;
       tc "no allocation per iteration point" `Quick test_no_allocation_per_point ] )

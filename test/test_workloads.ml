@@ -135,6 +135,38 @@ let test_prl_best_is_associative_on_samples () =
     check Test_util.scalar_value "assoc" (f (f a b) c) (f a (f b c))
   done
 
+(* The operators' bodies (through Eval) select exactly what the oracles'
+   hand-written comparators select: on Opcheck's sample domain and on
+   seeded random records drawn from small key domains, so that many pairs
+   tie on the first key and on the first two. *)
+let test_bodies_match_hand_written_oracles () =
+  let rng = Mdh_support.Rng.create 23 in
+  let pick xs = List.nth xs (Mdh_support.Rng.int rng (List.length xs)) in
+  let agree name (fn : Mdh_combine.Combine.custom_fn) oracle ty random =
+    let vs = Mdh_analysis.Opcheck.samples ty @ List.init 60 (fun _ -> random ()) in
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            if not (Scalar.equal (fn.Mdh_combine.Combine.apply a b) (oracle a b)) then
+              Alcotest.failf "%s %s %s: body and oracle disagree" name
+                (Scalar.value_to_string a) (Scalar.value_to_string b))
+          vs)
+      vs
+  in
+  agree "prl_best" Mdh_workloads.Prl.prl_best Mdh_workloads.Prl.oracle_best
+    Mdh_workloads.Prl.match_record_ty (fun () ->
+      Scalar.R
+        [ ("match_id", Scalar.i64 (Mdh_support.Rng.int rng 6));
+          ("match_weight", Scalar.F64 (pick [ -1.5; 0.5; 2.0 ]));
+          ("id_measure", Scalar.i32 (pick [ 1; 3; 14 ])) ]);
+  agree "kmeans_nearest" Mdh_workloads.Kmeans.nearest Mdh_workloads.Kmeans.oracle_nearest
+    Mdh_workloads.Kmeans.assign_record_ty (fun () ->
+      Scalar.R
+        [ ("cluster_id", Scalar.i64 (Mdh_support.Rng.int rng 6));
+          ("score", Scalar.F64 (pick [ 0.25; 1.0; 4.5 ]));
+          ("dist", Scalar.F64 (pick [ 0.0; 0.5; 3.0 ])) ])
+
 let test_mbbs_scan_semantics () =
   let params = [ ("I", 6); ("J", 3) ] in
   let md = W.to_md_hom Mdh_workloads.Mbbs.mbbs params in
@@ -161,5 +193,7 @@ let suite =
       tc "exec matches oracles" `Slow test_exec_matches_oracles;
       tc "PRL finds injected duplicate" `Quick test_prl_finds_injected_duplicates;
       tc "prl_best associative" `Quick test_prl_best_is_associative_on_samples;
+      tc "operator bodies = hand-written oracles" `Quick
+        test_bodies_match_hand_written_oracles;
       tc "MBBS scan semantics" `Quick test_mbbs_scan_semantics;
       tc "catalogue lookup" `Quick test_catalog_lookup ] )
