@@ -5,8 +5,10 @@
     the same workloads, and `bench` sweeps the whole catalogue — so every
     [Cost.seconds] verdict (including the "illegal schedule" errors) is
     cached under a canonical key. The key digests the full printed MDH
-    representation plus the device name and codegen profile; the device
-    name is assumed to identify the device model.
+    representation, the body and the declared associativity,
+    commutativity and identity of each user-defined operator (the printed
+    representation names it only), and the device name and codegen
+    profile; the device name is assumed to identify the device model.
 
     The table is safe to consult from multiple domains, and the hit/miss
     counters let benchmarks assert how many real cost-model evaluations a

@@ -9,10 +9,3 @@ let independent name values = { p_name = name; domain = (fun _ -> values) }
 let dependent name domain = { p_name = name; domain }
 
 let value config name = List.assoc name config
-
-let pp_config ppf config =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (name, v) -> Format.fprintf ppf "%s=%d" name v))
-    config

@@ -24,5 +24,3 @@ val dependent : string -> (config -> int list) -> t
 
 val value : config -> string -> int
 (** Raises [Not_found]. *)
-
-val pp_config : Format.formatter -> config -> unit

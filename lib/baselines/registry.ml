@@ -11,7 +11,3 @@ let baselines_for (dev : Device.t) =
   | Device.Cpu -> cpu_baselines
 
 let mdh = Mdh_system.system
-
-let all_systems =
-  [ Mdh_system.system; Openmp.system; Openacc.system; Polyhedral.ppcg;
-    Polyhedral.pluto; Numba.system; Tvm.system; Vendor.system ]

@@ -9,5 +9,3 @@ val cpu_baselines : Common.system list
 val baselines_for : Mdh_machine.Device.t -> Common.system list
 
 val mdh : Common.system
-
-val all_systems : Common.system list

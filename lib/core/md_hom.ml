@@ -36,11 +36,6 @@ type t = {
 
 let rank t = Array.length t.dims
 
-let dim_index t name =
-  match Array.find_index (String.equal name) t.dims with
-  | Some d -> d
-  | None -> raise Not_found
-
 let reduction_dims t =
   Array.to_list t.combine_ops
   |> List.mapi (fun d op -> (d, op))
@@ -55,7 +50,6 @@ let result_shape t =
   Array.mapi (fun d n -> Combine.result_extent t.combine_ops.(d) n) t.sizes
 
 let find_input t name = List.find_opt (fun i -> String.equal i.inp_name name) t.inputs
-let find_output t name = List.find_opt (fun o -> String.equal o.out_name name) t.outputs
 
 let total_points t = Shape.num_elements t.sizes
 

@@ -45,9 +45,6 @@ type t = {
 
 val rank : t -> int
 
-val dim_index : t -> string -> int
-(** Position of an iteration variable; raises [Not_found]. *)
-
 val reduction_dims : t -> int list
 (** Dimensions whose combine operator is [pw] or [ps]. *)
 
@@ -58,7 +55,6 @@ val result_shape : t -> Shape.t
     on [pw] dimensions, full extent otherwise. *)
 
 val find_input : t -> string -> input option
-val find_output : t -> string -> output option
 
 val total_points : t -> int
 

@@ -40,16 +40,6 @@ let m_site site =
      the (rare) injection path is fine *)
   Mdh_obs.Metrics.counter ("fault.injected." ^ site)
 
-let action_name = function
-  | Raise -> "raise"
-  | Delay s -> Printf.sprintf "delay=%g" (s *. 1e3)
-  | Truncate n -> Printf.sprintf "truncate=%d" n
-  | Corrupt seed -> Printf.sprintf "corrupt=%d" seed
-
-let trigger_to_string t =
-  Printf.sprintf "%s:%s@%d%s" t.site (action_name t.action) t.at
-    (match t.every with None -> "" | Some k -> Printf.sprintf "/%d" k)
-
 let grammar =
   "SPEC     := CLAUSE (',' CLAUSE)*\n\
    CLAUSE   := SITE ':' ACTION ['@' N] ['/' EVERY]\n\

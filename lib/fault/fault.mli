@@ -67,5 +67,3 @@ val hit : string -> unit
 val mangle : string -> string -> string
 (** Payload-action sites: returns the (possibly truncated or seeded-
     corrupted) payload a write should persist instead of the intent. *)
-
-val trigger_to_string : trigger -> string

@@ -6,10 +6,6 @@ type stats = {
   serial_ops : float;
 }
 
-let zero_stats n_levels =
-  { flops = 0.0; level_bytes = Array.make n_levels 0.0; link_bytes = 0.0;
-    launches = 0; serial_ops = 0.0 }
-
 type efficiency = {
   parallel_fraction : float;
   compute_efficiency : float;
@@ -61,10 +57,3 @@ let estimate (dev : Device.t) eff stats =
   let roof = Array.fold_left Float.max compute_s memory_s in
   { compute_s; memory_s; link_s; serial_s; overhead_s;
     total_s = roof +. serial_s +. link_s +. overhead_s }
-
-let pp_breakdown ppf b =
-  Format.fprintf ppf
-    "total %.3gs (compute %.3g, mem [%s], link %.3g, serial %.3g, overhead %.3g)"
-    b.total_s b.compute_s
-    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.3g") b.memory_s)))
-    b.link_s b.serial_s b.overhead_s

@@ -19,9 +19,6 @@ type stats = {
           reduction executed by one unit) *)
 }
 
-val zero_stats : int -> stats
-(** [zero_stats n_levels] *)
-
 type efficiency = {
   parallel_fraction : float;
       (** effective fraction of the device's parallel units kept busy,
@@ -44,5 +41,3 @@ type breakdown = {
 
 val estimate : Device.t -> efficiency -> stats -> breakdown
 (** [total_s = max(compute, memory levels...) + serial + link + overhead]. *)
-
-val pp_breakdown : Format.formatter -> breakdown -> unit

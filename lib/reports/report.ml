@@ -82,7 +82,3 @@ let workload_obs () =
       let e = Hashtbl.find workload_tbl name in
       (name, e.wo_hits, e.wo_misses, e.wo_elapsed_s))
     !workload_order
-
-let reset_workload_obs () =
-  Hashtbl.reset workload_tbl;
-  workload_order := []

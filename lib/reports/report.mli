@@ -24,5 +24,3 @@ val observe_workload : string -> (unit -> 'a) -> 'a
 val workload_obs : unit -> (string * int * int * float) list
 (** The ledger in first-visit order: (name, cost-cache hits, misses,
     wall seconds). *)
-
-val reset_workload_obs : unit -> unit

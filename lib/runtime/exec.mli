@@ -19,9 +19,9 @@
     interpreter is bypassed; otherwise a plan the {!Specializer} accepts
     — every catalogue computation: fp32 and fp64 arithmetic, records,
     selects and custom combine operators with an expression body, such
-    as PRL's and KMeans's — is compiled once to strided row programs over
-    flat float stores and executed; the generic box walker is the
-    fallback for everything else (e.g. an operator given only as a
+    as PRL's and KMeans's — is compiled, on every call, to strided row
+    programs over flat float stores and executed; the generic box walker
+    is the fallback for everything else (e.g. an operator given only as a
     closure). Both accelerated paths accumulate fp32 in double and are
     tolerance-equal to the interpreter there — disable with
     [~fastpath:false ~specialize:false] where bit-identity with the

@@ -9,7 +9,6 @@ module Combine = Mdh_combine.Combine
 module Expr = Mdh_expr.Expr
 module Typecheck = Mdh_expr.Typecheck
 module Plan = Mdh_lowering.Plan
-module Memo = Mdh_support.Memo
 module Trace = Mdh_obs.Trace
 module Metrics = Mdh_obs.Metrics
 module Clock = Mdh_obs.Clock
@@ -29,8 +28,8 @@ let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
 (* --- per-job evaluation state ---------------------------------------- *)
 
-(* Compilation happens once per plan digest; instantiation happens once per
-   job, against the job's own state. *)
+(* Compilation happens once per call; instantiation happens once per job,
+   against the job's own state. *)
 type state = {
   bufs : float array array;  (** the float stores, in [compiled.stores] order *)
   point : int array;  (** current iteration point, length = rank *)
@@ -787,7 +786,9 @@ type out_plan = {
 }
 
 type compiled = {
-  digest : string;  (** [Plan.digest] of the source plan, the profile key *)
+  digest : string;
+      (** [Plan.digest] of the source plan, the profile key; [""] unless a
+          profile or a trace is on *)
   rank : int;
   nest : nest_step array;  (** the plan's sequential levels, outermost first *)
   nest_levels : int array;
@@ -1505,54 +1506,34 @@ let write_back c dst op acc =
         put (Shape.linearize o.Md_hom.out_shape (Index_fn.apply o.out_access.fn pt)) 0 !lin 1;
         incr lin)
 
-(* --- the digest-keyed compile cache ----------------------------------- *)
+(* --- compilation, once per call --------------------------------------- *)
 
-let cache : (compiled, string) result Memo.t = Memo.create "runtime.specializer"
-
-let m_compiles = Metrics.counter "runtime.specializer.compiles"
-
-(* per-phase latency: compilation (cache misses only) vs execution of the
-   compiled closure — hit/miss counters alone leave compiled-plan time
-   invisible in traces *)
+(* per-phase latency: compilation vs execution of the compiled programs *)
 let h_compile = Metrics.histogram "runtime.specializer.compile_s"
 let h_run = Metrics.histogram "runtime.specializer.run_s"
 
-(* [Md_hom.pp] names a custom operator only: its body is part of the key *)
-let cache_key digest (md : Md_hom.t) =
-  Memo.key
-    (digest :: Format.asprintf "%a" Md_hom.pp md
-    :: List.filter_map
-         (fun op -> Option.map Combine.key (Combine.custom_fn_of op))
-         (Array.to_list md.combine_ops))
-
+(* A plan compiles in microseconds, less than any key that told two
+   computations and plans apart would cost, so every call compiles. The
+   digest is read only by a profile or a trace. *)
 let compiled plan md =
-  let digest = Plan.digest plan in
-  Memo.find_or_add cache (cache_key digest md) (fun () ->
-      let t0 = Clock.now_ns () in
-      let result =
-        Trace.with_span ~cat:"runtime" "specializer.compile"
-          ~args:[ ("hom", md.Md_hom.hom_name); ("digest", digest) ]
-          (fun () -> compile ~digest plan md)
-      in
-      let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
-      Metrics.observe h_compile dt;
-      Profile.add ~digest ~path:"phase:specializer.compile" dt;
-      match result with
-      | Ok c ->
-        Metrics.incr m_compiles;
-        Ok c
-      | Error _ as e -> e)
+  let digest =
+    if Profile.enabled () || Trace.enabled () then Plan.digest plan else ""
+  in
+  let t0 = Clock.now_ns () in
+  let result =
+    Trace.with_span ~cat:"runtime" "specializer.compile"
+      ~args:[ ("hom", md.Md_hom.hom_name); ("digest", digest) ]
+      (fun () -> compile ~digest plan md)
+  in
+  let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
+  Metrics.observe h_compile dt;
+  Profile.add ~digest ~path:"phase:specializer.compile" dt;
+  result
 
 let supported plan md =
   match compiled plan md with Ok _ -> Ok () | Error e -> Error e
 
-type stats = { hits : int; misses : int; compiles : int }
-
-let stats () =
-  let s = Memo.stats cache in
-  { hits = s.Memo.n_hits; misses = s.Memo.n_misses; compiles = Metrics.value m_compiles }
-
-let clear () = Memo.clear cache
+let clear () = ()
 
 (* --- dispatch entry point --------------------------------------------- *)
 

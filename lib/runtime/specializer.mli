@@ -1,16 +1,16 @@
 (** Plan-compiled execution: the generic counterpart of the hand-written
     {!Fastpath} kernels.
 
-    A [Plan.t] is compiled once. The plan's Distribute, Tile, Seq,
-    Accumulate and Scan levels drive the loop nest, staged once per job
-    as closures. A run reads each fp32 or fp64 input's store in place
-    ({!Mdh_tensor.Dense.floats}) and never writes it, and writes its
-    double accumulators straight into each float output's store
-    (rounded for fp32). Compiled plans are memoized process-wide under
-    {!Mdh_lowering.Plan.digest} plus the printed computation and the
-    bodies of its custom operators ({!Mdh_combine.Combine.key}), in the
-    {!Mdh_support.Memo} table [runtime.specializer], with cache traffic on
-    [runtime.specializer.hits|misses|compiles].
+    Each call compiles its [Plan.t] afresh: a compile takes microseconds,
+    less than a key that told computations and plans apart would cost,
+    so nothing is cached and a verdict never depends on what ran before.
+    The plan's Distribute, Tile, Seq, Accumulate and Scan levels drive
+    the loop nest, staged once per job as closures. A run reads each fp32
+    or fp64 input's store in place ({!Mdh_tensor.Dense.floats}) and never
+    writes it, and writes its double accumulators straight into each
+    float output's store (rounded for fp32). Every compile is observed
+    on the [runtime.specializer.compile_s] histogram and every run on
+    [runtime.specializer.run_s].
 
     {b Row steps.} The innermost level of every job runs as one strided
     row loop: the last Seq/Accumulate/Scan/tile-inner step of the nest;
@@ -108,9 +108,9 @@
 
 val supported :
   Mdh_lowering.Plan.t -> Mdh_core.Md_hom.t -> (unit, string) result
-(** Cached eligibility check: [Ok ()] iff {!try_run} would execute this
-    plan (buffer bindings aside); the error is the reason the computation
-    is not specializable. *)
+(** Eligibility check, by compiling the plan: [Ok ()] iff {!try_run}
+    would execute this plan (buffer bindings aside); the error is the
+    reason the computation is not specializable. *)
 
 val try_run :
   Pool.t ->
@@ -118,17 +118,13 @@ val try_run :
   Mdh_core.Md_hom.t ->
   Mdh_tensor.Buffer.env ->
   Mdh_tensor.Buffer.env option
-(** [Some env'] iff the plan compiled (possibly from cache) and the
-    supplied buffers match the declared types and shapes; parallel over the
-    plan's Distribute/Tree_reduce levels when the pool has more than one
-    worker, cut into {!Pool.chunk_budget} jobs as the walker's boxes
-    are. [None] means the generic walker should run — unsupported
+(** [Some env'] iff the plan compiled and the supplied buffers match the
+    declared types and shapes; parallel over the plan's
+    Distribute/Tree_reduce levels when the pool has more than one worker,
+    cut into {!Pool.chunk_budget} jobs as the walker's boxes are. [None] means the generic walker should run — unsupported
     computation, zero-extent iteration space, or mismatched buffers. *)
 
-type stats = { hits : int; misses : int; compiles : int }
-
-val stats : unit -> stats
-(** Current values of the [runtime.specializer.*] counters. *)
-
 val clear : unit -> unit
-(** Drop every compiled plan; the counters are kept. *)
+(** Does nothing: the Specializer keeps no state between calls. Kept
+    only for the benchmark harness under [perf/], which calls it before
+    each measurement; it goes once those calls do. *)

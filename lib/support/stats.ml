@@ -107,9 +107,6 @@ type measurement = {
   samples : int;
 }
 
-let pp_measurement ppf m =
-  Format.fprintf ppf "%.6g ± %.2g (99%% CI, n=%d)" m.mean m.ci99 m.samples
-
 let measure_until_ci ?(rel_ci = 0.05) ?(min_samples = 5) ?(max_samples = 1000) f =
   let samples = ref [] in
   let count = ref 0 in

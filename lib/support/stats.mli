@@ -40,8 +40,6 @@ type measurement = {
   samples : int;
 }
 
-val pp_measurement : Format.formatter -> measurement -> unit
-
 val measure_until_ci :
   ?rel_ci:float -> ?min_samples:int -> ?max_samples:int -> (unit -> float) ->
   measurement

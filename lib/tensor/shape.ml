@@ -39,10 +39,6 @@ let delinearize shape offset =
   done;
   idx
 
-let in_bounds shape idx =
-  Array.length idx = Array.length shape
-  && Array.for_all2 (fun i n -> i >= 0 && i < n) idx shape
-
 let iter shape f =
   let rank = Array.length shape in
   if Array.exists (fun n -> n <= 0) shape then ()

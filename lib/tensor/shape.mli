@@ -19,8 +19,6 @@ val linearize : t -> int array -> int
 val delinearize : t -> int -> int array
 (** Inverse of {!linearize}. *)
 
-val in_bounds : t -> int array -> bool
-
 val iter : t -> (int array -> unit) -> unit
 (** Iterate over all multi-indices in lexicographic (row-major) order. The
     index array passed to the callback is reused between calls; copy it if

@@ -9,8 +9,6 @@ module Rng = Mdh_support.Rng
 let p = Workload.p
 let fadd = Combine.add Scalar.Fp32
 
-let mcc_out_extent ~img_extent ~flt_extent = ((img_extent - flt_extent) / 2) + 1
-
 let get_f env name idx =
   Scalar.to_float (Dense.get (Buffer.data (Buffer.env_find env name)) idx)
 

@@ -16,7 +16,3 @@
 
 val mcc : Workload.t
 val mcc_caps : Workload.t
-
-val mcc_out_extent : img_extent:int -> flt_extent:int -> int
-(** [P] such that stride-2 accesses [2p+r] stay within the declared image
-    extent: [(img - flt + 1) / 2] rounded up... see implementation. *)

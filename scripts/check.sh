@@ -28,6 +28,11 @@
 #     examples/ other than lib/lowering/plan_cache.ml(i) names Plan_cache —
 #     every consumer builds its plan with Plan.build, because the cache's
 #     key costs more than the plan it saves,
+#   - the compile-per-call pin fails: a module under lib/runtime/ creates
+#     a Memo table, or an OCaml file other than perf/* and
+#     lib/runtime/specializer.ml(i) names Specializer.clear (a no-op kept
+#     only for the perf/ harness) — the Specializer compiles on every
+#     call, because the compile costs less than a key would,
 #   - the operation-table pin fails: lib/serve/server.ml decodes no
 #     workload/device/input/strategy itself and bin/mdhc.ml carries no
 #     second printer for daemon replies (both go through Mdh_serve.Op),
@@ -148,6 +153,21 @@ if [ -n "$plan_cache_leaks" ]; then
     echo "error: a plan is built through Plan_cache:" >&2
     echo "$plan_cache_leaks" | head -10 >&2
     echo "(call Plan.build directly: its cost is below the cache key's)" >&2
+    exit 1
+fi
+
+# compile-per-call pin: the Specializer keeps no compiled plans, since a
+# compile costs less than a key that tells plans apart (and a key that
+# missed part of the operator made verdicts depend on call history). Its
+# clear is a no-op that only the benchmark harness under perf/ still calls.
+runtime_cache_leaks=$( { grep -rn 'Memo\.create' lib/runtime
+    grep -rn --include='*.ml' --include='*.mli' 'Specializer\.clear' \
+        lib bin bench test examples scripts \
+        | grep -vE '^lib/runtime/specializer\.mli?:'; } || true)
+if [ -n "$runtime_cache_leaks" ]; then
+    echo "error: the Specializer's compiles are cached or cleared again:" >&2
+    echo "$runtime_cache_leaks" | head -10 >&2
+    echo "(compile on every call; Specializer.clear does nothing)" >&2
     exit 1
 fi
 

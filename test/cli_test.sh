@@ -72,7 +72,8 @@ grep -q 'result check: OK' "$tmp/run.txt" || fail "run result check failed"
 
 # --- run backends: specializer and compiled C ---
 
-# the plan-compiled specializer executes and reports its cache traffic
+# the plan-compiled specializer executes and reports its compile and run
+# times
 "$MDHC" run matmul --backend special --metrics >"$tmp/run_special.txt" 2>&1 ||
   fail "run --backend special exited non-zero"
 grep -q 'result check: OK' "$tmp/run_special.txt" ||

@@ -5,6 +5,11 @@ module W = Mdh_workloads.Workload
 module Device = Mdh_machine.Device
 module Cost = Mdh_lowering.Cost
 module Schedule = Mdh_lowering.Schedule
+module Scalar = Mdh_tensor.Scalar
+module Combine = Mdh_combine.Combine
+module Expr = Mdh_expr.Expr
+module D = Mdh_directive.Directive
+module Transform = Mdh_directive.Transform
 open Mdh_atf
 
 let check = Alcotest.check
@@ -294,12 +299,32 @@ let test_tuning_db_roundtrip () =
       check Alcotest.bool "reloaded schedule identical" true
         (cold.Tuner.schedule = reloaded.Tuner.schedule))
 
+(* A reduction of a 64x64 input over two pw dimensions, both folded by
+   an operator named [avg]: its declared associativity decides whether
+   the tuner may split a dimension across parallel units. *)
+let avg_md ~associative body =
+  let avg =
+    Combine.of_body ~name:"avg" ~ty:Scalar.Fp64 ~associative ~commutative:true body
+  in
+  Transform.to_md_hom_exn
+    (D.make ~name:"AvgPair"
+       ~out:[ D.buffer "r" Scalar.Fp64 ]
+       ~inp:[ D.buffer ~shape:[| 64; 64 |] "x" Scalar.Fp64 ]
+       ~combine_ops:[ Combine.pw avg; Combine.pw avg ]
+       (D.for_ "i" 64
+          (D.for_ "k" 64
+             (D.body
+                [ D.assign "r" [ Expr.int 0 ] (Expr.read "x" [ Expr.idx "i"; Expr.idx "k" ]) ]))))
+
 let test_tuning_db_key_distinguishes_searches () =
   with_temp_db (fun db ->
+      let tuned md =
+        match Tuner.tune ~budget:50 ~seed:3 ~db md cpu Cost.tuned_codegen with
+        | Ok t -> t
+        | Error e -> Alcotest.fail e
+      in
       let md = W.to_md_hom Mdh_workloads.Linalg.matvec [ ("I", 1024); ("K", 1024) ] in
-      (match Tuner.tune ~budget:50 ~seed:3 ~db md cpu Cost.tuned_codegen with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
+      ignore (tuned md);
       (* a different seed/budget/device must not hit the stored entry *)
       List.iter
         (fun t ->
@@ -307,7 +332,21 @@ let test_tuning_db_key_distinguishes_searches () =
             (match t with Ok t -> t.Tuner.from_db | Error _ -> false))
         [ Tuner.tune ~budget:50 ~seed:4 ~db md cpu Cost.tuned_codegen;
           Tuner.tune ~budget:51 ~seed:3 ~db md cpu Cost.tuned_codegen;
-          Tuner.tune ~budget:50 ~seed:3 ~db md Device.a100_like Cost.tuned_codegen ])
+          Tuner.tune ~budget:50 ~seed:3 ~db md Device.a100_like Cost.tuned_codegen ];
+      (* nor may an operator that shares a name and a body but not a
+         declared algebra, or a name but not a body: each computation
+         prints the same *)
+      let half = Expr.((var "lhs" + var "rhs") / f64 2.0) in
+      ignore (tuned (avg_md ~associative:true half));
+      List.iter
+        (fun (what, md) ->
+          let t = tuned md in
+          check Alcotest.bool (what ^ ": distinct key misses") false t.Tuner.from_db;
+          check Alcotest.bool (what ^ ": tuned schedule builds") true
+            (Result.is_ok (Mdh_lowering.Plan.build md cpu t.Tuner.schedule)))
+        [ ("avg declared not associative", avg_md ~associative:false half);
+          ( "avg with another body",
+            avg_md ~associative:true Expr.(if_ (var "lhs" >= var "rhs") (var "lhs") (var "rhs")) ) ])
 
 let test_tuning_db_tolerates_garbage () =
   let path = Filename.temp_file "mdh-tuning" ".db" in
@@ -395,7 +434,6 @@ let test_caches_never_change_an_answer () =
      make that first run compute every entry it then stores *)
   let reruns = [ ("warm", true); ("uncached", false) ] in
   Cost_cache.clear ();
-  Mdh_runtime.Specializer.clear ();
   Mdh_runtime.Pool.with_pool ~num_domains:2 (fun pool ->
       List.iter
         (fun (w : W.t) ->

@@ -9,8 +9,9 @@
    on PATH (an explicit SKIP line otherwise, never silently). The
    satellites ride along: commuted-multiplicand fast-path matching,
    hit-vs-error fast-path accounting with fallback, zero-extent executor
-   semantics, digest-cache hit counting, operator bodies in the cache keys
-   and the ?specialize:false escape hatch. Three pins cover the
+   semantics, operators that share a name (told apart by their bodies and
+   by their declared algebra, whatever ran before) and the
+   ?specialize:false escape hatch. Three pins cover the
    specializer's row steps: hand-built directives with the expression
    forms and operators the catalogue lacks (each form a row refuses is
    named by the refusal and runs on the walker), outputs bit-identical
@@ -145,48 +146,6 @@ let test_specializer_matches_reference () =
           check Alcotest.bool (w.W.wl_name ^ ": legal draws found") true (!tried > 0))
         Catalog.all)
 
-(* --- digest-keyed memoization: second run is a hit, zero recompiles --- *)
-
-let test_digest_cache_hits () =
-  (* a fresh hom name guarantees a fresh digest, so the first run must
-     miss+compile and the second must hit without recompiling; counters
-     are process-wide, so everything is asserted as deltas *)
-  let md =
-    Transform.to_md_hom_exn
-      (D.make ~name:"SpecCacheProbe"
-         ~out:[ D.buffer "r" Scalar.Fp32 ]
-         ~inp:[ D.buffer "x" Scalar.Fp32; D.buffer "y" Scalar.Fp32 ]
-         ~combine_ops:[ Combine.cc; Combine.pw (Combine.add Scalar.Fp32) ]
-         (D.for_ "i" 6
-            (D.for_ "k" 9
-               (D.body
-                  [ D.assign "r" [ Expr.idx "i" ]
-                      Expr.(read "x" [ idx "i"; idx "k" ] * read "y" [ idx "k" ]) ]))))
-  in
-  let rng = Rng.create 4 in
-  let env =
-    Buffer.env_of_list
-      [ W.float_buffer "x" rng [| 6; 9 |]; W.float_buffer "y" rng [| 9 |] ]
-  in
-  with_pool (fun pool ->
-      let plan = plan_of md (Schedule.sequential md) in
-      let s0 = Specializer.stats () in
-      let run () =
-        match Specializer.try_run pool plan md env with
-        | Some got ->
-          check Alcotest.bool "probe result" true
-            (outputs_agree md got (Semantics.exec md env))
-        | None -> Alcotest.fail "probe refused"
-      in
-      run ();
-      let s1 = Specializer.stats () in
-      check Alcotest.int "first run misses" (s0.misses + 1) s1.misses;
-      check Alcotest.int "first run compiles" (s0.compiles + 1) s1.compiles;
-      run ();
-      let s2 = Specializer.stats () in
-      check Alcotest.int "second run hits" (s1.hits + 1) s2.hits;
-      check Alcotest.int "warm run recompiles nothing" s1.compiles s2.compiles)
-
 (* --- ?specialize:false is a real escape hatch --- *)
 
 let test_specialize_false_escape () =
@@ -198,15 +157,19 @@ let test_specialize_false_escape () =
         { (Schedule.sequential md) with
           Schedule.parallel_dims = Lower.parallelisable_dims md }
       in
-      let s0 = Specializer.stats () in
+      (* every compile and every run of the Specializer is observed *)
+      let observations () =
+        List.map
+          (fun name -> (Metrics.histogram_value (Metrics.histogram name)).Metrics.h_count)
+          [ "runtime.specializer.compile_s"; "runtime.specializer.run_s" ]
+      in
+      let before = observations () in
       (match Exec.run ~fastpath:false ~specialize:false pool md sched env with
       | Error e -> Alcotest.fail e
       | Ok got ->
         check Alcotest.bool "walker result" true
           (outputs_agree md got (Semantics.exec md env)));
-      let s1 = Specializer.stats () in
-      check Alcotest.int "no cache traffic" (s0.hits + s0.misses)
-        (s1.hits + s1.misses))
+      check Alcotest.(list int) "no specializer compile or run" before (observations ()))
 
 (* --- commuted multiplicands still hit the fast-path kernels --- *)
 
@@ -848,12 +811,15 @@ let test_malformed_record_declines () =
     [ ("no field w", Scalar.R [ ("a", Scalar.i32 1) ]);
       ("int32 w", Scalar.R [ ("a", Scalar.i32 1); ("w", Scalar.i32 1) ]) ]
 
-(* --- operator bodies are part of the cache keys --- *)
+(* --- operators that share a name stay apart --- *)
 
 (* Two operators named [sel] over the same input, one selecting the
-   maximum and one the minimum: the Specializer's compile cache and the
-   Opcheck oracle each keep them apart, by their bodies. *)
-let test_operator_bodies_key_caches () =
+   maximum and one the minimum: the Specializer runs each by its own body,
+   and the Opcheck oracle, whose cache is keyed by the body, keeps a report
+   for each. Two operators named [avg] with one body, one declared
+   associative and one not, over two pw dimensions: the honest one is
+   refused whether or not the other has run. *)
+let test_same_named_operators_stay_apart () =
   let sel cmp =
     Combine.of_body ~name:"sel" ~ty:Scalar.Fp64 ~commutative:true
       (Expr.if_ (cmp lhs rhs) lhs rhs)
@@ -877,7 +843,32 @@ let test_operator_bodies_key_caches () =
       in
       let rmax = result smax in
       let rmin = result smin in
-      check Alcotest.bool "max and min selections differ" false (Dense.equal rmax rmin));
+      check Alcotest.bool "max and min selections differ" false (Dense.equal rmax rmin);
+      let avg_md associative =
+        let avg =
+          Combine.of_body ~name:"avg" ~ty:Scalar.Fp64 ~associative ~commutative:true
+            Expr.((lhs + rhs) / f64 2.0)
+        in
+        typed ~name:"SpecAvgPair" ~ops:[ Combine.pw avg; Combine.pw avg ]
+          ~loops:[ ("i", 3); ("k", 300) ] ~inp:[ ("x", Scalar.Fp64, [| 3; 300 |]) ]
+          ~out:Scalar.Fp64 ~out_idx:[ Expr.int 0 ] (Expr.read "x" [ i_; k_ ])
+      in
+      let honest = avg_md false and declared = avg_md true in
+      let refused what =
+        match Specializer.supported (plan_of honest (Schedule.sequential honest)) honest with
+        | Ok () -> Alcotest.failf "honest avg accepted %s" what
+        | Error e ->
+          check Alcotest.bool ("honest avg refused " ^ what) true
+            (contains e "not associative and commutative")
+      in
+      refused "on a cold call";
+      (match
+         Specializer.try_run pool (plan_of declared (Schedule.sequential declared)) declared
+           (env_for 3 declared)
+       with
+      | Some _ -> ()
+      | None -> Alcotest.fail "avg declared associative refused");
+      refused "after the associative one ran");
   let verified = Metrics.counter "analysis.opcheck.operators" in
   let v0 = Metrics.value verified in
   let report_max = Opcheck_oracle.report ~seed:977 ~ty:Scalar.Fp64 smax in
@@ -923,9 +914,9 @@ let test_pool_size_bit_identity () =
 (* --- allocation gate: no allocation per iteration point --- *)
 
 (* Minor words one warm call may allocate beyond the same call on the
-   smaller input: per-call set-up that depends on the sizes (the cache
-   key's digits, registers sized to a row, small output buffers), which
-   stays under 700 words on every case below. Each pair of sizes differs
+   smaller input: per-call set-up that depends on the sizes (registers
+   sized to a row, small output buffers), which stays under 700 words on
+   every case below. Each pair of sizes differs
    by at least 8x and by 14,000 iteration points or more, so allocating a
    word per point, or a few words per row, exceeds it. *)
 let alloc_slack = 2048.0
@@ -984,7 +975,7 @@ let test_no_allocation_per_point () =
                 let md = make params in
                 let env = gen params md in
                 let plan = plan_of md (schedule md) in
-                ignore (minor_words pool plan md env);  (* compiles *)
+                ignore (minor_words pool plan md env);  (* warm-up *)
                 (minor_words pool plan md env, Md_hom.total_points md)
               in
               let ws, ps = words small and wb, pb = words big in
@@ -1003,7 +994,6 @@ let suite =
   ( "specializer",
     [ tc "specializer matches reference across catalogue" `Slow
         test_specializer_matches_reference;
-      tc "digest cache hits, no warm recompiles" `Quick test_digest_cache_hits;
       tc "?specialize:false escape hatch" `Quick test_specialize_false_escape;
       tc "commuted multiplicands hit fastpath" `Quick
         test_commuted_operands_hit_fastpath;
@@ -1015,7 +1005,7 @@ let suite =
         test_cc_matches_reference;
       tc "uncatalogued forms match reference" `Quick
         test_uncatalogued_forms_match_reference;
-      tc "operator bodies key the caches" `Quick test_operator_bodies_key_caches;
+      tc "same-named operators stay apart" `Quick test_same_named_operators_stay_apart;
       tc "malformed record input declines" `Quick test_malformed_record_declines;
       tc "outputs bit-identical across pool sizes" `Quick
         test_pool_size_bit_identity;
