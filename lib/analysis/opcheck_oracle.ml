@@ -3,20 +3,28 @@ module Combine = Mdh_combine.Combine
 module Rewrite = Mdh_rewrite.Rewrite
 
 (* memoized per (seed, type, operator key): the report describes the
-   implementation (declarations are judged elsewhere). The key is the
-   operator's name and, when it has one, its printed body, so two
-   operators that share a name but not a body get a report each. The
-   table is shared by pool domains and mdhd handler threads, hence a
-   locked Memo; verification is pure, so a rare duplicate compute under
-   concurrent misses is harmless. *)
+   implementation (declarations are judged elsewhere). Only an operator
+   its key identifies is memoized: a builtin, marked as one in the key,
+   and an operator with a body, keyed by its name and printed body, so two
+   operators that share a name but not a body get a report each. A
+   closure-only operator ([Combine.custom]) is known by its name alone,
+   which another closure or a builtin may share, so it is verified on
+   every call. The table is shared by pool domains and mdhd handler
+   threads, hence a locked Memo; verification is pure, so a rare duplicate
+   compute under concurrent misses is harmless. *)
 let memo : Opcheck.report Mdh_support.Memo.t =
   Mdh_support.Memo.create "analysis.opcheck_oracle"
 
-let report ?(seed = 42) ~ty fn =
-  let key =
-    Printf.sprintf "%d/%s/%s" seed (Scalar.ty_to_string ty) (Combine.key fn)
-  in
-  Mdh_support.Memo.find_or_add memo key (fun () -> Opcheck.verify ~seed ~ty fn)
+let report ?(seed = 42) ~ty (fn : Combine.custom_fn) =
+  let verify () = Opcheck.verify ~seed ~ty fn in
+  if fn.builtin || Option.is_some fn.body then
+    let key =
+      Printf.sprintf "%d/%s/%s%s" seed (Scalar.ty_to_string ty)
+        (if fn.builtin then "builtin " else "")
+        (Combine.key fn)
+    in
+    Mdh_support.Memo.find_or_add memo key verify
+  else verify ()
 
 let verdict_of_outcome ~evaluations = function
   | Opcheck.Verified _ -> Rewrite.Proved { evaluations }

@@ -9,12 +9,15 @@
 val report :
   ?seed:int -> ty:Mdh_tensor.Scalar.ty -> Mdh_combine.Combine.custom_fn ->
   Opcheck.report
-(** Memoized {!Opcheck.verify} (default seed 42), safe to call from
-    concurrent domains and threads. *)
+(** {!Opcheck.verify} (default seed 42), memoized for a builtin and for
+    an operator with a body; a closure-only operator, which its name
+    alone does not identify, is verified on every call. Safe to call
+    from concurrent domains and threads. *)
 
 val oracle : ?seed:int -> unit -> Mdh_rewrite.Rewrite.oracle
-(** Verification reports are memoized per (type, {!Mdh_combine.Combine.key})
-    — the operator's name and, when it has one, its printed body — so
-    repeated rewrites of one workload verify each operator once per
-    process, and two operators that share a name but not a body get a
+(** Verification reports are memoized as {!report} memoizes them: per
+    (type, {!Mdh_combine.Combine.key}) — the operator's name and, when it
+    has one, its printed body, builtins marked as such — so repeated
+    rewrites of one workload verify each builtin and each operator with a
+    body once per process, and two operators that share a name get a
     report each. *)

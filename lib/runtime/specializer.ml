@@ -34,6 +34,9 @@ type state = {
   bufs : float array array;  (** the float stores, in [compiled.stores] order *)
   point : int array;  (** current iteration point, length = rank *)
   base : int array;  (** cache-tile block origins, one slot per Tile level *)
+  seg : int array;
+      (** a [Row_dist] row's range along the last distributed dimension,
+          from [seg.(0)] up to [seg.(1)] exclusive *)
 }
 
 (* --- the builtin operators, inlined -------------------------------------- *)
@@ -762,7 +765,10 @@ type nest_step =
 
 (* What runs a job's innermost level as a row: the last step of the
    sequential nest; with no nest, the tree-reduce range; with neither, the
-   last distributed dimension. *)
+   last distributed dimension. A custom pw operator whose row would run
+   along a pw dimension runs along the last distributed dimension instead,
+   when there is one, with the tree range and every nest level looping
+   around it (see [compile]). *)
 type row_kind = Row_nest | Row_tree | Row_dist
 
 (* How write-back maps the accumulator onto an output's store. *)
@@ -947,6 +953,19 @@ let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
         let dim, extent = dist.(Array.length dist - 1) in
         (Row_dist, dim, extent)
     in
+    (* A custom operator's body runs once per strip. Along a pw row the
+       strip's lanes fold into one cell, one run per point; along the last
+       distributed dimension, a cc one, they are distinct cells and fold in
+       one run. Each cell still gets its points in the order the nest
+       visits them, so the switch is exact for any operator. A builtin
+       keeps its pw row, which folds into one local. *)
+    let row, row_dim, row_extent =
+      match reduce with
+      | Custom _ when astride.(row_dim) = 0 && Array.length dist > 0 ->
+        let dim, extent = dist.(Array.length dist - 1) in
+        (Row_dist, dim, extent)
+      | Store | Builtin _ | Custom _ -> (row, row_dim, row_extent)
+    in
     let inputs, stores = layout md in
     let outs =
       List.map
@@ -991,7 +1010,8 @@ let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
 let mk_state c bufs =
   { bufs;
     point = Array.make (max 1 c.rank) 0;
-    base = Array.make (max 1 c.n_base) 0 }
+    base = Array.make (max 1 c.n_base) 0;
+    seg = Array.make 2 0 }
 
 (* Per-job level timers: [tot.(l)] accumulates the inclusive wall time of
    nest step [l] (deeper levels included) and [cnt.(l)] its entries; slot
@@ -1184,16 +1204,18 @@ let stage_row c op st acc timers =
     done
 
 (* Stage the sequential nest for one job as closures, outermost level
-   first, with the row step as its last level: the returned thunk runs the
-   whole nest at the state's current outer coordinates. Only with
-   [timers] is a level wrapped in [timed]; unprofiled closures read no
-   clock. *)
+   first: the returned thunk runs the whole nest at the state's current
+   outer coordinates. Under [Row_nest] the last level is the row step;
+   under [Row_dist] every level loops, around the row over the state's
+   segment. Only with [timers] is a level wrapped in [timed]; unprofiled
+   closures read no clock. *)
 let stage_nest c st row timers =
   let point = st.point in
   let wrap l f = match timers with Some tm -> timed tm l f | None -> f in
   let n = Array.length c.nest in
   let rec stage l =
-    if l = n - 1 then
+    if l = n then fun () -> row st.seg.(0) st.seg.(1)
+    else if l = n - 1 && c.row = Row_nest then
       wrap l
         (match c.nest.(l) with
         | S_loop { extent; _ } -> fun () -> row 0 extent
@@ -1298,19 +1320,21 @@ let run_job c bufs op ~profiling (dlo, dsz) tree acc () =
   in
   let row = stage_row c op st acc timers in
   let t0 = if profiling then Clock.now_ns () else 0L in
+  (* the tree range around the nest, at the state's distributed
+     coordinates *)
+  let sweep =
+    let nest = stage_nest c st row timers in
+    match tree with
+    | Some (td, tlo, tsz) ->
+      fun () ->
+        for x = tlo to tlo + tsz - 1 do
+          st.point.(td) <- x;
+          nest ()
+        done
+    | None -> nest
+  in
   (match (c.row, tree) with
   | Row_nest, _ ->
-    let nest = stage_nest c st row timers in
-    let sweep =
-      match tree with
-      | Some (td, tlo, tsz) ->
-        fun () ->
-          for x = tlo to tlo + tsz - 1 do
-            st.point.(td) <- x;
-            nest ()
-          done
-      | None -> nest
-    in
     for i = dlo to dlo + dsz - 1 do
       decode_dist c.dist st.point i;
       sweep ()
@@ -1322,14 +1346,18 @@ let run_job c bufs op ~profiling (dlo, dsz) tree acc () =
     done
   | Row_tree, None -> invalid_arg "Specializer.run_job"
   | Row_dist, _ ->
-    (* the last distributed dimension varies fastest: decode once per row *)
+    (* the last distributed dimension varies fastest: decode once per
+       segment of it, then sweep the tree range and the nest around the
+       row over the segment *)
     let extent = snd c.dist.(Array.length c.dist - 1) in
     let i = ref dlo and stop = dlo + dsz in
     while !i < stop do
       decode_dist c.dist st.point !i;
       let x = !i mod extent in
       let len = Int.min (extent - x) (stop - !i) in
-      row x (x + len);
+      st.seg.(0) <- x;
+      st.seg.(1) <- x + len;
+      sweep ();
       i := !i + len
     done);
   Option.iter

@@ -15,10 +15,15 @@
     {b Row steps.} The innermost level of every job runs as one strided
     row loop: the last Seq/Accumulate/Scan/tile-inner step of the nest;
     with no nest, the [Tree_reduce] range; with neither, the last
-    [Distribute] dimension, decoded once per row. A row is evaluated one
-    strip of up to 256 points at a time. Each node of the value
-    expression fills a float register of the strip's length, allocated
-    once per job, with the operator chosen outside the element loop. A
+    [Distribute] dimension, decoded once per segment of the job's chunk.
+    A custom pw operator (below) whose row would run along a pw dimension
+    runs along the last [Distribute] dimension instead, when the plan has
+    one: the tree range and every nest level, the one that would have
+    been the row included, loop around it, once per segment. A row is
+    evaluated one strip of up to 256 points at a time. Each node of the
+    value expression fills a float register of the strip's length,
+    allocated once per job, with the operator chosen outside the element
+    loop. A
     read whose indices are affine in the iteration variables (integer
     [Let]s substituted) is one offset plus one coefficient per dimension
     over a flat store, emitted once however often it is read. The strip
@@ -42,11 +47,15 @@
     compiler, to one program with [lhs] bound to an accumulator cell's
     fields and [rhs] to a lane's; each cell is seeded by its first point,
     as in {!Mdh_core.Semantics.exec}, which a visited map per accumulator
-    records. Along a pw row the body folds lane after lane into the one
-    cell; along a cc row it runs once over the strip, every lane into its
-    own cell; on a pool with workers, tree partials combine cell by cell
-    through it, in chunk order. Write-back packs a record output element
-    by element ({!Mdh_tensor.Dense.set_record}).
+    records. Along a cc row the body runs once over the strip, every lane
+    into its own cell; this is every custom operator's row under a plan
+    with a [Distribute] level. Only a plan without one (the sequential
+    plan, or a reduction with no cc dimension) runs the row along a pw
+    dimension, where the body folds lane after lane into the one cell,
+    one run per point. Either way each cell gets its points in the order
+    the nest visits them. On a pool with workers, tree partials combine
+    cell by cell through the body, in chunk order. Write-back packs a
+    record output element by element ({!Mdh_tensor.Dense.set_record}).
 
     {b No allocation per point.} A warm run allocates per call and per
     job (state, registers, staged closures, unpacked stores), and per
@@ -83,9 +92,11 @@
       must be proven in range over the iteration box.
     Every reduction operator is one builtin ([add]/[mul]/[min]/[max]) or
     a pw operator with a body, with a single pw operator across
-    dimensions (the restriction the reference executor enforces); a
-    custom operator over several pw dimensions must be associative and
-    commutative.
+    dimensions (the restriction the reference executor enforces). Over
+    one pw dimension a custom operator need be neither associative nor
+    commutative: lane by lane or across the cells, each cell folds its
+    points in {!Mdh_core.Semantics.exec}'s order. Over several it must be
+    both, because the nest may visit them in another order.
     Refused, with an error naming the form: a custom [ps] operator, an
     operator with no body (e.g. [Combine.bor]), a read under a branch not
     proven in range, a comparison of computed fp32 values, int64
@@ -100,11 +111,11 @@
     A float accumulation happens in double precision with one rounding
     per fp32 output element, so fp32 results are tolerance-equal — not
     bit-equal — to the per-op-rounding interpreter, exactly like the
-    fast-path kernels. The values of every other type equal
-    {!Mdh_core.Semantics.exec}'s bit for bit, and so do the outputs of a
-    selection such as PRL's and KMeans's; only a builtin fold that is
-    not exactly associative (fp64 [add], [mul]) can differ, by the order
-    the plan accumulates in. *)
+    fast-path kernels. Every other output equals
+    {!Mdh_core.Semantics.exec}'s bit for bit, unless the plan regroups a
+    fold that is not exactly associative: a builtin fp64 [add] or [mul],
+    or the tree partials of a custom operator declared associative. A
+    selection such as PRL's and KMeans's is exact under any plan. *)
 
 val supported :
   Mdh_lowering.Plan.t -> Mdh_core.Md_hom.t -> (unit, string) result

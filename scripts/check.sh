@@ -61,8 +61,10 @@
 #     interpreter's results; without gcc the C half prints an explicit SKIP
 #     line — it is never silently skipped. The specializer half covers all
 #     14 catalogue workloads, prl's and kmeans's custom operators and
-#     records included; the C half keeps its four workloads, since cc
-#     refuses MCC,
+#     records included, and runs prl and kmeans again with --parallel, so
+#     both ways a custom operator folds (lane by lane along a pw row, and
+#     across the distributed cells) run end to end; the C half keeps its
+#     four workloads, since cc refuses MCC,
 #   - the profiler stage fails: `mdhc profile` must render for matmul, for
 #     jacobi_3d (whose row is driven by a Distribute level) and for
 #     ccsd(t) (driven by a Tree_reduce level) on the specializer, and for
@@ -267,11 +269,18 @@ diff -u scripts/check_diagnostics.golden "$chaos_dir/diagnostics.txt" || {
 # convolutions, and the custom-operator record workloads prl and kmeans);
 # with gcc matmul, mbbs, jacobi1d and ccsd(t) round-trip through the
 # generated OpenMP C. `mdhc run` exits non-zero on any oracle mismatch, so
-# success is the assertion.
+# success is the assertion. The sequential plan has no Distribute level,
+# so prl's and kmeans's operators fold lane by lane along their pw rows;
+# --parallel gives them Distribute + Tree_reduce, where the row runs
+# across the distributed cells, one run of the operator's body per strip.
 for wl in dot matvec matmul 'matmul^t' bmatmul gaussian_2d jacobi1d jacobi_3d \
     mbbs 'ccsd(t)' mcc mcc_caps prl kmeans; do
     dune exec bin/mdhc.exe -- run "$wl" --backend special > /dev/null || {
         echo "error: specializer differential failed on $wl" >&2; exit 1; }
+done
+for wl in prl kmeans; do
+    dune exec bin/mdhc.exe -- run "$wl" --parallel --backend special > /dev/null || {
+        echo "error: specializer differential failed on $wl --parallel" >&2; exit 1; }
 done
 if command -v gcc > /dev/null 2>&1; then
     for wl in matmul mbbs jacobi1d 'ccsd(t)'; do

@@ -125,7 +125,9 @@ let test_sum_specializer_prl () =
 
 (* the default pool has no worker domain on a one-core host, so pin a
    pool with workers: every parallel job of a profiled run must flush its
-   own level times without moving the outputs or breaking the sum *)
+   own level times without moving the outputs or breaking the sum. prl's
+   custom operator runs its row across the distributed cells, with the
+   tree range, or the timed Accumulate level, looping around it *)
 let test_parallel_jobs_profiled () =
   let is_tree = function Plan.Tree_reduce _ -> true | _ -> false in
   let is_dist = function Plan.Distribute _ -> true | _ -> false in
@@ -149,7 +151,9 @@ let test_parallel_jobs_profiled () =
         [ ("dot", [ 0 ], List.exists is_tree);
           ( "matmul",
             [ 0; 1 ],
-            fun ls -> List.exists is_dist ls && not (List.exists is_tree ls) ) ])
+            fun ls -> List.exists is_dist ls && not (List.exists is_tree ls) );
+          ("prl", [ 0; 1 ], fun ls -> List.exists is_dist ls && List.exists is_tree ls);
+          ("prl", [ 0 ], fun ls -> List.exists is_dist ls && not (List.exists is_tree ls)) ])
 
 let test_digest_accumulation () =
   Pool.with_pool (fun pool ->

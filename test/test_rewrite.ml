@@ -423,6 +423,33 @@ let test_oracle_memo_concurrent () =
         (compare got sequential = 0))
     parallel
 
+(* The memo keeps a report only for an operator its key identifies. A
+   closure is known by its name alone: after a closure [f] that adds, a
+   closure [f] that subtracts, and after the builtin [add], a closure named
+   [add] that subtracts, must each get their own verification, which
+   refutes the subtraction's associativity as [Opcheck.verify] does. *)
+let test_oracle_memo_closures () =
+  let seed = 9011 and ty = Scalar.Int32 in
+  let assoc fn = (Opcheck_oracle.report ~seed ~ty fn).Opcheck.associativity in
+  let verified what fn =
+    match assoc fn with
+    | Opcheck.Verified _ -> ()
+    | _ -> Alcotest.failf "%s: associativity not verified" what
+  in
+  let refuted what fn =
+    (match (Opcheck.verify ~seed ~ty fn).Opcheck.associativity with
+    | Opcheck.Counterexample _ -> ()
+    | _ -> Alcotest.failf "%s: Opcheck.verify finds no counterexample" what);
+    match assoc fn with
+    | Opcheck.Counterexample _ -> ()
+    | Opcheck.Verified _ -> Alcotest.failf "%s: the oracle reports another operator's Verified" what
+    | Opcheck.Untestable m -> Alcotest.failf "%s: untestable (%s)" what m
+  in
+  verified "closure f = a + b" (Combine.custom ~name:"f" Scalar.add);
+  refuted "closure f = a - b, after f = a + b" (Combine.custom ~name:"f" Scalar.sub);
+  verified "builtin add" (Combine.add ty);
+  refuted "closure add = a - b, after the builtin add" (Combine.custom ~name:"add" Scalar.sub)
+
 let suite =
   ( "rewrite",
     [ Alcotest.test_case "catalogue rewritten bitwise (interp)" `Quick
@@ -442,4 +469,6 @@ let suite =
       Alcotest.test_case "saturated digest + never worsens" `Quick
         test_saturated_digest_never_worsens;
       Alcotest.test_case "oracle memo safe across domains" `Quick
-        test_oracle_memo_concurrent ] )
+        test_oracle_memo_concurrent;
+      Alcotest.test_case "oracle memo keeps closures apart" `Quick
+        test_oracle_memo_closures ] )

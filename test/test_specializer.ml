@@ -76,6 +76,12 @@ let plan_of md sched =
   | Ok p -> p
   | Error e -> Alcotest.failf "plan build: %s" e
 
+(* Every dimension the computation lets run in parallel: its cc
+   dimensions distributed, an associative pw dimension tree-reduced. *)
+let parallel_schedule md =
+  { (Schedule.sequential md) with
+    Schedule.parallel_dims = Lower.parallelisable_dims md }
+
 (* Exact value equality on every output but an fp32 one, which is
    tolerance-equal: a row rounds fp32 where the expression casts, not after
    each operation as the walker does. *)
@@ -514,6 +520,13 @@ let pair_max =
   Combine.of_body ~name:"pair_max" ~ty:pair_ty ~commutative:true
     Expr.(if_ (up lhs > up rhs || (up lhs = up rhs && down lhs >= down rhs)) lhs rhs)
 
+(* [lhs * 0.5 + rhs]: a left fold weighs its last points most, so any
+   other order or grouping of a cell's points changes its bits. *)
+let halve_then_add =
+  Combine.of_body ~name:"halve_then_add" ~ty:Scalar.Fp64 ~associative:false
+    ~commutative:false
+    Expr.((lhs * f64 0.5) + rhs)
+
 let ints_ty = Scalar.Record [ ("a", Scalar.Int32); ("b", Scalar.Int32) ]
 let mixed_ty = Scalar.Record [ ("a", Scalar.Int32); ("w", Scalar.Fp64) ]
 
@@ -596,7 +609,8 @@ let row_cases =
         Expr.(read "x" [ k_ ] + (f64 1.0 / cast Scalar.Fp64 (neg (k_ * int 1073741824)))));
     (* a record input read whole into a Let and by field, a record built
        with MkRecord, folded by a custom operator along a pw row (the
-       sequential schedule's row runs along k, into one cell) *)
+       sequential schedule's row runs along k, into one cell; one that
+       distributes i runs it across the cells) *)
     (fun n ->
       typed ~name:"SpecRecordPwRow" ~ops:[ cc; Combine.pw sel_max ]
         ~loops:[ ("i", 4); ("k", n) ] ~inp:[ ("p", mixed_ty, [| 4; n |]) ] ~out:scored_ty
@@ -629,7 +643,23 @@ let row_cases =
                    emax (field (var "q") "a" + int 2147483500) (k_ + int 2147483500) );
                  ( "down",
                    neg (emin (field (var "q") "a") (field (var "q") "b"))
-                   - int 2147483000 - int 1000 ) ]))) ]
+                   - int 2147483000 - int 1000 ) ])));
+    (* an order-sensitive fold, neither associative nor commutative, over
+       two cc dimensions and a pw one: exact only if every cell folds its
+       points in the order Semantics.exec does. A schedule that
+       distributes [i] runs the row across the cells, along [i], one
+       segment per [j] (or per part of one, where a job's chunk ends);
+       the others along [k] *)
+    (fun n ->
+      typed ~name:"SpecFoldOrder" ~ops:[ cc; cc; Combine.pw halve_then_add ]
+        ~loops:[ ("j", 3); ("i", 5); ("k", n) ] ~inp:[ ("x", Scalar.Fp64, [| 3; 5; n |]) ]
+        ~out:Scalar.Fp64 ~out_idx:[ j_; i_ ] (Expr.read "x" [ j_; i_; k_ ]));
+    (* the same with no cc dimension: one cell, so the row folds lane by
+       lane under every schedule *)
+    (fun n ->
+      typed ~name:"SpecFoldOrderOneCell" ~ops:[ Combine.pw halve_then_add ]
+        ~loops:[ ("k", n) ] ~inp:[ ("x", Scalar.Fp64, [| n |]) ] ~out:Scalar.Fp64
+        ~out_idx:[ Expr.int 0 ] (Expr.read "x" [ k_ ])) ]
   (* pw mul, min and max: along the row, and across rows into a strided
      accumulator (the pw dimension outermost) *)
   @ List.concat_map
@@ -740,15 +770,19 @@ let refused_cases () =
 (* The row cases run on the Specializer, with rows of 300 and 600 points
    that span two and three strips and end in a partial one, and the
    refused cases on the walker; both against [Semantics.exec], under the
-   sequential schedule and three pinned-random legal ones. *)
+   sequential schedule and three pinned-random legal ones. The row cases
+   also run under the parallel schedule, which distributes every cc
+   dimension, so a custom operator's row runs across the cells. *)
 let test_uncatalogued_forms_match_reference () =
   let rng = Rng.create 4242 in
   with_pool (fun pool ->
-      let each_schedule (md : Md_hom.t) run =
+      let each_schedule ?(parallel = false) (md : Md_hom.t) run =
         let env = env_for 11 md in
         let expected = Semantics.exec md env in
         let label what = Printf.sprintf "%s under %s" md.Md_hom.hom_name what in
         run (label "the sequential schedule") (Schedule.sequential md) env expected;
+        if parallel then
+          run (label "the parallel schedule") (parallel_schedule md) env expected;
         let tried = ref 0 and draws = ref 0 in
         while !tried < 3 && !draws < 50 do
           incr draws;
@@ -764,7 +798,7 @@ let test_uncatalogued_forms_match_reference () =
           List.iter
             (fun n ->
               let md = make n in
-              each_schedule md (fun label sched env expected ->
+              each_schedule ~parallel:true md (fun label sched env expected ->
                   let label = Printf.sprintf "%s (row of %d)" label n in
                   let plan = plan_of md sched in
                   match Specializer.try_run pool plan md env with
@@ -878,10 +912,6 @@ let test_same_named_operators_stay_apart () =
 
 (* --- outputs do not depend on the pool size --- *)
 
-let parallel_schedule md =
-  { (Schedule.sequential md) with
-    Schedule.parallel_dims = Lower.parallelisable_dims md }
-
 let test_pool_size_bit_identity () =
   List.iter
     (fun (w : W.t) ->
@@ -918,7 +948,11 @@ let test_pool_size_bit_identity () =
    sized to a row, small output buffers), which stays under 700 words on
    every case below. Each pair of sizes differs
    by at least 8x and by 14,000 iteration points or more, so allocating a
-   word per point, or a few words per row, exceeds it. *)
+   word per point, or a few words per row, exceeds it. The parallel
+   schedule puts PRL, KMeans and the custom-operator row cases over a cc
+   dimension under Distribute (and Tree_reduce when the operator is
+   associative), so their rows run across the cells; the sequential one
+   keeps them folding lane by lane. *)
 let alloc_slack = 2048.0
 
 let test_no_allocation_per_point () =
