@@ -6,8 +6,8 @@
    Three artifacts are checked from the current directory:
 
    - BENCH_plan_exec.json: for every workload with a committed
-     special_speedup, the fresh specializer speedup over the interp walker
-     must reach baseline * speedup_tolerance. Speedups are ratios on the
+     special_speedup, the fresh specializer speedup over the reference
+     semantics (Semantics.exec) must reach baseline * speedup_tolerance. Speedups are ratios on the
      same machine and run, so they transfer across hosts where absolute
      seconds would not.
    - BENCH_model_acc.json: the mean Spearman correlation must reach

@@ -31,8 +31,8 @@ let runs_per_schedule = 3
    the mechanisms the model prices (compute, traffic, parallel speedup)
    dominate the measurement, not per-box pool dispatch — at the plan-exec
    sizes a parallel schedule loses to dispatch overhead and every
-   correlation inverts. Walker-bound workloads (record types, custom
-   operators) stay moderate so the sweep finishes in tens of seconds. *)
+   correlation inverts. The record-typed, custom-operator workloads (prl,
+   kmeans) stay moderate so the sweep finishes in tens of seconds. *)
 let cases =
   [ ("dot", [ ("K", 2_000_000) ]);
     ("matvec", [ ("I", 1536); ("K", 1536) ]);

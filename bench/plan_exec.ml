@@ -1,8 +1,9 @@
 (* Three-backend executor benchmark over the whole catalogue: for every
    workload, the same tiled schedule runs through
 
-   - interp:  the generic plan walker (fast path and specializer off) —
-              boxed per-point interpretation, the semantic baseline;
+   - reference: Semantics.exec, the executable semantics — boxed
+              per-point interpretation, the baseline every speedup is
+              taken over;
    - special: the plan-compiled specializer (every catalogue workload,
               PRL's and KMeans's records and custom operators included),
               timed per call, which compiles the plan (microseconds) and
@@ -17,7 +18,7 @@
    decade looser (C float accumulation plus OpenMP reassociation).
 
    Results go to stdout and BENCH_plan_exec.json (best-of-N seconds plus
-   speedups over interp); the JSON is a run artifact, not a source — CI
+   speedups over the reference); the JSON is a run artifact, not a source — CI
    uploads it, .gitignore excludes it. *)
 
 module W = Mdh_workloads.Workload
@@ -29,7 +30,6 @@ module Schedule = Mdh_lowering.Schedule
 module Lower = Mdh_lowering.Lower
 module Plan = Mdh_lowering.Plan
 module Pool = Mdh_runtime.Pool
-module Exec = Mdh_runtime.Exec
 module Specializer = Mdh_runtime.Specializer
 module Cc = Mdh_codegen.Cc
 module J = Mdh_obs.Json
@@ -92,14 +92,7 @@ let bench_one pool (w : W.t) params =
     | Error e -> failwith (name ^ ": plan build: " ^ e)
   in
   let expected = Semantics.exec md env in
-  (* interp: the generic walker, every dispatch layer off *)
-  let run_interp () =
-    match Exec.run ~fastpath:false ~specialize:false pool md sched env with
-    | Ok e -> e
-    | Error e -> failwith (name ^ ": " ^ e)
-  in
-  check_result ~rel:1e-4 ~abs:1e-5 name md (run_interp ()) expected;
-  let interp_s = best_of 3 run_interp in
+  let reference_s = best_of 3 (fun () -> Semantics.exec md env) in
   (* special: compile and run, per call *)
   let special_s =
     match Specializer.supported plan md with
@@ -135,9 +128,9 @@ let bench_one pool (w : W.t) params =
         Cc.cleanup t;
         (Some build_s, Some s)
   in
-  (* rewritten: the equality-saturated computation + plan through the
-     same walker as interp, so the column isolates what `mdhc optimize`
-     buys (fewer point flops) from backend dispatch effects *)
+  (* rewritten: the equality-saturated computation through the
+     reference, so the column isolates what `mdhc optimize` buys (fewer
+     point flops) from backend dispatch effects *)
   let rewritten_s, rewrite_rules =
     match
       Rewrite.optimize ~oracle:(Mdh_analysis.Opcheck_oracle.oracle ()) md cpu
@@ -145,37 +138,30 @@ let bench_one pool (w : W.t) params =
     with
     | Error e -> failwith (name ^ ": rewrite: " ^ e)
     | Ok r ->
-      let run_rewritten () =
-        match
-          Exec.run_with_plan ~fastpath:false ~specialize:false pool
-            r.Rewrite.r_plan r.Rewrite.r_md env
-        with
-        | Ok e -> e
-        | Error e -> failwith (name ^ ": rewritten: " ^ e)
-      in
+      let run_rewritten () = Semantics.exec r.Rewrite.r_md env in
       check_result ~rel:1e-4 ~abs:1e-5 name md (run_rewritten ()) expected;
       (best_of 3 run_rewritten, List.length r.Rewrite.r_applied)
   in
-  let speedup = Option.map (fun s -> interp_s /. s) in
+  let speedup = Option.map (fun s -> reference_s /. s) in
   let fmt_opt = function
-    | Some s -> Printf.sprintf "%.4fs (%.1fx)" s (interp_s /. s)
+    | Some s -> Printf.sprintf "%.4fs (%.1fx)" s (reference_s /. s)
     | None -> "-"
   in
   Printf.printf
-    "%-11s %-22s  interp %.4fs  rewritten %.4fs (%.1fx, %d rules)  special \
+    "%-11s %-22s  reference %.4fs  rewritten %.4fs (%.1fx, %d rules)  special \
      %-18s  cc %s\n\
      %!"
-    name size interp_s rewritten_s (interp_s /. rewritten_s) rewrite_rules
+    name size reference_s rewritten_s (reference_s /. rewritten_s) rewrite_rules
     (fmt_opt special_s)
     (fmt_opt cc_s);
   let num_opt = function Some s -> J.number s | None -> "null" in
   J.obj
     [ ("name", J.quote name);
       ("size", J.quote size);
-      ("interp_s", J.number interp_s);
+      ("reference_s", J.number reference_s);
       ("rewritten_s", J.number rewritten_s);
       ("rewrite_rules", string_of_int rewrite_rules);
-      ("rewrite_speedup", J.number (interp_s /. rewritten_s));
+      ("rewrite_speedup", J.number (reference_s /. rewritten_s));
       ("special_s", num_opt special_s);
       ("cc_s", num_opt cc_s);
       ("cc_build_s", num_opt cc_build_s);
@@ -186,8 +172,8 @@ let bench_one pool (w : W.t) params =
 
 let run () =
   print_endline
-    "[plan-exec] interp walker vs plan-compiled specializer vs compiled \
-     OpenMP C (host pool)";
+    "[plan-exec] reference semantics vs plan-compiled specializer vs \
+     compiled OpenMP C (host pool)";
   if not (Cc.available ()) then
     print_endline "[plan-exec] gcc not on PATH: cc columns will be null";
   let rows =
@@ -200,7 +186,7 @@ let run () =
           cases)
   in
   let json =
-    J.obj [ ("schema", J.quote "mdh-bench-plan-exec/2"); ("workloads", J.arr rows) ]
+    J.obj [ ("schema", J.quote "mdh-bench-plan-exec/3"); ("workloads", J.arr rows) ]
   in
   Out_channel.with_open_text "BENCH_plan_exec.json" (fun oc ->
       output_string oc json;

@@ -408,23 +408,14 @@ let profile_cmd =
      and the write-back, each with its measured share of the enclosing \
      execution span next to the cost model's attribution for the same \
      level — so systematic model/machine disagreements are visible per \
-     level, not just in the total. Backend phases (specializer compile \
-     vs run, walker) are listed separately. $(b,--json) emits the \
+     level, not just in the total. The plan runs on the plan-compiled \
+     specializer (the reference semantics has no plan levels to \
+     attribute time to), and the command fails, naming the refusal, when \
+     the specializer refuses the plan. Its phases (compile vs run) are \
+     listed separately. $(b,--json) emits the \
      mdh-profile/1 document instead; $(b,--flame) additionally writes \
      collapsed stacks (one level chain per line, self time in \
      microseconds) for flamegraph.pl / speedscope."
-  in
-  let backend_arg =
-    let doc =
-      "Execution backend to profile: $(b,auto) (plan-compiled specializer \
-       when the workload supports it, generic walker otherwise), \
-       $(b,special) (error if not specializable) or $(b,interp). The \
-       fastpath is disabled so the plan levels actually execute."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("auto", `Auto); ("interp", `Interp); ("special", `Special) ]) `Auto
-      & info [ "backend" ] ~doc ~docv:"auto|special|interp")
   in
   let schedule_arg =
     let doc =
@@ -446,7 +437,7 @@ let profile_cmd =
     in
     Arg.(value & opt (some string) None & info [ "flame" ] ~doc ~docv:"FILE")
   in
-  let run name input schedule backend repeat json flame seed obs =
+  let run name input schedule repeat json flame seed obs =
     setup_obs obs;
     let w, params, md = workload name input in
     let wl = String.lowercase_ascii w.W.wl_name in
@@ -464,27 +455,10 @@ let profile_cmd =
     in
     let plan = or_die (Mdh_lowering.Plan.build md dev sched) in
     let digest = Mdh_lowering.Plan.digest plan in
-    let backend_name =
-      match backend with
-      | `Interp -> "interp"
-      | (`Auto | `Special) as b -> (
-        match (b, Mdh_runtime.Specializer.supported plan md) with
-        | _, Ok () -> "special"
-        | `Special, Error e -> or_die (Error ("specializer: " ^ e))
-        | `Auto, Error _ -> "interp")
-    in
-    let run_once () =
-      if backend_name = "special" then
-        match Mdh_runtime.Specializer.try_run pool plan md env with
-        | Some _ -> ()
-        | None ->
-          or_die (Error "specializer: input buffers do not match the plan")
-      else
-        ignore
-          (or_die
-             (Mdh_runtime.Exec.run ~fastpath:false ~specialize:false pool md
-                sched env))
-    in
+    let specialized r = or_die (Result.map_error (fun e -> "specializer: " ^ e) r) in
+    (* a refusal ends the command before any run is timed *)
+    specialized (Mdh_runtime.Specializer.supported plan md);
+    let run_once () = ignore (specialized (Mdh_runtime.Specializer.run pool plan md env)) in
     let (), wall =
       Mdh_support.Util.time_it (fun () ->
           for _ = 1 to repeat do
@@ -499,7 +473,7 @@ let profile_cmd =
     let is_phase e = String.starts_with ~prefix:"phase:" e.P.path in
     let phases = List.filter is_phase entries in
     (* one row per modelled level, then the measured cells the model has
-       no counterpart for (write-back, walker recombine, post-scan passes)
+       no counterpart for (write-back, record unpack, post-scan passes)
        with a blank model column: path, label, count, self time, model *)
     let rows =
       List.map
@@ -566,20 +540,20 @@ let profile_cmd =
         \  \"workload\": \"%s\",\n\
         \  \"input\": \"%s\",\n\
         \  \"digest\": \"%s\",\n\
-        \  \"backend\": \"%s\",\n\
+        \  \"backend\": \"special\",\n\
         \  \"runs\": %d,\n\
         \  \"wall_s\": %.9f,\n\
         \  \"exec_s\": %.9f,\n\
         \  \"levels\": [\n%s\n  ],\n\
         \  \"phases\": [\n%s\n  ]\n\
          }\n"
-        (esc wl) (esc input) digest backend_name repeat wall exec_s
+        (esc wl) (esc input) digest repeat wall exec_s
         (String.concat ",\n" (List.map row_json rows))
         (String.concat ",\n" (List.map phase_json phases))
     end
     else begin
-      Printf.printf "%s (input %s) — digest %s, backend %s, %d run(s)\n" wl
-        input digest backend_name repeat;
+      Printf.printf "%s (input %s) — digest %s, backend special, %d run(s)\n"
+        wl input digest repeat;
       Printf.printf "  %-9s %-52s %13s %7s %7s\n" "path" "plan level"
         "measured" "share" "model";
       List.iter
@@ -612,7 +586,7 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       const run $ workload_arg
-      $ test_input_arg $ schedule_arg $ backend_arg $ repeat_arg $ json_arg "profile (schema mdh-profile/1)" $ flame_arg
+      $ test_input_arg $ schedule_arg $ repeat_arg $ json_arg "profile (schema mdh-profile/1)" $ flame_arg
       $ seed_arg $ obs_arg ~trace:true)
 
 let tune_cmd =
@@ -645,8 +619,9 @@ let run_cmd =
   let backend_arg =
     let doc =
       "Execution backend: $(b,auto) (fastpath, then plan-compiled \
-       specializer, then generic walker), $(b,interp) (generic box walker \
-       only), $(b,special) (plan-compiled specializer, error if the \
+       specializer, then the reference semantics), $(b,interp) (the \
+       reference semantics only, sequential whatever $(b,--parallel) \
+       says), $(b,special) (plan-compiled specializer, error if the \
        workload is not specializable), or $(b,cc) (generate the OpenMP C, \
        compile with gcc -O3 -fopenmp, and execute the binary; local only)."
     in

@@ -43,14 +43,11 @@ let eval_at (md : Md_hom.t) env (o : Md_hom.output) point =
   Eval.eval { Eval.iter; read = mk_read env } o.value
 
 (* Write a fully-combined result tensor (shape = per-dim result extents of
-   the evaluated box) into the output buffer through the out_view. [lo] is
-   the global origin of the box; collapsed (pw) dimensions index the view at
-   their origin. *)
-let write_output env (md : Md_hom.t) (o : Md_hom.output) ?(lo = Array.make (Md_hom.rank md) 0)
-    tensor =
+   the iteration space) into the output buffer through the out_view;
+   collapsed (pw) dimensions index the view at their origin. *)
+let write_output env (o : Md_hom.output) tensor =
   let out_buf = Buffer.env_find env o.out_name in
-  Dense.iteri tensor (fun t v ->
-      let point = Array.mapi (fun d td -> lo.(d) + td) t in
+  Dense.iteri tensor (fun point v ->
       let out_idx = Index_fn.apply o.out_access.fn point in
       Dense.set (Buffer.data out_buf) out_idx v)
 
@@ -78,7 +75,7 @@ let reference (md : Md_hom.t) env =
   List.iter
     (fun (o : Md_hom.output) ->
       let tensor = eval_box md env o ~lo ~sz:md.sizes in
-      write_output env md o tensor)
+      write_output env o tensor)
     md.outputs;
   env
 
@@ -129,15 +126,14 @@ let exec (md : Md_hom.t) env =
         | Combine.Ps f -> acc := Dense.scan ~dim:d f.apply !acc
         | Cc | Pw _ -> ()
       done;
-      write_output env md o !acc)
+      write_output env o !acc)
     md.outputs;
   env
 
 (* The MDH decomposition law over one box: split each dimension of the box
    into tiles, evaluate sub-boxes, recombine with the dimension's combine
    operator. The returned tensor covers the whole box (cc dims keep their
-   box extent, pw dims collapse, ps dims keep extent); the caller writes it
-   through [write_output ~lo]. *)
+   box extent, pw dims collapse, ps dims keep extent). *)
 let eval_box_tiled (md : Md_hom.t) env (o : Md_hom.output) ~lo ~sz ~tile_sizes =
   let rank = Md_hom.rank md in
   if Array.length tile_sizes <> rank then
@@ -180,7 +176,7 @@ let eval_tiled (md : Md_hom.t) env ~tile_sizes =
       let tensor =
         eval_box_tiled md env o ~lo:(Array.make rank 0) ~sz:md.sizes ~tile_sizes
       in
-      write_output env md o tensor)
+      write_output env o tensor)
     md.outputs;
   env
 

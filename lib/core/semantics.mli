@@ -39,32 +39,3 @@ val eval_tiled : Md_hom.t -> Buffer.env -> tile_sizes:int array -> Buffer.env
 
 val result_tensor : Md_hom.t -> Buffer.env -> string -> Dense.t
 (** Convenience: the data of a named output buffer in a result env. *)
-
-val eval_box :
-  Md_hom.t -> Buffer.env -> Md_hom.output -> lo:int array -> sz:int array -> Dense.t
-(** Partial result of one output over the box [\[lo, lo+sz)]: the pointwise
-    tensor over the box reduced per the combine operators (extent 1 on [pw]
-    dimensions, [sz] otherwise). Partial results combine with
-    {!Mdh_combine.Combine.combine_partials} — the primitive that parallel
-    executors build on. *)
-
-val eval_box_tiled :
-  Md_hom.t ->
-  Buffer.env ->
-  Md_hom.output ->
-  lo:int array ->
-  sz:int array ->
-  tile_sizes:int array ->
-  Dense.t
-(** {!eval_box} with the decomposition law applied inside the box: the box
-    is split per-dimension into [tile_sizes]-sized sub-boxes, evaluated,
-    and recombined with the dimension's combine operator. Equal to
-    {!eval_box} for any tile sizes; the plan-driven executor uses it to
-    honor cache tiles inside each distributed box. The box must be
-    non-empty. *)
-
-val write_output :
-  Buffer.env -> Md_hom.t -> Md_hom.output -> ?lo:int array -> Dense.t -> unit
-(** Write a combined result tensor into the output buffer through the
-    out_view. [lo] (default all-zero) is the box origin the tensor was
-    evaluated at. *)

@@ -165,11 +165,6 @@ let tree t =
       | _ -> None)
     t.levels
 
-let tiled t =
-  List.filter_map
-    (function Tile { dim; tile; _ } -> Some (dim, tile) | _ -> None)
-    t.levels
-
 let pp_level ppf level =
   match level with
   | Distribute { dims; over; units; points; _ } ->

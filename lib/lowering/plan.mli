@@ -74,10 +74,6 @@ val distributed : t -> (int * int) list
 val tree : t -> (int * int * int) option
 (** [(dim, extent, items)] of the [Tree_reduce] level, if any. *)
 
-val tiled : t -> (int * int) list
-(** [(dim, tile)] pairs of the [Tile] levels, in level order; a dimension
-    appears iff the plan cache-tiles it ([tile < extent]). *)
-
 val pp : Format.formatter -> t -> unit
 (** Indented tree rendering. *)
 

@@ -4,8 +4,7 @@
     runtime reports samples addressed by a level's position in the plan
     tree (["L0"], ["L1"], … outermost-first, ["leaf"] for the point
     computation) or by backend phase (["phase:fastpath"],
-    ["phase:specializer.compile"], ["phase:specializer.run"],
-    ["phase:cc.build"], ["phase:cc.run"], ["phase:walker"]), plus an
+    ["phase:specializer.compile"], ["phase:specializer.run"]), plus an
     enclosing ["exec"] cell per run. Keys are plain strings so this
     module has no dependency on the lowering layer — callers pass
     [Plan.digest].

@@ -1,31 +1,21 @@
-(** Plan-driven parallel execution of scheduled MDH computations on the
-    host, using the domain pool.
-
-    The executor walks the same {!Mdh_lowering.Plan.t} the cost model and
-    code generators consume. The plan's [Distribute] level splits *all*
-    parallel concatenation dimensions into boxes (not just one), the
-    [Tree_reduce] level splits the parallelised reduction dimension with
-    the leftover chunk budget ({!Pool.chunk_budget}, which the
-    {!Specializer} splits by too), each box is evaluated
-    independently with the plan's cache tiles honored inside the box
-    ({!Mdh_core.Semantics.eval_box_tiled}), and partial results are
-    recombined in index order with the dimension's combine operator —
-    so associative (not necessarily commutative) operators yield the
-    sequential result. Pure-concatenation decompositions skip the combine
-    fold entirely and write each box in place.
+(** Plan-driven execution of scheduled MDH computations on the host,
+    using the domain pool.
 
     Dispatch order: when the computation structurally matches one of the
-    flat-array kernels (dot/matvec/matmul, see {!Fastpath}), the
-    interpreter is bypassed; otherwise a plan the {!Specializer} accepts
-    — every catalogue computation: fp32 and fp64 arithmetic, records,
-    selects and custom combine operators with an expression body, such
-    as PRL's and KMeans's — is compiled, on every call, to strided row
-    programs over flat float stores and executed; the generic box walker
-    is the fallback for everything else (e.g. an operator given only as a
-    closure). Both accelerated paths accumulate fp32 in double and are
-    tolerance-equal to the interpreter there — disable with
-    [~fastpath:false ~specialize:false] where bit-identity with the
-    sequential interpreter matters. *)
+    flat-array kernels (dot/matvec/matmul, see {!Fastpath}), the kernel
+    runs; otherwise a plan the {!Specializer} accepts — every catalogue
+    computation: fp32 and fp64 arithmetic, records, selects and custom
+    combine operators with an expression body, such as PRL's and
+    KMeans's — is compiled, on every call, to strided row programs over
+    flat float stores and executed, parallel over the plan's
+    [Distribute]/[Tree_reduce] levels; everything else (e.g. an operator
+    given only as a closure) runs on the reference,
+    {!Mdh_core.Semantics.exec}. Each such fallback counts once under
+    [runtime.exec.fallbacks] and runs in an [exec.reference] trace span
+    whose [reason] argument is the Specializer's refusal. Both
+    accelerated paths accumulate fp32 in double and are tolerance-equal
+    to the reference there — [~fastpath:false ~specialize:false] runs the
+    reference itself, where bit-identity with it matters. *)
 
 val run :
   ?device:Mdh_machine.Device.t ->
@@ -41,8 +31,8 @@ val run :
     [used_layers] do not fit is rejected, not silently accepted; pass the
     device the schedule was tuned for to run it). [fastpath] (default
     true) allows kernel dispatch; [specialize] (default true) allows
-    plan-compiled execution. When the plan exposes no parallel level, runs
-    sequentially.
+    plan-compiled execution. With [specialize] off, what [Fastpath] does
+    not serve runs on the reference and is not counted as a fallback.
     A zero-extent dimension short-circuits to {!run_seq} — parallel
     execution of an empty iteration space is defined to be the sequential
     semantics. *)

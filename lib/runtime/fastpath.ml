@@ -190,7 +190,7 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
       in
       (* a hit is a kernel that *completed*: a raising kernel (degraded
          pool, injected fault) is counted separately and the caller falls
-         back to the generic walker instead of aborting the run *)
+         back to the next backend instead of aborting the run *)
       match
         Trace.with_span ~cat:"runtime" "exec.fastpath"
           ~args:[ ("kernel", kernel); ("hom", md.Md_hom.hom_name) ]

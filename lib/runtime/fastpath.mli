@@ -6,11 +6,11 @@
     skip the boxed interpreter entirely. The matchers are conservative:
     exact rank, combine operators, scalar-function shape, access patterns,
     types and extents must line up (multiplication operands in either
-    order), otherwise the generic plan walker runs. Completed kernel runs
+    order), otherwise {!Exec} tries the {!Specializer}. Completed kernel runs
     count under [runtime.kernels.fastpath_hits]; a kernel that raises
     (degraded pool, injected fault) counts under
     [runtime.kernels.fastpath_errors] and the dispatch returns [None] so
-    the caller falls back to the generic walker.
+    the caller falls back to the next backend.
 
     Nothing is copied in and no element is boxed: the kernels read the
     inputs' fp32 stores in place ({!Mdh_tensor.Dense.floats}) and never
@@ -31,5 +31,5 @@ val try_run :
 (** [try_run pool plan md env] is [Some env'] iff a kernel matched and ran
     (parallel when the plan distributes work and the pool has more than one
     worker). [None] means no kernel applies — including when an input
-    buffer is missing, mistyped or without a float store, so the generic
-    path can report the error. *)
+    buffer is missing, mistyped or without a float store, so the
+    reference can report the error. *)

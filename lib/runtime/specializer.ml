@@ -117,8 +117,8 @@ let aff_range (md : Md_hom.t) a =
   (!lo, !hi)
 
 (* What a register holds. Registers are float: a row computes in double,
-   so a kind also says whether its values equal the walker's bit for bit
-   ("exact"). fp64 arithmetic is double arithmetic, integers below 2^53
+   so a kind also says whether its values equal [Semantics.exec]'s bit for
+   bit ("exact"). fp64 arithmetic is double arithmetic, integers below 2^53
    are exact, and masks are 0 or 1; but fp32 is rounded only where the
    expression casts, not after each operation, so a computed fp32 value
    (and an fp64 widened from one) is not exact. *)
@@ -272,7 +272,7 @@ let round_instr ra r { regs; _ } =
       Array.unsafe_set d l (round_f32 (Array.unsafe_get a l))
     done
 
-(* An int32 sum or difference of two int32s, wrapped as the walker's
+(* An int32 sum or difference of two int32s, wrapped as [Semantics.exec]'s
    [Int32] arithmetic wraps: it lies within (-2^32, 2^32). *)
 let[@inline] wrap_sum x =
   if x >= 2147483648.0 then x -. 4294967296.0
@@ -313,7 +313,7 @@ let wrap_instr ra r { regs; _ } =
         (wrap_sum (Float.rem (Array.unsafe_get a l) 4294967296.0 +. 0.0))
     done
 
-(* Min and max as the walker takes them ([Scalar.min_v]): the first
+(* Min and max as [Semantics.exec] takes them ([Scalar.min_v]): the first
    operand unless the second is ordered before (after) it. *)
 let minmax_instr op ra rb r { regs; _ } =
   let a = regs.(ra) and b = regs.(rb) and d = regs.(r) in
@@ -329,7 +329,7 @@ let minmax_instr op ra rb r { regs; _ } =
   | Expr.Max -> go (-1)
   | _ -> invalid_arg "Specializer.minmax_instr"
 
-(* A comparison fills a mask, ordering as the walker does
+(* A comparison fills a mask, ordering as [Semantics.exec] does
    ([Scalar.compare_num], [Scalar.equal]): by [Float.compare], which is
    exact on every kind a row compares. *)
 let[@inline] holds op c =
@@ -444,14 +444,14 @@ let const b x =
 
 let int_kind = function Scalar.Int64 -> K_i64 | _ -> K_i32
 
-(* Whether [a] leaves int32 somewhere in the iteration box, where the
-   walker's int32 arithmetic wraps it. *)
+(* Whether [a] leaves int32 somewhere in the iteration box, where
+   [Semantics.exec]'s int32 arithmetic wraps it. *)
 let wraps32 b a =
   let lo, hi = aff_range b.md a in
   lo < -(1 lsl 31) || hi >= 1 lsl 31
 
 (* An affine integer in a register, exactly: an [Int32] wrapped to 32
-   bits as the walker's arithmetic wraps it, once, which is the same
+   bits as [Semantics.exec]'s arithmetic wraps it, once, which is the same
    modulo 2^32; an [Int64] within 2^53, where a double holds it. *)
 let ramp b ty a =
   let lo, hi = aff_range b.md a in
@@ -555,7 +555,7 @@ let rec select b mc vx vy =
 let cast b ty v =
   match (ty, v) with
   | Scalar.Int64, V_aff (Scalar.Int32, a) when wraps32 b a ->
-    (* widened after the walker wrapped it *)
+    (* widened after [Semantics.exec] wrapped it *)
     V_reg (K_i64, ramp b Scalar.Int32 a)
   | (Scalar.Int32 | Scalar.Int64), V_aff (_, a) -> V_aff (ty, a)
   | Scalar.Fp32, V_aff (ity, a) ->
@@ -581,9 +581,9 @@ let cast b ty v =
 
 (* Compile [e] in [env] to a value, emitting what it computes, or raise
    [Unsupported] naming the first form a row cannot compute. Under a
-   [branch] — an [If] arm or the right operand of [And]/[Or], which the
-   walker may skip but a row computes at every lane — every read must be
-   proven in range over the iteration box. *)
+   [branch] — an [If] arm or the right operand of [And]/[Or], which
+   [Semantics.exec] may skip but a row computes at every lane — every
+   read must be proven in range over the iteration box. *)
 let rec value b env ~branch e =
   match e with
   | Expr.Const v -> constant b v
@@ -1597,14 +1597,14 @@ let dst_of b =
   | Some a -> Floats (a, Scalar.equal_ty (Buffer.ty b) Scalar.Fp32)
   | None -> Records (Buffer.data b)
 
-let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
-  if Array.exists (fun s -> s = 0) md.sizes then None
+let run pool (plan : Plan.t) (md : Md_hom.t) env =
+  if Array.exists (fun s -> s = 0) md.sizes then Error "zero-extent iteration space"
   else
     match compiled plan md with
-    | Error _ -> None
+    | Error _ as e -> e
     | Ok c -> (
       match bind_inputs md env with
-      | None -> None
+      | None -> Error "input buffers do not match the plan"
       | Some data ->
         Trace.with_span ~cat:"runtime" "exec.specialized"
           ~args:[ ("hom", md.Md_hom.hom_name); ("digest", c.digest) ]
@@ -1617,8 +1617,8 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
             with
             | exception Invalid_argument _ ->
               (* a record element that is not of its buffer's type: decline,
-                 and let the walker report it *)
-              None
+                 and let the reference report it *)
+              Error "a record input holds an element not of its type"
             | bufs ->
               let env = Semantics.alloc_outputs md env in
               List.iter
@@ -1630,4 +1630,6 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
               let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
               Metrics.observe h_run dt;
               Profile.add ~digest:c.digest ~path:"phase:specializer.run" dt;
-              Some env))
+              Ok env))
+
+let try_run pool plan md env = Result.to_option (run pool plan md env)

@@ -77,7 +77,7 @@
     rules:
     - Integers affine in the iteration variables stay affine (indices
       must be); one enters a register wrapped to 32 bits if it is an
-      int32, as the walker's arithmetic wraps it, and only within 2^53
+      int32, as {!Mdh_core.Semantics.exec}'s arithmetic wraps it, and only within 2^53
       over the iteration box if it is an int64.
       Other int32 values live in registers exactly: [Add], [Sub] and
       negation wrap to 32 bits, [Min]/[Max] select. Int64 values must be
@@ -105,8 +105,8 @@
     casts, integer arithmetic not affine in the iteration variables where
     an index or an int64 needs it, an int32 index that leaves int32 over
     the iteration box, [Mul]/[Div] on int32 data, char constants, and a
-    builtin reduction of a record output. Everything refused falls back
-    to the generic box walker.
+    builtin reduction of a record output. Everything refused runs on
+    {!Mdh_core.Semantics.exec} when dispatched through {!Exec}.
 
     A float accumulation happens in double precision with one rounding
     per fp32 output element, so fp32 results are tolerance-equal — not
@@ -123,17 +123,27 @@ val supported :
     would execute this plan (buffer bindings aside); the error is the
     reason the computation is not specializable. *)
 
+val run :
+  Pool.t ->
+  Mdh_lowering.Plan.t ->
+  Mdh_core.Md_hom.t ->
+  Mdh_tensor.Buffer.env ->
+  (Mdh_tensor.Buffer.env, string) result
+(** [Ok env'] iff the plan compiled and the supplied buffers match the
+    declared types and shapes; parallel over the plan's
+    Distribute/Tree_reduce levels when the pool has more than one worker,
+    cut into {!Pool.chunk_budget} jobs. The error is the reason the run
+    was declined: the compile's refusal, as {!supported} gives it, a
+    zero-extent iteration space, or ["input buffers do not match the
+    plan"]. One call compiles once. *)
+
 val try_run :
   Pool.t ->
   Mdh_lowering.Plan.t ->
   Mdh_core.Md_hom.t ->
   Mdh_tensor.Buffer.env ->
   Mdh_tensor.Buffer.env option
-(** [Some env'] iff the plan compiled and the supplied buffers match the
-    declared types and shapes; parallel over the plan's
-    Distribute/Tree_reduce levels when the pool has more than one worker,
-    cut into {!Pool.chunk_budget} jobs as the walker's boxes are. [None] means the generic walker should run — unsupported
-    computation, zero-extent iteration space, or mismatched buffers. *)
+(** {!run} without the reason. *)
 
 val clear : unit -> unit
 (** Does nothing: the Specializer keeps no state between calls. Kept

@@ -573,12 +573,9 @@ module Exec_op = struct
 
   let special pool md sched env =
     let plan = ok_or "exec_failed" (Plan.build md (Mdh_runtime.Exec.host_device pool) sched) in
-    match Mdh_runtime.Specializer.try_run pool plan md env with
-    | Some env' -> env'
-    | None -> (
-      match Mdh_runtime.Specializer.supported plan md with
-      | Error e -> fail "exec_failed" "specializer: %s" e
-      | Ok () -> fail "exec_failed" "specializer: input buffers do not match")
+    match Mdh_runtime.Specializer.run pool plan md env with
+    | Ok env' -> env'
+    | Error e -> fail "exec_failed" "specializer: %s" e
 
   let run ctx r =
     let w, _, params = resolve r.subject in
@@ -592,13 +589,13 @@ module Exec_op = struct
     in
     let timed = Mdh_support.Util.time_it in
     let in_pool f = ctx.with_pool (fun pool -> timed (fun () -> f pool)) in
-    let walk ~fastpath ~specialize pool =
+    let dispatch ~fastpath ~specialize pool =
       ok_or "exec_failed" (Mdh_runtime.Exec.run ~fastpath ~specialize pool md sched env)
     in
     let out, elapsed_s =
       match r.backend with
-      | Auto -> in_pool (walk ~fastpath:true ~specialize:true)
-      | Interp -> in_pool (walk ~fastpath:false ~specialize:false)
+      | Auto -> in_pool (dispatch ~fastpath:true ~specialize:true)
+      | Interp -> in_pool (dispatch ~fastpath:false ~specialize:false)
       | Special -> in_pool (fun pool -> special pool md sched env)
       | Cc -> timed (fun () -> ok_or "exec_failed" (Mdh_codegen.Cc.execute md env))
     in
@@ -636,9 +633,10 @@ module Exec_op = struct
     let mode =
       match r.backend with
       | Cc -> "compiled OpenMP C"
+      | Interp -> "reference"
       | b ->
         (if r.parallel then "parallel" else "sequential")
-        ^ match b with Interp -> " interp" | Special -> " specializer" | _ -> ""
+        ^ if b = Special then " specializer" else ""
     in
     printed
       (Printf.sprintf "executed %s in %.4fs (%s)\n%s\n" e.workload e.elapsed_s mode

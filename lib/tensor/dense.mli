@@ -12,8 +12,8 @@
     the payload of every [F32] it makes, and code that writes through
     {!floats} rounds each value with {!Scalar.round_f32}.
 
-    The reference semantics, the directive interpreter and the plan
-    walker read and write elements through [get]/[set]. The fast backends
+    The reference semantics and the directive interpreter read and
+    write elements through [get]/[set]. The fast backends
     ([Mdh_runtime.Fastpath], [Mdh_runtime.Specializer] and
     [Mdh_codegen.Cc]) take the float store itself from {!floats}: they
     read inputs and write outputs in place, with no per-element copy. *)

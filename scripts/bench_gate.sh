@@ -5,8 +5,9 @@
 #   ./scripts/bench_gate.sh
 #
 # Exits non-zero when
-#   - the specializer's speedup over the interp walker drops below
-#     committed * speedup_tolerance on any gated workload, or
+#   - the specializer's speedup over the reference semantics
+#     (Semantics.exec) drops below committed * speedup_tolerance on any
+#     gated workload, or
 #   - the cost-model accuracy report is missing, or its rank correlation
 #     collapses below the committed floors, or
 #   - the mdhd serving bench misses its throughput floor, sheds more than

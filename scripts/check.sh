@@ -65,10 +65,11 @@
 #     both ways a custom operator folds (lane by lane along a pw row, and
 #     across the distributed cells) run end to end; the C half keeps its
 #     four workloads, since cc refuses MCC,
-#   - the profiler stage fails: `mdhc profile` must render for matmul, for
-#     jacobi_3d (whose row is driven by a Distribute level) and for
-#     ccsd(t) (driven by a Tree_reduce level) on the specializer, and for
-#     prl on the walker.
+#   - the profiler stage fails: `mdhc profile` must render, on the
+#     specializer, for matmul, for jacobi_3d (whose row is driven by a
+#     Distribute level), for ccsd(t) (driven by a Tree_reduce level) and
+#     for prl (records and a custom operator), and write prl's flamegraph
+#     stacks.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -291,16 +292,16 @@ else
     echo "check.sh: SKIP compiled-C differential stage (gcc not on PATH)"
 fi
 
-# profiler stage: `mdhc profile` must render a per-plan-level breakdown on
-# both backends and honour its JSON/flame contracts (bit-identity of
-# unprofiled runs and the 5% sum bound are pinned by the test suite)
+# profiler stage: `mdhc profile` must render a per-plan-level breakdown
+# and honour its JSON/flame contracts (bit-identity of unprofiled runs and
+# the 5% sum bound are pinned by the test suite)
 for wl in matmul jacobi_3d 'ccsd(t)'; do
     dune exec bin/mdhc.exe -- profile "$wl" > /dev/null || {
         echo "error: mdhc profile $wl (specializer) failed" >&2; exit 1; }
 done
-dune exec bin/mdhc.exe -- profile prl --backend interp \
+dune exec bin/mdhc.exe -- profile prl \
     --flame "$chaos_dir/prl.folded" > /dev/null 2> /dev/null || {
-    echo "error: mdhc profile prl (walker) failed" >&2; exit 1; }
+    echo "error: mdhc profile prl (specializer) failed" >&2; exit 1; }
 test -s "$chaos_dir/prl.folded" || {
     echo "error: mdhc profile wrote no flamegraph stacks" >&2; exit 1; }
 

@@ -81,10 +81,11 @@ grep -q 'result check: OK' "$tmp/run_special.txt" ||
 grep -q 'runtime\.specializer\.' "$tmp/run_special.txt" ||
   fail "no specializer counters under --metrics"
 
-# interp always bypasses the specializer
-"$MDHC" run matmul --backend interp >"$tmp/run_interp.txt" 2>&1 ||
+# interp runs the reference, whatever --parallel says
+"$MDHC" run matmul --backend interp --parallel >"$tmp/run_interp.txt" 2>&1 ||
   fail "run --backend interp exited non-zero"
 grep -q 'result check: OK' "$tmp/run_interp.txt" || fail "interp check failed"
+grep -q '(reference)' "$tmp/run_interp.txt" || fail "interp run not labelled reference"
 
 # the record-typed workloads with a custom combine operator run on the
 # specializer too, and match their hand-written oracles
@@ -324,15 +325,16 @@ fi
 grep -Eq '^matmul;[0-9a-f]{8};L0 .* [0-9]+$' "$tmp/matmul.folded" ||
   fail "flame file has no collapsed stacks"
 
-# the walker backend profiles prl...
-"$MDHC" profile prl --backend interp >"$tmp/profile_prl.txt" 2>&1 ||
-  fail "profile prl --backend interp exited non-zero"
-grep -Eq '^  exec ' "$tmp/profile_prl.txt" || fail "walker profile has no exec row"
-# ...and so does the specializer, which now runs it
-"$MDHC" profile prl --backend special >"$tmp/profile_prl_special.txt" 2>&1 ||
-  fail "profile prl --backend special exited non-zero"
-grep -q 'specializer.run' "$tmp/profile_prl_special.txt" ||
+# the specializer profiles prl, records and custom operator included
+"$MDHC" profile prl >"$tmp/profile_prl.txt" 2>&1 ||
+  fail "profile prl exited non-zero"
+grep -Eq '^  exec ' "$tmp/profile_prl.txt" || fail "prl profile has no exec row"
+grep -q 'specializer.run' "$tmp/profile_prl.txt" ||
   fail "specializer profile of prl printed no phases"
+# the profiler has one backend, so --backend is not an option
+if "$MDHC" profile prl --backend interp >/dev/null 2>&1; then
+  fail "profile accepted --backend"
+fi
 if "$MDHC" profile no-such-workload >/dev/null 2>&1; then
   fail "profile of unknown workload exited 0"
 fi

@@ -3,10 +3,8 @@
    The executor walks Plan.t — the same IR the cost model and code
    generators consume — so these tests pin the contract that matters
    after the refactor: any legal schedule computes the reference result;
-   with the fast path and the specializer off, the walker reproduces the
-   pre-refactor single-dim chunked executor bit-for-bit on the default
-   schedules; layer misfits are rejected rather than masked; fast-path
-   dispatch is counted. *)
+   layer misfits are rejected rather than masked; fast-path dispatch is
+   counted; the chunk budget follows the pool size. *)
 
 module W = Mdh_workloads.Workload
 module Catalog = Mdh_workloads.Catalog
@@ -14,7 +12,6 @@ module Buffer = Mdh_tensor.Buffer
 module Dense = Mdh_tensor.Dense
 module Md_hom = Mdh_core.Md_hom
 module Semantics = Mdh_core.Semantics
-module Combine = Mdh_combine.Combine
 module Schedule = Mdh_lowering.Schedule
 module Lower = Mdh_lowering.Lower
 module Plan = Mdh_lowering.Plan
@@ -56,9 +53,9 @@ let random_schedule rng md dev =
   match Schedule.legal md dev sched with Ok () -> Some sched | Error _ -> None
 
 let test_random_schedules_match_reference () =
-  (* every catalogue workload x pinned random legal schedules: the plan
-     walker (fast path included) computes Semantics.exec's result within
-     the repository's float tolerance *)
+  (* every catalogue workload x pinned random legal schedules: the
+     default dispatch computes Semantics.exec's result within the
+     repository's float tolerance *)
   let rng = Rng.create 2026 in
   with_pool (fun pool ->
       List.iter
@@ -87,82 +84,6 @@ let test_random_schedules_match_reference () =
           done;
           check Alcotest.bool (w.W.wl_name ^ ": legal draws found") true
             (!tried > 0))
-        Catalog.all)
-
-(* --- bit-identity with the pre-refactor executor --- *)
-
-(* the executor this refactor replaced: split the lowest-indexed parallel
-   dimension into [workers * 2] ceil-sized chunks, evaluate each box with
-   the reference interpreter, recombine the partials in chunk order *)
-let old_exec pool md (sched : Schedule.t) env =
-  match sched.Schedule.parallel_dims with
-  | [] -> Ok (Exec.run_seq md env)
-  | dims ->
-    let d = List.fold_left min (List.hd dims) dims in
-    let extent = md.Md_hom.sizes.(d) in
-    let workers = Pool.num_workers pool in
-    let n = max 1 (min extent (workers * 2)) in
-    let chunk = (extent + n - 1) / n in
-    let ranges =
-      List.filter
-        (fun (_, sz) -> sz > 0)
-        (List.init n (fun i -> (i * chunk, min chunk (extent - (i * chunk)))))
-    in
-    let partials =
-      Pool.run_in_parallel pool
-        (Array.of_list
-           (List.map
-              (fun (lo_d, sz_d) () ->
-                List.map
-                  (fun (o : Md_hom.output) ->
-                    let lo = Array.make (Md_hom.rank md) 0 in
-                    let sz = Array.copy md.Md_hom.sizes in
-                    lo.(d) <- lo_d;
-                    sz.(d) <- sz_d;
-                    Semantics.eval_box md env o ~lo ~sz)
-                  md.Md_hom.outputs)
-              ranges))
-    in
-    let combined =
-      match Array.to_list partials with
-      | [] -> assert false
-      | first :: rest ->
-        List.fold_left
-          (fun acc p ->
-            List.map2
-              (fun a b ->
-                Combine.combine_partials md.Md_hom.combine_ops.(d) ~dim:d a b)
-              acc p)
-          first rest
-    in
-    let env' = Semantics.alloc_outputs md env in
-    List.iter2
-      (fun (o : Md_hom.output) part -> Semantics.write_output env' md o part)
-      md.Md_hom.outputs combined;
-    Ok env'
-
-let test_bit_identical_to_old_executor () =
-  with_pool (fun pool ->
-      List.iter
-        (fun (w : W.t) ->
-          let md = W.to_md_hom w w.W.test_params in
-          let env = w.W.gen w.W.test_params ~seed:11 in
-          (* untiled schedule: the old executor never honoured tiles, so
-             bit-comparing under tiles =  extents isolates the chunking *)
-          let sched =
-            { (Schedule.sequential md) with
-              Schedule.parallel_dims = Lower.parallelisable_dims md }
-          in
-          let old_env =
-            match old_exec pool md sched env with
-            | Ok e -> e
-            | Error e -> Alcotest.failf "%s old: %s" w.W.wl_name e
-          in
-          match Exec.run ~fastpath:false ~specialize:false pool md sched env with
-          | Error e -> Alcotest.failf "%s new: %s" w.W.wl_name e
-          | Ok new_env ->
-            check Alcotest.bool (w.W.wl_name ^ " bit-identical") true
-              (outputs_agree ~bitwise:true md new_env old_env))
         Catalog.all)
 
 (* --- layer misfits are errors, not silently masked (satellite 2) --- *)
@@ -257,9 +178,7 @@ let test_chunk_budget_per_pool_size () =
       Pool.with_pool ~num_domains:(workers - 1) (fun pool ->
           let budget = Pool.chunk_budget pool in
           check Alcotest.int "two chunks per worker" (2 * workers) budget;
-          match
-            Exec.run ~fastpath:false ~specialize:false pool md sched env
-          with
+          match Exec.run pool md sched env with
           | Error e -> Alcotest.failf "chunk budget %d: %s" budget e
           | Ok got ->
             check Alcotest.bool
@@ -273,8 +192,6 @@ let suite =
   ( "plan-exec",
     [ tc "random legal schedules match reference" `Slow
         test_random_schedules_match_reference;
-      tc "bit-identical to pre-refactor executor" `Quick
-        test_bit_identical_to_old_executor;
       tc "used_layers rejected, not masked" `Quick
         test_used_layers_rejected_not_masked;
       tc "fastpath hits counted" `Quick test_fastpath_hit_counted;

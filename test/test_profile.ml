@@ -39,7 +39,7 @@ let find name =
    deterministic per-device lowering default pinned to the pool's layer *)
 let host_schedule md = { (Lower.mdh_default md cpu) with Schedule.used_layers = [ 0 ] }
 
-let run_profiled ?(schedule = host_schedule) ?specialize pool (w : W.t) =
+let run_profiled ?(schedule = host_schedule) pool (w : W.t) =
   let md = W.to_md_hom w w.W.test_params in
   let env = w.W.gen w.W.test_params ~seed:5 in
   let sched = schedule md in
@@ -48,7 +48,7 @@ let run_profiled ?(schedule = host_schedule) ?specialize pool (w : W.t) =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  match Exec.run ~fastpath:false ?specialize pool md sched env with
+  match Exec.run ~fastpath:false pool md sched env with
   | Ok env' -> (plan, env')
   | Error e -> Alcotest.fail e
 
@@ -101,14 +101,11 @@ let check_level_sum name plan =
     Alcotest.failf "%s: level sum %.9f vs exec %.9f (%.1f%% off)" name !levels
       !exec (100.0 *. err)
 
-let sum_matches_exec ?specialize name =
+let test_sum_specializer () =
   Pool.with_pool (fun pool ->
       with_profiling (fun () ->
-          let plan, _ = run_profiled ?specialize pool (find name) in
-          check_level_sum name plan))
-
-let test_sum_specializer () = sum_matches_exec "matmul"
-let test_sum_walker () = sum_matches_exec ~specialize:false "prl"
+          let plan, _ = run_profiled pool (find "matmul") in
+          check_level_sum "matmul" plan))
 
 (* prl on the Specializer adds the per-call unpack of its record inputs,
    a coordinator segment like write-back *)
@@ -230,7 +227,6 @@ let suite =
     [ tc "disabled mode creates no cells" `Quick test_disabled_no_cells;
       tc "catalogue bit-identity off vs on" `Slow test_catalogue_bit_identity;
       tc "level sum = exec cell (specializer)" `Quick test_sum_specializer;
-      tc "level sum = exec cell (walker)" `Quick test_sum_walker;
       tc "level sum = exec cell (prl specializer)" `Quick test_sum_specializer_prl;
       tc "profiled parallel jobs" `Quick test_parallel_jobs_profiled;
       tc "digest-keyed accumulation" `Quick test_digest_accumulation;

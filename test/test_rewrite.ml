@@ -1,12 +1,11 @@
 (* The verified equality-saturation pass (mdhc optimize).
 
-   Correctness is pinned the way PR 5/6 pinned the executor: rewritten
-   computations and plans must be bit-identical to Semantics.exec across
-   the whole catalogue under pinned-random legal schedules, on the
-   interpreter walker; on the specializer backend the rewritten plan must
-   reproduce the raw plan's bits exactly (that backend accumulates in
-   double, so Semantics.exec is its tolerance baseline, not its bitwise
-   one). The justification discipline is pinned negatively: no
+   Correctness is pinned across the whole catalogue: rewritten
+   computations must be bit-identical to Semantics.exec under the
+   sequential semantics, and under pinned-random legal schedules the
+   specializer must run every raw plan and reproduce its bits exactly
+   from the rewritten plan (that backend accumulates in double, so
+   Semantics.exec is its tolerance baseline, not its bitwise one). The justification discipline is pinned negatively: no
    algebra-gated rule may fire on an operator whose Opcheck report lacks
    the property — the falsely-commutative "first" fixture is the witness
    — nor on a declared-but-unverified annotation, nor on an inexact float
@@ -58,68 +57,28 @@ let optimize_exn ?(dev = cpu) md sched =
 (* --- rewritten plans are bit-identical to Semantics.exec (interpreter) --- *)
 
 let test_catalogue_rewritten_bitwise_interp () =
-  (* every catalogue workload: (a) the saturated computation evaluates to
+  (* every catalogue workload: the saturated computation evaluates to
      Semantics.exec's exact bits under the sequential semantics — CSE
-     evaluates hoisted subexpressions once, identities never round; and
-     (b) under pinned-random legal schedules the saturated (computation,
-     plan) pair through the generic walker reproduces the raw pair's bits
-     exactly — the rewrite is invisible to the backend. (A parallel
-     schedule regroups float partials, so bitwise against the sequential
-     semantics is the raw walker's own contract only where it holds; the
-     rewrite must never move the result a single bit further.) *)
-  let rng = Rng.create 20261 in
-  with_pool (fun pool ->
-      List.iter
-        (fun (w : W.t) ->
-          let md = W.to_md_hom w w.W.test_params in
-          let env = w.W.gen w.W.test_params ~seed:23 in
-          let expected = Semantics.exec md env in
-          let r_seq = optimize_exn md (Schedule.sequential md) in
-          check Alcotest.bool (w.W.wl_name ^ ": saturated semantics bitwise")
-            true
-            (outputs_agree ~bitwise:true md
-               (Semantics.exec r_seq.Rewrite.r_md env)
-               expected);
-          let tried = ref 0 and draws = ref 0 in
-          while !tried < 2 && !draws < 50 do
-            incr draws;
-            match Test_plan_exec.random_schedule rng md cpu with
-            | None -> ()
-            | Some sched ->
-              incr tried;
-              let r = optimize_exn md sched in
-              let walk plan pmd =
-                match
-                  Exec.run_with_plan ~fastpath:false ~specialize:false pool
-                    plan pmd env
-                with
-                | Ok e -> e
-                | Error e -> Alcotest.failf "%s: walker: %s" w.W.wl_name e
-              in
-              let raw = walk r.Rewrite.r_raw_plan md in
-              let got = walk r.Rewrite.r_plan r.Rewrite.r_md in
-              check Alcotest.bool
-                (Printf.sprintf "%s under %s: rewritten==raw bits" w.W.wl_name
-                   (Schedule.to_string sched))
-                true
-                (outputs_agree ~bitwise:true md got raw);
-              check Alcotest.bool
-                (Printf.sprintf "%s under %s: rewritten~=semantics" w.W.wl_name
-                   (Schedule.to_string sched))
-                true
-                (outputs_agree ~bitwise:false md got expected)
-          done;
-          check Alcotest.bool (w.W.wl_name ^ ": legal draws found") true
-            (!tried > 0))
-        Catalog.all)
+     evaluates hoisted subexpressions once, identities never round *)
+  List.iter
+    (fun (w : W.t) ->
+      let md = W.to_md_hom w w.W.test_params in
+      let env = w.W.gen w.W.test_params ~seed:23 in
+      let r_seq = optimize_exn md (Schedule.sequential md) in
+      check Alcotest.bool (w.W.wl_name ^ ": saturated semantics bitwise") true
+        (outputs_agree ~bitwise:true md
+           (Semantics.exec r_seq.Rewrite.r_md env)
+           (Semantics.exec md env)))
+    Catalog.all
 
 (* --- ... and on the specializer backend --- *)
 
 let test_catalogue_rewritten_specializer () =
-  (* where the specializer accepts the plan, the rewritten plan must
-     compute exactly the raw plan's bits (the rewrite is invisible to the
-     backend's numerics) and stay tolerance-equal to Semantics.exec (the
-     backend accumulates in double, so bitwise against the interpreter is
+  (* every catalogue workload x pinned random legal schedules: the
+     specializer accepts the raw plan, and the rewritten plan computes
+     exactly the raw plan's bits (the rewrite is invisible to the
+     backend's numerics) and stays tolerance-equal to Semantics.exec (the
+     backend accumulates in double, so bitwise against the reference is
      not its contract — see test_specializer) *)
   let rng = Rng.create 20262 in
   with_pool (fun pool ->
@@ -139,18 +98,20 @@ let test_catalogue_rewritten_specializer () =
                 | Ok p -> p
                 | Error e -> Alcotest.failf "plan build: %s" e
               in
-              match Specializer.try_run pool raw_plan md env with
-              | None -> () (* backend refuses this workload; covered above *)
-              | Some raw ->
+              match Specializer.run pool raw_plan md env with
+              | Error e ->
+                Alcotest.failf "%s: specializer refused the raw plan: %s"
+                  w.W.wl_name e
+              | Ok raw ->
                 incr tried;
                 let r = optimize_exn md sched in
                 (match
-                   Specializer.try_run pool r.Rewrite.r_plan r.Rewrite.r_md env
+                   Specializer.run pool r.Rewrite.r_plan r.Rewrite.r_md env
                  with
-                | None ->
-                  Alcotest.failf "%s: specializer refused the rewritten plan"
-                    w.W.wl_name
-                | Some got ->
+                | Error e ->
+                  Alcotest.failf "%s: specializer refused the rewritten plan: %s"
+                    w.W.wl_name e
+                | Ok got ->
                   check Alcotest.bool
                     (Printf.sprintf "%s rewritten==raw bits" w.W.wl_name)
                     true
@@ -159,7 +120,9 @@ let test_catalogue_rewritten_specializer () =
                     (Printf.sprintf "%s rewritten~=semantics" w.W.wl_name)
                     true
                     (outputs_agree ~bitwise:false md got expected)))
-          done)
+          done;
+          check Alcotest.bool (w.W.wl_name ^ ": legal draws found") true
+            (!tried > 0))
         Catalog.all)
 
 (* --- >=3 catalogue workloads with a justified cost-model win --- *)

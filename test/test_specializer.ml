@@ -10,11 +10,12 @@
    satellites ride along: commuted-multiplicand fast-path matching,
    hit-vs-error fast-path accounting with fallback, zero-extent executor
    semantics, operators that share a name (told apart by their bodies and
-   by their declared algebra, whatever ran before) and the
-   ?specialize:false escape hatch. Three pins cover the
+   by their declared algebra, whatever ran before) and the interp
+   dispatch, which runs the reference. Three pins cover the
    specializer's row steps: hand-built directives with the expression
    forms and operators the catalogue lacks (each form a row refuses is
-   named by the refusal and runs on the walker), outputs bit-identical
+   named by the refusal and runs on the reference, counted as one
+   fallback), outputs bit-identical
    across pool sizes, and the allocation gate (no minor words per
    iteration point). *)
 
@@ -84,7 +85,7 @@ let parallel_schedule md =
 
 (* Exact value equality on every output but an fp32 one, which is
    tolerance-equal: a row rounds fp32 where the expression casts, not after
-   each operation as the walker does. *)
+   each operation as Semantics.exec does. *)
 let matches md a b =
   List.for_all
     (fun (o : Md_hom.output) ->
@@ -152,30 +153,48 @@ let test_specializer_matches_reference () =
           check Alcotest.bool (w.W.wl_name ^ ": legal draws found") true (!tried > 0))
         Catalog.all)
 
-(* --- ?specialize:false is a real escape hatch --- *)
+(* --- interp runs the reference --- *)
 
-let test_specialize_false_escape () =
+let fallbacks = Metrics.counter "runtime.exec.fallbacks"
+
+(* every compile and every run of the Specializer is observed *)
+let compiles_and_runs () =
+  List.map
+    (fun name -> (Metrics.histogram_value (Metrics.histogram name)).Metrics.h_count)
+    [ "runtime.specializer.compile_s"; "runtime.specializer.run_s" ]
+
+(* exact value equality on every output buffer *)
+let outputs_equal md a b =
+  List.for_all
+    (fun (o : Md_hom.output) ->
+      let data e = Buffer.data (Buffer.env_find e o.Md_hom.out_name) in
+      Dense.equal (data a) (data b))
+    md.Md_hom.outputs
+
+(* [~fastpath:false ~specialize:false] is [Semantics.exec] itself, with no
+   Specializer compile or run and no fallback counted; the default
+   dispatch serves every catalogue computation without a fallback *)
+let test_interp_runs_reference () =
   with_pool (fun pool ->
-      let w = Option.get (Catalog.find "matmul") in
-      let md = W.to_md_hom w w.W.test_params in
-      let env = w.W.gen w.W.test_params ~seed:23 in
-      let sched =
-        { (Schedule.sequential md) with
-          Schedule.parallel_dims = Lower.parallelisable_dims md }
-      in
-      (* every compile and every run of the Specializer is observed *)
-      let observations () =
-        List.map
-          (fun name -> (Metrics.histogram_value (Metrics.histogram name)).Metrics.h_count)
-          [ "runtime.specializer.compile_s"; "runtime.specializer.run_s" ]
-      in
-      let before = observations () in
-      (match Exec.run ~fastpath:false ~specialize:false pool md sched env with
-      | Error e -> Alcotest.fail e
-      | Ok got ->
-        check Alcotest.bool "walker result" true
-          (outputs_agree md got (Semantics.exec md env)));
-      check Alcotest.(list int) "no specializer compile or run" before (observations ()))
+      let f0 = Metrics.value fallbacks in
+      List.iter
+        (fun (w : W.t) ->
+          let md = W.to_md_hom w w.W.test_params in
+          let env = w.W.gen w.W.test_params ~seed:23 in
+          let sched = parallel_schedule md in
+          let before = compiles_and_runs () in
+          (match Exec.run ~fastpath:false ~specialize:false pool md sched env with
+          | Error e -> Alcotest.fail e
+          | Ok got ->
+            check Alcotest.bool (w.W.wl_name ^ ": interp = Semantics.exec") true
+              (outputs_equal md got (Semantics.exec md env)));
+          check Alcotest.(list int) (w.W.wl_name ^ ": no specializer compile or run")
+            before (compiles_and_runs ());
+          match Exec.run pool md sched env with
+          | Error e -> Alcotest.fail e
+          | Ok _ -> ())
+        Catalog.all;
+      check Alcotest.int "no fallback counted" f0 (Metrics.value fallbacks))
 
 (* --- commuted multiplicands still hit the fast-path kernels --- *)
 
@@ -602,7 +621,7 @@ let row_cases =
             + cast Scalar.Fp64 (cast Scalar.Int64 (k_ + int 2147483600))
             + cast Scalar.Fp64 (cast Scalar.Fp32 (var "v")))));
     (* an int32 ramp that wraps to zero from below (-2^32 at k = 4) is +0,
-       as the walker's Int32 arithmetic makes it, so 1 / it is +inf *)
+       as Semantics.exec's Int32 arithmetic makes it, so 1 / it is +inf *)
     (fun n ->
       typed ~name:"SpecWrapZero" ~ops:[ cc ] ~loops:[ ("k", n) ]
         ~inp:[ ("x", Scalar.Fp64, [| n |]) ] ~out:Scalar.Fp64 ~out_idx:[ k_ ]
@@ -705,7 +724,7 @@ let refused_cases () =
         ~loops:[ ("i", 6); ("k", 300) ] ~inp:[ ("y", [| 300 |]) ] ~out_idx:[ i_ ]
         Expr.(let_ "q" (i_ * k_) (read "y" [ var "q" / int 6 ])),
       "not affine" );
-    (* an integer quotient used as a value, which the walker truncates:
+    (* an integer quotient used as a value, which Semantics.exec truncates:
        alone, and as the body of a float Let *)
     ( hand_built ~name:"SpecIntDivValue" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
         ~inp:[ ("x", [| 300 |]) ] ~out_idx:[ k_ ]
@@ -715,14 +734,14 @@ let refused_cases () =
         ~inp:[ ("x", [| 300 |]) ] ~out_idx:[ k_ ]
         Expr.(read "x" [ k_ ] + cast Scalar.Fp32 (let_ "a" (read "x" [ k_ ]) k_ / int 2)),
       "integer / not affine" );
-    (* a branch whose read is out of range at k = 299, where the walker
+    (* a branch whose read is out of range at k = 299, where Semantics.exec
        does not take it (through a Let, the access is opaque to the
        directive's own range check) *)
     ( hand_built ~name:"SpecBranchRange" ~ops:[ Combine.cc ] ~loops:[ ("k", 300) ]
         ~inp:[ ("y", [| 300 |]) ] ~out_idx:[ k_ ]
         Expr.(let_ "j" (k_ + int 1) (if_ (var "j" < int 300) (read "y" [ var "j" ]) (f32 0.5))),
       "read of y under a branch not proven in range" );
-    (* a comparison of a computed fp32 value, which the walker rounds
+    (* a comparison of a computed fp32 value, which Semantics.exec rounds
        after the product and a row does not *)
     ( hand_built ~name:"SpecComputedCompare" ~ops:[ add ] ~loops:[ ("k", 300) ]
         ~inp:[ ("x", [| 300 |]); ("y", [| 300 |]) ] ~out_idx:[ Expr.int 0 ]
@@ -769,7 +788,8 @@ let refused_cases () =
 
 (* The row cases run on the Specializer, with rows of 300 and 600 points
    that span two and three strips and end in a partial one, and the
-   refused cases on the walker; both against [Semantics.exec], under the
+   refused cases through [Exec.run], which runs the reference and counts
+   one fallback per run; both against [Semantics.exec], under the
    sequential schedule and three pinned-random legal ones. The row cases
    also run under the parallel schedule, which distributes every cc
    dimension, so a custom operator's row runs across the cells. *)
@@ -818,11 +838,17 @@ let test_uncatalogued_forms_match_reference () =
               | Error e ->
                 if not (contains e form) then
                   Alcotest.failf "%s: refusal %S does not name %s" label e form);
+              let f0 = Metrics.value fallbacks in
+              let before = compiles_and_runs () in
               match Exec.run ~device:cpu pool md sched env with
-              | Error e -> Alcotest.failf "%s: walker failed: %s" label e
+              | Error e -> Alcotest.failf "%s: reference failed: %s" label e
               | Ok got ->
-                check Alcotest.bool (label ^ " on the walker") true
-                  (outputs_agree md got expected)))
+                check Alcotest.int (label ^ ": one fallback") (f0 + 1)
+                  (Metrics.value fallbacks);
+                check Alcotest.(list int) (label ^ ": one compile, no run")
+                  (List.map2 ( + ) before [ 1; 0 ]) (compiles_and_runs ());
+                check Alcotest.bool (label ^ " on the reference") true
+                  (outputs_equal md got expected)))
         (refused_cases ()))
 
 (* --- a record input whose elements are not of its type is declined --- *)
@@ -1028,7 +1054,7 @@ let suite =
   ( "specializer",
     [ tc "specializer matches reference across catalogue" `Slow
         test_specializer_matches_reference;
-      tc "?specialize:false escape hatch" `Quick test_specialize_false_escape;
+      tc "interp runs the reference" `Quick test_interp_runs_reference;
       tc "commuted multiplicands hit fastpath" `Quick
         test_commuted_operands_hit_fastpath;
       tc "fastpath error counted and degraded" `Quick
