@@ -79,12 +79,34 @@ let reference (md : Md_hom.t) env =
     md.outputs;
   env
 
+(* Whether [v] is a value of type [ty]; a record may hold fields its type
+   does not declare. *)
+let rec conforms ty v =
+  match (ty, v) with
+  | Scalar.Record fields, Scalar.R fs ->
+    List.for_all
+      (fun (f, t) -> Option.fold ~none:false ~some:(conforms t) (List.assoc_opt f fs))
+      fields
+  | _ -> Scalar.equal_ty ty (Scalar.type_of_value v)
+
 (* In-place execution: accumulate pw dimensions while sweeping the iteration
    space in row-major order, then post-scan ps dimensions. Requires all pw
    operators to coincide when there is more than one pw dimension (the
    accumulation order interleaves them). *)
 let exec (md : Md_hom.t) env =
   let env = alloc_outputs md env in
+  (* a boxed store takes any value: every element of one must be of its
+     input's type before a point reads it *)
+  List.iter
+    (fun (i : Md_hom.input) ->
+      let d = Buffer.data (Buffer.env_find env i.inp_name) in
+      if Option.is_none (Dense.floats d) then
+        for k = 0 to Dense.num_elements d - 1 do
+          if not (conforms i.inp_ty (Dense.get_linear d k)) then
+            err "input buffer %S holds an element not of type %s" i.inp_name
+              (Scalar.ty_to_string i.inp_ty)
+        done)
+    md.inputs;
   let rank = Md_hom.rank md in
   let pw_dims =
     List.filter_map

@@ -30,7 +30,9 @@ val reference : Md_hom.t -> Buffer.env -> Buffer.env
     with the computed outputs. Intended for small iteration spaces. *)
 
 val exec : Md_hom.t -> Buffer.env -> Buffer.env
-(** In-place sequential execution; linear in output size. *)
+(** In-place sequential execution; linear in output size. Raises
+    [Semantic_error] where {!alloc_outputs} does, and on an input element
+    not of its buffer's type (a record that lacks a declared field, say). *)
 
 val eval_tiled : Md_hom.t -> Buffer.env -> tile_sizes:int array -> Buffer.env
 (** Evaluate tile-wise with partial-result recombination. [tile_sizes] gives

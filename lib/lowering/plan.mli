@@ -9,10 +9,11 @@
     loops, accumulation for sequential reductions, running scans for [ps],
     and the point computation at the leaf.
 
-    One plan, three consumers: [Exec.run] walks it to decompose the
-    iteration space into boxes, [Cost.analyse_plan] prices it, and the
-    codegen backends emit loop nests from it — so interpreter, cost model,
-    and emitted C cannot disagree about loop structure by construction. *)
+    One plan, three consumers: [Exec.run] executes it (the [Specializer]
+    compiles it into the loops each job runs), [Cost.analyse_plan] prices
+    it, and the codegen backends emit loop nests from it — so executor,
+    cost model, and emitted C cannot disagree about loop structure by
+    construction. *)
 
 type level =
   | Distribute of {

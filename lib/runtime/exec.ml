@@ -44,12 +44,17 @@ let run_seq md env =
     ~args:[ ("hom", md.Md_hom.hom_name) ]
     (fun () -> Semantics.exec md env)
 
+(* [f ()], which runs the reference, or the [Error] it raises on inputs
+   that do not match the computation ([Semantics.Semantic_error]);
+   nothing else it raises is caught *)
+let run_reference f = try Ok (f ()) with Semantics.Semantic_error reason -> Error reason
+
 let run_with_plan ?(fastpath = true) ?(specialize = true) pool plan
     (md : Md_hom.t) env =
   if Array.exists (fun s -> s = 0) md.Md_hom.sizes then
     (* an empty iteration space has no work to distribute: it is pinned
        to the sequential semantics, whatever the plan *)
-    Ok (run_seq md env)
+    run_reference (fun () -> run_seq md env)
   else begin
     Metrics.incr m_runs;
     let digest = if Profile.enabled () then Plan.digest plan else "" in
@@ -61,21 +66,25 @@ let run_with_plan ?(fastpath = true) ?(specialize = true) pool plan
               if fastpath then Fastpath.try_run pool plan md env else None)
         with
         | Some env -> Ok env
-        | None when not specialize -> Ok (run_seq md env)
+        | None when not specialize -> run_reference (fun () -> run_seq md env)
         | None -> (
           (* the specializer attributes its own compile/run phases *)
           match Specializer.run pool plan md env with
           | Ok env -> Ok env
           | Error reason ->
-            Metrics.incr m_fallbacks;
-            Ok
-              (Trace.with_span ~cat:"runtime" "exec.reference"
-                 ~args:[ ("hom", md.Md_hom.hom_name); ("reason", reason) ]
-                 (fun () -> Semantics.exec md env))))
+            run_reference (fun () ->
+                let env =
+                  Trace.with_span ~cat:"runtime" "exec.reference"
+                    ~args:[ ("hom", md.Md_hom.hom_name); ("reason", reason) ]
+                    (fun () -> Semantics.exec md env)
+                in
+                Metrics.incr m_fallbacks;
+                env)))
   end
 
 let run ?device ?fastpath ?specialize pool (md : Md_hom.t) sched env =
-  if Array.exists (fun s -> s = 0) md.Md_hom.sizes then Ok (run_seq md env)
+  if Array.exists (fun s -> s = 0) md.Md_hom.sizes then
+    run_reference (fun () -> run_seq md env)
   else
     let dev = match device with Some d -> d | None -> host_device pool in
     match Plan.build md dev sched with

@@ -29,7 +29,10 @@ val run :
 (** Fails iff the schedule is illegal for [device] (default: a single-layer
     description of the pool, one unit per worker — a schedule whose
     [used_layers] do not fit is rejected, not silently accepted; pass the
-    device the schedule was tuned for to run it). [fastpath] (default
+    device the schedule was tuned for to run it), or the inputs do not
+    match [md]: an input buffer missing or not of its declared type and
+    shape, or an element of a boxed input not of its type (a record that
+    lacks a declared field, say). Neither raises. [fastpath] (default
     true) allows kernel dispatch; [specialize] (default true) allows
     plan-compiled execution. With [specialize] off, what [Fastpath] does
     not serve runs on the reference and is not counted as a fallback.
@@ -49,7 +52,8 @@ val run_with_plan :
     checks. This is how rewritten plans — which have no originating
     schedule — are run: {!run} is {!Mdh_lowering.Plan.build} followed by
     this function. The plan must belong to [md] (same dimensions and
-    extents); options as in {!run}. *)
+    extents); options, and the [Error] on inputs that do not match [md],
+    as in {!run}. *)
 
 val run_seq : Mdh_core.Md_hom.t -> Mdh_tensor.Buffer.env -> Mdh_tensor.Buffer.env
 (** Sequential in-place execution (alias for [Semantics.exec]), the

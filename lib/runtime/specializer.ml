@@ -35,7 +35,7 @@ type state = {
   point : int array;  (** current iteration point, length = rank *)
   base : int array;  (** cache-tile block origins, one slot per Tile level *)
   seg : int array;
-      (** a [Row_dist] row's range along the last distributed dimension,
+      (** the job's current segment of the last distributed dimension,
           from [seg.(0)] up to [seg.(1)] exclusive *)
 }
 
@@ -763,13 +763,11 @@ type nest_step =
   | S_tile_outer of { tile : int; extent : int; slot : int }
   | S_tile_inner of { dim : int; tile : int; extent : int; slot : int }
 
-(* What runs a job's innermost level as a row: the last step of the
-   sequential nest; with no nest, the tree-reduce range; with neither, the
-   last distributed dimension. A custom pw operator whose row would run
-   along a pw dimension runs along the last distributed dimension instead,
-   when there is one, with the tree range and every nest level looping
-   around it (see [compile]). *)
-type row_kind = Row_nest | Row_tree | Row_dist
+(* One loop of a job, by what gives its range: the job's segment of the
+   last distributed dimension ([state.seg]), the job's tree range, or a
+   nest step (its index in [nest], which is also its timer slot). The
+   first two carry their dimension. *)
+type loop = L_seg of int | L_tree of int | L_step of int
 
 (* How write-back maps the accumulator onto an output's store. *)
 type view =
@@ -799,12 +797,11 @@ type compiled = {
   nest : nest_step array;  (** the plan's sequential levels, outermost first *)
   nest_levels : int array;
       (** plan-level index ([Plan.levels] position) of each nest step *)
+  loops : loop array;  (** a job's loops, outermost first; the last is the row *)
   dist : (int * int) array;  (** distributed (dim, extent), outer first *)
   dist_level : int;  (** plan-level index of the [Distribute] level, or -1 *)
   tree : (int * int) option;  (** tree-reduce (dim, extent) *)
   tree_level : int;  (** plan-level index of the [Tree_reduce] level, or -1 *)
-  row : row_kind;
-  row_dim : int;  (** the dimension a row runs along *)
   reglen : int;  (** register length: {!strip} capped at the longest row *)
   acc_shape : int array;  (** [Md_hom.result_shape] *)
   acc_size : int;
@@ -942,30 +939,39 @@ let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
     in
     let dist = Array.of_list (Plan.distributed plan) in
     let tree = Option.map (fun (d, extent, _) -> (d, extent)) (Plan.tree plan) in
-    let row, row_dim, row_extent =
-      match (List.rev nest, tree) with
-      | (_, S_loop { dim; extent }) :: _, _ -> (Row_nest, dim, extent)
-      | (_, S_tile_inner { dim; tile; _ }) :: _, _ -> (Row_nest, dim, tile)
-      | (_, S_tile_outer _) :: _, _ -> unsup "plan nest ends in a tile loop"
-      | [], Some (dim, extent) -> (Row_tree, dim, extent)
-      | [], None ->
-        if Array.length dist = 0 then unsup "plan has no levels";
-        let dim, extent = dist.(Array.length dist - 1) in
-        (Row_dist, dim, extent)
+    let steps = Array.of_list (List.map snd nest) in
+    (* a job's loops, outermost first: its segment of the last distributed
+       dimension, its tree range, then the nest steps *)
+    let loops =
+      (if Array.length dist = 0 then [] else [ L_seg (fst dist.(Array.length dist - 1)) ])
+      @ (match tree with Some (dim, _) -> [ L_tree dim ] | None -> [])
+      @ List.init (Array.length steps) (fun s -> L_step s)
+    in
+    (* the row, the last loop: its dimension and its longest range *)
+    let row loops =
+      match List.rev loops with
+      | [] -> unsup "plan has no levels"
+      | L_seg _ :: _ -> dist.(Array.length dist - 1)
+      | L_tree _ :: _ -> Option.get tree
+      | L_step s :: _ -> (
+        match steps.(s) with
+        | S_loop { dim; extent } -> (dim, extent)
+        | S_tile_inner { dim; tile; _ } -> (dim, tile)
+        | S_tile_outer _ -> unsup "plan nest ends in a tile loop")
     in
     (* A custom operator's body runs once per strip. Along a pw row the
        strip's lanes fold into one cell, one run per point; along the last
        distributed dimension, a cc one, they are distinct cells and fold in
-       one run. Each cell still gets its points in the order the nest
-       visits them, so the switch is exact for any operator. A builtin
-       keeps its pw row, which folds into one local. *)
-    let row, row_dim, row_extent =
-      match reduce with
-      | Custom _ when astride.(row_dim) = 0 && Array.length dist > 0 ->
-        let dim, extent = dist.(Array.length dist - 1) in
-        (Row_dist, dim, extent)
-      | Store | Builtin _ | Custom _ -> (row, row_dim, row_extent)
+       one run, so its segment loop moves last. Each cell still gets its
+       points in the order the loops visit them, so the move is exact for
+       any operator. A builtin keeps its pw row, which folds into one
+       local. *)
+    let loops =
+      match (reduce, loops) with
+      | Custom _, (L_seg _ as seg) :: rest when astride.(fst (row loops)) = 0 -> rest @ [ seg ]
+      | _ -> loops
     in
+    let row_dim, row_extent = row loops in
     let inputs, stores = layout md in
     let outs =
       List.map
@@ -994,9 +1000,10 @@ let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
     in
     Ok
       { digest; rank;
-        nest = Array.of_list (List.map snd nest);
+        nest = steps;
         nest_levels = Array.of_list (List.map fst nest);
-        dist; dist_level; tree; tree_level; row; row_dim;
+        loops = Array.of_list loops;
+        dist; dist_level; tree; tree_level;
         reglen = max 1 (Int.min strip row_extent);
         acc_shape; acc_size;
         acc_addr = strided ~row_dim { c0 = 0; co = astride };
@@ -1203,53 +1210,48 @@ let stage_row c op st acc timers =
       x := !x + n
     done
 
-(* Stage the sequential nest for one job as closures, outermost level
-   first: the returned thunk runs the whole nest at the state's current
-   outer coordinates. Under [Row_nest] the last level is the row step;
-   under [Row_dist] every level loops, around the row over the state's
-   segment. Only with [timers] is a level wrapped in [timed]; unprofiled
-   closures read no clock. *)
-let stage_nest c st row timers =
-  let point = st.point in
-  let wrap l f = match timers with Some tm -> timed tm l f | None -> f in
-  let n = Array.length c.nest in
-  let rec stage l =
-    if l = n then fun () -> row st.seg.(0) st.seg.(1)
-    else if l = n - 1 && c.row = Row_nest then
-      wrap l
-        (match c.nest.(l) with
-        | S_loop { extent; _ } -> fun () -> row 0 extent
-        | S_tile_inner { tile; extent; slot; _ } ->
+(* Stage one job's loops as closures, outermost first: each loop sets its
+   coordinate and calls the next, and the last calls [row] over its range.
+   The segment loop ranges over the state's segment, the tree loop over
+   the job's tree range [tlo, thi), and a nest step as the plan says; the
+   returned thunk runs them all at the state's other coordinates. Only
+   with [timers] is a nest step wrapped in [timed]; unprofiled closures
+   read no clock. *)
+let stage_loops c st (tlo, thi) row timers =
+  let point = st.point and base = st.base and seg = st.seg in
+  let last = Array.length c.loops - 1 in
+  let rec stage k =
+    let inner = if k = last then ignore else stage (k + 1) in
+    (* what loop [k] runs at the coordinates [lo, hi) of [dim] *)
+    let over =
+      if k = last then fun _ lo hi -> row lo hi
+      else fun dim lo hi ->
+        for x = lo to hi - 1 do
+          point.(dim) <- x;
+          inner ()
+        done
+    in
+    match c.loops.(k) with
+    | L_seg dim -> fun () -> over dim seg.(0) seg.(1)
+    | L_tree dim -> fun () -> over dim tlo thi
+    | L_step s -> (
+      let f =
+        match c.nest.(s) with
+        | S_loop { dim; extent } -> fun () -> over dim 0 extent
+        | S_tile_inner { dim; tile; extent; slot } ->
           fun () ->
-            let b = st.base.(slot) in
-            row b (Int.min (b + tile) extent)
-        | S_tile_outer _ -> invalid_arg "Specializer.stage_nest")
-    else
-      let inner = stage (l + 1) in
-      wrap l
-        (match c.nest.(l) with
-        | S_loop { dim; extent } ->
-          fun () ->
-            for x = 0 to extent - 1 do
-              point.(dim) <- x;
-              inner ()
-            done
+            let b = base.(slot) in
+            over dim b (Int.min (b + tile) extent)
         | S_tile_outer { tile; extent; slot } ->
           fun () ->
             let b = ref 0 in
             while !b < extent do
-              st.base.(slot) <- !b;
+              base.(slot) <- !b;
               inner ();
               b := !b + tile
             done
-        | S_tile_inner { dim; tile; extent; slot } ->
-          fun () ->
-            let b = st.base.(slot) in
-            let hi = Int.min (b + tile) extent in
-            for x = b to hi - 1 do
-              point.(dim) <- x;
-              inner ()
-            done)
+      in
+      match timers with Some tm -> timed tm s f | None -> f)
   in
   stage 0
 
@@ -1306,11 +1308,13 @@ let decode_dist dist point lin =
     rest := !rest / extent
   done
 
-(* One job: the distributed points [dlo, dlo + dsz) and, under a tree
-   level, the indices [tlo, tlo + tsz) of tree dimension [td], running the
-   staged nest at each into [acc], which it returns. A profiled job
-   flushes its level times once, at the end. *)
-let run_job c bufs op ~profiling (dlo, dsz) tree acc () =
+(* One job: the distributed points [dlo, dlo + dsz) and the tree range
+   [tlo, tlo + tsz), into [acc], which it returns. It walks its points in
+   segments of the last distributed dimension, cut where its chunk starts
+   and ends, decodes the distributed coordinates once per segment and runs
+   the staged loops over it; with nothing distributed its one point is one
+   segment. A profiled job flushes its level times once, at the end. *)
+let run_job c bufs op ~profiling (dlo, dsz) (tlo, tsz) acc () =
   let st = mk_state c bufs in
   let n = Array.length c.nest in
   let timers =
@@ -1318,48 +1322,20 @@ let run_job c bufs op ~profiling (dlo, dsz) tree acc () =
       Some { tot = Array.make (n + 1) 0.0; cnt = Array.make (n + 1) 0 }
     else None
   in
-  let row = stage_row c op st acc timers in
+  let loops = stage_loops c st (tlo, tlo + tsz) (stage_row c op st acc timers) timers in
   let t0 = if profiling then Clock.now_ns () else 0L in
-  (* the tree range around the nest, at the state's distributed
-     coordinates *)
-  let sweep =
-    let nest = stage_nest c st row timers in
-    match tree with
-    | Some (td, tlo, tsz) ->
-      fun () ->
-        for x = tlo to tlo + tsz - 1 do
-          st.point.(td) <- x;
-          nest ()
-        done
-    | None -> nest
-  in
-  (match (c.row, tree) with
-  | Row_nest, _ ->
-    for i = dlo to dlo + dsz - 1 do
-      decode_dist c.dist st.point i;
-      sweep ()
-    done
-  | Row_tree, Some (_, tlo, tsz) ->
-    for i = dlo to dlo + dsz - 1 do
-      decode_dist c.dist st.point i;
-      row tlo (tlo + tsz)
-    done
-  | Row_tree, None -> invalid_arg "Specializer.run_job"
-  | Row_dist, _ ->
-    (* the last distributed dimension varies fastest: decode once per
-       segment of it, then sweep the tree range and the nest around the
-       row over the segment *)
-    let extent = snd c.dist.(Array.length c.dist - 1) in
-    let i = ref dlo and stop = dlo + dsz in
-    while !i < stop do
-      decode_dist c.dist st.point !i;
-      let x = !i mod extent in
-      let len = Int.min (extent - x) (stop - !i) in
-      st.seg.(0) <- x;
-      st.seg.(1) <- x + len;
-      sweep ();
-      i := !i + len
-    done);
+  let nd = Array.length c.dist in
+  let extent = if nd = 0 then 1 else snd c.dist.(nd - 1) in
+  let i = ref dlo and stop = dlo + dsz in
+  while !i < stop do
+    decode_dist c.dist st.point !i;
+    let x = !i mod extent in
+    let len = Int.min (extent - x) (stop - !i) in
+    st.seg.(0) <- x;
+    st.seg.(1) <- x + len;
+    loops ();
+    i := !i + len
+  done;
   Option.iter
     (flush_profile c ~wall:(Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0)))
     timers;
@@ -1440,6 +1416,7 @@ let exec_output c pool bufs op =
     Array.fold_left (fun a (_, extent) -> a * extent) 1 c.dist
   in
   let all_points = (0, dist_points) in
+  let whole_tree = match c.tree with Some (_, extent) -> (0, extent) | None -> (0, 0) in
   let job = run_job c bufs op ~profiling in
   let chunks extent =
     Array.of_list (Pool.split_range ~extent ~pieces:(Pool.chunk_budget pool))
@@ -1448,14 +1425,12 @@ let exec_output c pool bufs op =
     Pool.num_workers pool > 1 && (Array.length c.dist > 0 || c.tree <> None)
   in
   (match (parallel, c.tree, c.reduce) with
-  | true, Some (td, extent), ((Builtin _ | Custom _) as reduce) ->
+  | true, Some (_, extent), ((Builtin _ | Custom _) as reduce) ->
     (* tree reduction: per-chunk private accumulators over the whole
        result, combined in chunk order so associativity suffices *)
     let partials =
       Pool.run_in_parallel pool
-        (Array.map
-           (fun (lo, sz) () -> job all_points (Some (td, lo, sz)) (fresh ()) ())
-           (chunks extent))
+        (Array.map (fun tr () -> job all_points tr (fresh ()) ()) (chunks extent))
     in
     profile_segment c (level_path c.tree_level) (fun () ->
         match reduce with
@@ -1469,10 +1444,8 @@ let exec_output c pool bufs op =
     (* distributed cc dims: disjoint accumulator slabs, shared array *)
     ignore
       (Pool.run_in_parallel pool
-         (Array.map (fun r -> job r None acc) (chunks dist_points)))
-  | false, tree, _ ->
-    let tree = Option.map (fun (td, extent) -> (td, 0, extent)) tree in
-    ignore (job all_points tree acc ()));
+         (Array.map (fun r -> job r whole_tree acc) (chunks dist_points)))
+  | false, _, _ -> ignore (job all_points whole_tree acc ()));
   (* post-scan ps dimensions, innermost first, over the accumulator *)
   let sstride = row_major_strides c.acc_shape in
   Array.iteri
@@ -1565,28 +1538,13 @@ let clear () = ()
 
 (* --- dispatch entry point --------------------------------------------- *)
 
-(* Every input supplied with its declared type and shape, or [None],
-   which declines the run. *)
-let bind_inputs (md : Md_hom.t) env =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | (i : Md_hom.input) :: rest -> (
-      match Buffer.env_find_opt env i.inp_name with
-      | Some b
-        when Scalar.equal_ty (Buffer.ty b) i.inp_ty && Shape.equal (Buffer.shape b) i.inp_shape
-        ->
-        go ((i.inp_name, Buffer.data b) :: acc) rest
-      | _ -> None)
-  in
-  go [] md.inputs
-
 (* The stores a run reads: a float input's own store, in place, and each
    field of a record input, unpacked — O(elements) per call, with no
    boxing per element. *)
-let unpack c data =
+let unpack c env =
   Array.map
     (fun s ->
-      let d = List.assoc s.input data in
+      let d = Buffer.data (Buffer.env_find env s.input) in
       match s.field with
       | None -> Option.get (Dense.floats d)
       | Some f -> Dense.record_field d f)
@@ -1602,34 +1560,32 @@ let run pool (plan : Plan.t) (md : Md_hom.t) env =
   else
     match compiled plan md with
     | Error _ as e -> e
-    | Ok c -> (
-      match bind_inputs md env with
-      | None -> Error "input buffers do not match the plan"
-      | Some data ->
-        Trace.with_span ~cat:"runtime" "exec.specialized"
-          ~args:[ ("hom", md.Md_hom.hom_name); ("digest", c.digest) ]
-          (fun () ->
-            let t0 = Clock.now_ns () in
-            match
-              if Array.exists (fun s -> s.field <> None) c.stores then
-                profile_segment c "unpack" (fun () -> unpack c data)
-              else unpack c data
-            with
-            | exception Invalid_argument _ ->
-              (* a record element that is not of its buffer's type: decline,
-                 and let the reference report it *)
-              Error "a record input holds an element not of its type"
-            | bufs ->
-              let env = Semantics.alloc_outputs md env in
-              List.iter
-                (fun op ->
-                  let dst = dst_of (Buffer.env_find env op.out.Md_hom.out_name) in
-                  let acc = exec_output c pool bufs op in
-                  profile_segment c "writeback" (fun () -> write_back c dst op acc))
-                c.outs;
-              let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
-              Metrics.observe h_run dt;
-              Profile.add ~digest:c.digest ~path:"phase:specializer.run" dt;
-              Ok env))
+    | Ok c ->
+      Trace.with_span ~cat:"runtime" "exec.specialized"
+        ~args:[ ("hom", md.Md_hom.hom_name); ("digest", c.digest) ]
+        (fun () ->
+          let t0 = Clock.now_ns () in
+          match
+            (* every input supplied with its declared type and shape, and
+               every record element of its type, or the run declines and
+               the reference reports the mismatch *)
+            let out_env = Semantics.alloc_outputs md env in
+            if Array.exists (fun s -> s.field <> None) c.stores then
+              (out_env, profile_segment c "unpack" (fun () -> unpack c env))
+            else (out_env, unpack c env)
+          with
+          | exception Semantics.Semantic_error _ -> Error "input buffers do not match the plan"
+          | exception Invalid_argument _ -> Error "a record input holds an element not of its type"
+          | out_env, bufs ->
+            List.iter
+              (fun op ->
+                let dst = dst_of (Buffer.env_find out_env op.out.Md_hom.out_name) in
+                let acc = exec_output c pool bufs op in
+                profile_segment c "writeback" (fun () -> write_back c dst op acc))
+              c.outs;
+            let dt = Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0) in
+            Metrics.observe h_run dt;
+            Profile.add ~digest:c.digest ~path:"phase:specializer.run" dt;
+            Ok out_env)
 
 let try_run pool plan md env = Result.to_option (run pool plan md env)

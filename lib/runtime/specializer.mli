@@ -12,14 +12,17 @@
     on the [runtime.specializer.compile_s] histogram and every run on
     [runtime.specializer.run_s].
 
-    {b Row steps.} The innermost level of every job runs as one strided
-    row loop: the last Seq/Accumulate/Scan/tile-inner step of the nest;
-    with no nest, the [Tree_reduce] range; with neither, the last
-    [Distribute] dimension, decoded once per segment of the job's chunk.
-    A custom pw operator (below) whose row would run along a pw dimension
-    runs along the last [Distribute] dimension instead, when the plan has
-    one: the tree range and every nest level, the one that would have
-    been the row included, loop around it, once per segment. A row is
+    {b Row steps.} Every job runs one list of loops, outermost first,
+    and its last loop is the row, run as one strided row loop. The list
+    is what the plan has: the job's segment of the last [Distribute]
+    dimension, the job's [Tree_reduce] range, then the nest steps (Seq,
+    Accumulate, Scan and tile loops) in level order. A job walks its
+    chunk of the distributed range in segments of the last distributed
+    dimension, cut where the chunk starts and ends, decodes the other
+    distributed coordinates once per segment and runs the loops on it. A
+    custom pw operator (below) whose row would run along a pw dimension
+    moves the segment loop last, when the plan has one. A plan whose nest
+    ends in a tile loop, or that has no levels, is refused. A row is
     evaluated one strip of up to 256 points at a time. Each node of the
     value expression fills a float register of the strip's length,
     allocated once per job, with the operator chosen outside the element

@@ -67,9 +67,10 @@
 #     four workloads, since cc refuses MCC,
 #   - the profiler stage fails: `mdhc profile` must render, on the
 #     specializer, for matmul, for jacobi_3d (whose row is driven by a
-#     Distribute level), for ccsd(t) (driven by a Tree_reduce level) and
-#     for prl (records and a custom operator), and write prl's flamegraph
-#     stacks.
+#     Distribute level), for ccsd(t) (driven by a Tree_reduce level), for
+#     kmeans (a custom operator whose row is the distributed segment,
+#     inside the tree range) and for prl (records and a custom operator),
+#     and write prl's flamegraph stacks.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -294,8 +295,10 @@ fi
 
 # profiler stage: `mdhc profile` must render a per-plan-level breakdown
 # and honour its JSON/flame contracts (bit-identity of unprofiled runs and
-# the 5% sum bound are pinned by the test suite)
-for wl in matmul jacobi_3d 'ccsd(t)'; do
+# the 5% sum bound are pinned by the test suite). kmeans's host plan is
+# Distribute + Tree_reduce with a custom operator, so its row is the
+# distributed segment inside the tree range.
+for wl in matmul jacobi_3d 'ccsd(t)' kmeans; do
     dune exec bin/mdhc.exe -- profile "$wl" > /dev/null || {
         echo "error: mdhc profile $wl (specializer) failed" >&2; exit 1; }
 done

@@ -331,6 +331,11 @@ grep -Eq '^matmul;[0-9a-f]{8};L0 .* [0-9]+$' "$tmp/matmul.folded" ||
 grep -Eq '^  exec ' "$tmp/profile_prl.txt" || fail "prl profile has no exec row"
 grep -q 'specializer.run' "$tmp/profile_prl.txt" ||
   fail "specializer profile of prl printed no phases"
+# each profiled run compiles the plan once, so the compile phase counts
+# --repeat
+"$MDHC" profile dot --json --repeat 2 2>/dev/null |
+  grep -q '"path": "phase:specializer.compile", "count": 2,' ||
+  fail "profile did not compile once per run"
 # the profiler has one backend, so --backend is not an option
 if "$MDHC" profile prl --backend interp >/dev/null 2>&1; then
   fail "profile accepted --backend"

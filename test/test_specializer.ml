@@ -9,7 +9,8 @@
    on PATH (an explicit SKIP line otherwise, never silently). The
    satellites ride along: commuted-multiplicand fast-path matching,
    hit-vs-error fast-path accounting with fallback, zero-extent executor
-   semantics, operators that share a name (told apart by their bodies and
+   semantics, inputs that do not match the computation (an error, not an
+   exception), operators that share a name (told apart by their bodies and
    by their declared algebra, whatever ran before) and the interp
    dispatch, which runs the reference. Three pins cover the
    specializer's row steps: hand-built directives with the expression
@@ -56,6 +57,13 @@ let outputs_agree ?(rel = 1e-4) ?(abs = 1e-5) md a b =
       let db = Buffer.data (Buffer.env_find b o.Md_hom.out_name) in
       Dense.approx_equal ~rel ~abs da db)
     md.Md_hom.outputs
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 (* The fast backends read input stores in place: [f ()] must leave every
    input of [md] in [env] as it found it. *)
@@ -347,6 +355,55 @@ let test_zero_extent_runs () =
         check Alcotest.bool "parallel = sequential on zero extents" true
           (Dense.equal out (Buffer.data (Buffer.env_find seq "r"))))
 
+(* --- inputs that do not match the computation are an error --- *)
+
+(* prl with its first record input's elements lacking every field it
+   declares, and dot with its first input missing: [Exec.run] and
+   [Exec.run_with_plan] each return an [Error] naming the buffer, by the
+   default dispatch (which asks the reference once the fast backends
+   decline) and by the reference itself, and so does the zero-extent
+   short-circuit. None raises, and none counts a fallback. *)
+let test_mismatched_inputs_error () =
+  let case name =
+    let w = Option.get (Catalog.find name) in
+    let md = W.to_md_hom w w.W.test_params in
+    (md, w.W.gen w.W.test_params ~seed:17, List.hd md.Md_hom.inputs)
+  in
+  let prl_md, prl_env, newp = case "prl" in
+  let prl_env =
+    Buffer.env_add prl_env
+      (Buffer.of_dense newp.Md_hom.inp_name
+         (Dense.of_fn newp.inp_ty newp.inp_shape (fun _ -> Scalar.R [ ("other", Scalar.i32 0) ])))
+  in
+  let dot_md, dot_env, x = case "dot" in
+  let dot_env =
+    Buffer.env_of_list
+      (List.filter_map
+         (fun n -> if n = x.inp_name then None else Some (Buffer.env_find dot_env n))
+         (Buffer.env_names dot_env))
+  in
+  let zero_env = Buffer.env_of_list [] in
+  with_pool (fun pool ->
+      let f0 = Metrics.value fallbacks in
+      List.iter
+        (fun ((md : Md_hom.t), env, buf, reason) ->
+          let sched = parallel_schedule md in
+          let expect what r =
+            match r with
+            | Ok _ -> Alcotest.failf "%s: %s ran on mismatched inputs" md.hom_name what
+            | Error e ->
+              if not (contains e buf && contains e reason) then
+                Alcotest.failf "%s: %s: error %S does not name %s (%s)" md.hom_name what e buf
+                  reason
+          in
+          expect "run" (Exec.run ~device:cpu pool md sched env);
+          expect "interp run" (Exec.run ~device:cpu ~fastpath:false ~specialize:false pool md sched env);
+          expect "run_with_plan" (Exec.run_with_plan pool (Plan.sequential md) md env))
+        [ (prl_md, prl_env, newp.inp_name, "holds an element not of type");
+          (dot_md, dot_env, x.inp_name, "not supplied");
+          (zero_extent_md, zero_env, "x", "not supplied") ];
+      check Alcotest.int "no fallback counted" f0 (Metrics.value fallbacks))
+
 (* --- generated C: reduction temporaries start at the operator identity --- *)
 
 let reduction_md name op =
@@ -357,13 +414,6 @@ let reduction_md name op =
        ~combine_ops:[ Combine.pw op ]
        (D.for_ "k" 11
           (D.body [ D.assign "r" [ Expr.int 0 ] Expr.(read "x" [ idx "k" ]) ])))
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
 
 let test_openmp_identity_init () =
   (* the miscompile this PR pins: every reduction temporary was seeded
@@ -938,34 +988,53 @@ let test_same_named_operators_stay_apart () =
 
 (* --- outputs do not depend on the pool size --- *)
 
+(* Every catalogue computation, and every row case with rows of 37 points,
+   under the parallel schedule, on pools of 1 and 3 worker domains against
+   the pool of none. Those pools cut the distributed range into 4 and 8
+   chunks, or the tree range when there is one, so a job starts and ends
+   inside a segment of the last distributed dimension (SpecCasts, the
+   SpecScanMid cases, SpecFoldOrder) or on a partial row (the tree-reduced
+   cases). Together the row cases reach every loop order a job runs: the
+   row on a nest step (SpecScanInner, the SpecScanMid cases), on the tree
+   range (SpecLets, the SpecPwOuter cases), on the segment (SpecCasts,
+   SpecFp64), and a custom operator's segment moved last, after a nest
+   step (SpecFoldOrder) or the tree range (SpecRecordPwRow). *)
 let test_pool_size_bit_identity () =
+  let cases =
+    List.map
+      (fun (w : W.t) -> (W.to_md_hom w w.W.test_params, w.W.gen w.W.test_params ~seed:17))
+      Catalog.all
+    @ List.map
+        (fun make ->
+          let md = make 37 in
+          (md, env_for 17 md))
+        row_cases
+  in
   List.iter
-    (fun (w : W.t) ->
-      let md = W.to_md_hom w w.W.test_params in
-      let env = w.W.gen w.W.test_params ~seed:17 in
+    (fun ((md : Md_hom.t), env) ->
       let plan = plan_of md (parallel_schedule md) in
       let outputs num_domains =
         Pool.with_pool ~num_domains (fun pool -> Specializer.try_run pool plan md env)
       in
       match outputs 0 with
-      | None -> Alcotest.failf "%s refused" w.W.wl_name
+      | None -> Alcotest.failf "%s refused" md.hom_name
       | Some base ->
         List.iter
           (fun num_domains ->
             match outputs num_domains with
-            | None -> Alcotest.failf "%s refused on %d domains" w.W.wl_name num_domains
+            | None -> Alcotest.failf "%s refused on %d domains" md.hom_name num_domains
             | Some got ->
               List.iter
                 (fun (o : Md_hom.output) ->
                   let data e = Buffer.data (Buffer.env_find e o.Md_hom.out_name) in
                   check Alcotest.bool
                     (Printf.sprintf "%s.%s: 0 and %d worker domains agree bit for bit"
-                       w.W.wl_name o.Md_hom.out_name num_domains)
+                       md.hom_name o.Md_hom.out_name num_domains)
                     true
                     (Dense.equal (data base) (data got)))
-                md.Md_hom.outputs)
+                md.outputs)
           [ 1; 3 ])
-    Catalog.all
+    cases
 
 (* --- allocation gate: no allocation per iteration point --- *)
 
@@ -1060,6 +1129,7 @@ let suite =
       tc "fastpath error counted and degraded" `Quick
         test_fastpath_error_falls_back;
       tc "zero-extent workloads execute" `Quick test_zero_extent_runs;
+      tc "mismatched inputs are an error" `Quick test_mismatched_inputs_error;
       tc "generated C reduction identities" `Slow test_openmp_identity_init;
       tc "compiled C matches reference across catalogue" `Slow
         test_cc_matches_reference;
