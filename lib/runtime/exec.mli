@@ -7,9 +7,11 @@
     computation: fp32 and fp64 arithmetic, records, selects and custom
     combine operators with an expression body, such as PRL's and
     KMeans's — is compiled, on every call, to strided row programs over
-    flat float stores and executed, parallel over the plan's
-    [Distribute]/[Tree_reduce] levels; everything else (e.g. an operator
-    given only as a closure) runs on the reference,
+    flat float stores and executed, in parallel jobs over one level of
+    the plan: its [Distribute] level, in disjoint slabs of each output
+    (bit-identical on every pool), or in a plan without one its
+    [Tree_reduce] level, in partials combined in order; everything else
+    (e.g. an operator given only as a closure) runs on the reference,
     {!Mdh_core.Semantics.exec}. Each such fallback counts once under
     [runtime.exec.fallbacks] and runs in an [exec.reference] trace span
     whose [reason] argument is the Specializer's refusal. Both

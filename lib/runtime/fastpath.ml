@@ -81,7 +81,7 @@ type matched = {
   output : Md_hom.output;
 }
 
-let match_dot pool (md : Md_hom.t) env =
+let match_dot (md : Md_hom.t) env =
   match (md.combine_ops, md.outputs) with
   | [| op |], [ o ]
     when is_fadd op && f32_output o [| 1 |]
@@ -101,9 +101,7 @@ let match_dot pool (md : Md_hom.t) env =
       Some
         { kernel = "dot";
           output = o;
-          compute =
-            (fun ~parallel ->
-              [| (if parallel then Kernels.dot_par pool xv yv else Kernels.dot_seq xv yv) |]) }
+          compute = (fun ~parallel:_ -> [| Kernels.dot_seq xv yv |]) }
     | None -> None)
   | _ -> None
 
@@ -174,7 +172,7 @@ let try_run pool (plan : Plan.t) (md : Md_hom.t) env =
       if r = 0 then 32 else max 4 (min 256 plan.Plan.tile_sizes.(r - 1))
     in
     let matched =
-      match match_dot pool md env with
+      match match_dot md env with
       | Some m -> Some m
       | None -> (
         match match_matvec pool md env with

@@ -29,7 +29,7 @@ val try_run :
   Mdh_tensor.Buffer.env ->
   Mdh_tensor.Buffer.env option
 (** [try_run pool plan md env] is [Some env'] iff a kernel matched and ran
-    (parallel when the plan distributes work and the pool has more than one
-    worker). [None] means no kernel applies — including when an input
+    (matvec and matmul in parallel when the plan distributes work and the
+    pool has more than one worker; dot sequentially on every pool). [None] means no kernel applies — including when an input
     buffer is missing, mistyped or without a float store, so the
     reference can report the error. *)

@@ -7,13 +7,6 @@ let dot_seq x y =
   done;
   !acc
 
-let dot_par pool x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Kernels.dot: length mismatch";
-  Pool.parallel_reduce pool ~lo:0 ~hi:n
-    ~map:(fun i -> x.(i) *. y.(i))
-    ~combine:( +. ) 0.0
-
 let matvec_row ~k m v r =
   let base = r * k in
   let acc = ref 0.0 in

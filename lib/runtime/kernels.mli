@@ -1,18 +1,17 @@
 (** Unboxed float kernels: the hand-specialised counterparts of what the
     MDH pipeline's code generator would emit for the linear-algebra and
     scan workloads — sequential baselines, tiled variants, and
-    pool-parallel variants, over [float array]s. Every kernel only reads
+    pool-parallel variants (none for dot, which runs sequentially on every
+    pool), over [float array]s. Every kernel only reads
     its input arrays and returns a fresh result array.
 
     {!Fastpath} runs the dot, matvec and matmul kernels inside [Exec.run],
     directly on the inputs' fp32 stores ({!Mdh_tensor.Dense.floats}). The
     Bechamel micro-benchmarks ([bench/main.exe micro]) time them to
     demonstrate — on the host machine, not the modelled devices — that
-    tiling and reduction parallelisation behave as the cost model
-    predicts. *)
+    tiling and row parallelisation behave as the cost model predicts. *)
 
 val dot_seq : float array -> float array -> float
-val dot_par : Pool.t -> float array -> float array -> float
 
 val matvec_seq : m:int -> k:int -> float array -> float array -> float array
 (** Row-major [m x k] matrix times vector. *)

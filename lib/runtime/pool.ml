@@ -224,30 +224,6 @@ let parallel_for t ?grain ~lo ~hi body =
     end
   end
 
-let parallel_reduce t ?grain ~lo ~hi ~map ~combine seed =
-  if hi <= lo then seed
-  else begin
-    let n = hi - lo in
-    let grain =
-      match grain with
-      | Some g -> max 1 g
-      | None -> max 1 (n / (8 * num_workers t))
-    in
-    let n_chunks = (n + grain - 1) / grain in
-    let partials = Array.make n_chunks None in
-    parallel_for t ~grain:1 ~lo:0 ~hi:n_chunks (fun c ->
-        let start = lo + (c * grain) in
-        let stop = min hi (start + grain) in
-        let acc = ref (map start) in
-        for i = start + 1 to stop - 1 do
-          acc := combine !acc (map i)
-        done;
-        partials.(c) <- Some !acc);
-    Array.fold_left
-      (fun acc p -> match p with Some v -> combine acc v | None -> acc)
-      seed partials
-  end
-
 let scan_sequential f xs =
   let n = Array.length xs in
   let out = Array.make n xs.(0) in

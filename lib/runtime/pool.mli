@@ -52,14 +52,6 @@ val parallel_for : t -> ?grain:int -> lo:int -> hi:int -> (int -> unit) -> unit
     Nested parallel submission from inside a body is detected and raises
     [Invalid_argument] (it would deadlock the fixed worker set). *)
 
-val parallel_reduce :
-  t -> ?grain:int -> lo:int -> hi:int -> map:(int -> 'a) ->
-  combine:('a -> 'a -> 'a) -> 'a -> 'a
-(** Tree-style reduction: map each index, combine within chunks left to
-    right, then combine chunk partials in index order — so an associative
-    (not necessarily commutative) [combine] gives the sequential result.
-    The final fold starts from the given seed. *)
-
 val scan_inclusive : t -> ('a -> 'a -> 'a) -> 'a array -> 'a array
 (** Two-phase parallel inclusive prefix scan (associative operator):
     per-block scans, a sequential block-total scan, then a parallel carry

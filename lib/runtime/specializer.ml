@@ -35,8 +35,8 @@ type state = {
   point : int array;  (** current iteration point, length = rank *)
   base : int array;  (** cache-tile block origins, one slot per Tile level *)
   seg : int array;
-      (** the job's current segment of the last distributed dimension,
-          from [seg.(0)] up to [seg.(1)] exclusive *)
+      (** the job's current segment of the split's last dimension, from
+          [seg.(0)] up to [seg.(1)] exclusive *)
 }
 
 (* --- the builtin operators, inlined -------------------------------------- *)
@@ -764,10 +764,9 @@ type nest_step =
   | S_tile_inner of { dim : int; tile : int; extent : int; slot : int }
 
 (* One loop of a job, by what gives its range: the job's segment of the
-   last distributed dimension ([state.seg]), the job's tree range, or a
-   nest step (its index in [nest], which is also its timer slot). The
-   first two carry their dimension. *)
-type loop = L_seg of int | L_tree of int | L_step of int
+   split's last dimension ([state.seg]), which carries its dimension, or
+   a nest step (its index in [nest], which is also its timer slot). *)
+type loop = L_seg of int | L_step of int
 
 (* How write-back maps the accumulator onto an output's store. *)
 type view =
@@ -798,10 +797,13 @@ type compiled = {
   nest_levels : int array;
       (** plan-level index ([Plan.levels] position) of each nest step *)
   loops : loop array;  (** a job's loops, outermost first; the last is the row *)
-  dist : (int * int) array;  (** distributed (dim, extent), outer first *)
-  dist_level : int;  (** plan-level index of the [Distribute] level, or -1 *)
-  tree : (int * int) option;  (** tree-reduce (dim, extent) *)
-  tree_level : int;  (** plan-level index of the [Tree_reduce] level, or -1 *)
+  split : (int * int) array;
+      (** the (dim, extent)s a run cuts into jobs, outer first: the
+          [Distribute] level's, else the [Tree_reduce] level's, else none *)
+  split_level : int;  (** plan-level index of the split's level, or -1 *)
+  partials : bool;
+      (** the split is a [Tree_reduce] level: each job folds a private
+          accumulator, and the run combines them in chunk order *)
   reglen : int;  (** register length: {!strip} capped at the longest row *)
   acc_shape : int array;  (** [Md_hom.result_shape] *)
   acc_size : int;
@@ -899,10 +901,29 @@ let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
         (fun d s -> if Combine.collapses md.combine_ops.(d) then 0 else s)
         s
     in
-    (* loop nest from the plan's sequential levels, in level order;
-       distributed and tree dims are driven by the executor above it.
-       Each step keeps its position in [plan.levels] so the profiler can
-       address measured time back to the plan tree. *)
+    (* The split, the one level a run cuts into jobs: the Distribute
+       level, whose jobs write disjoint slabs of the accumulator, or in a
+       plan without one the Tree_reduce level, whose jobs fold partials. *)
+    let dist = Plan.distributed plan in
+    let level_index pred =
+      let rec go i = function
+        | [] -> -1
+        | l :: rest -> if pred l then i else go (i + 1) rest
+      in
+      go 0 plan.Plan.levels
+    in
+    let split_level, split =
+      match (dist, Plan.tree plan) with
+      | _ :: _, _ ->
+        (level_index (function Plan.Distribute _ -> true | _ -> false), Array.of_list dist)
+      | [], Some (dim, extent, _) ->
+        (level_index (function Plan.Tree_reduce _ -> true | _ -> false), [| (dim, extent) |])
+      | [], None -> (-1, [||])
+    in
+    (* loop nest from the plan's other levels, in level order, a tree
+       under a Distribute level included; the split is driven by the job
+       above it. Each step keeps its position in [plan.levels] so the
+       profiler can address measured time back to the plan tree. *)
     let tiles = Hashtbl.create 4 in
     let n_base = ref 0 in
     let nest =
@@ -921,38 +942,23 @@ let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
             | None -> Some (lvl_idx, S_loop { dim; extent }))
           | Plan.Accumulate { dim; extent; _ } | Plan.Scan { dim; extent; _ } ->
             Some (lvl_idx, S_loop { dim; extent })
+          | Plan.Tree_reduce { dim; extent; _ } when dist <> [] ->
+            Some (lvl_idx, S_loop { dim; extent })
           | Plan.Distribute _ | Plan.Tree_reduce _ -> None)
         (List.mapi (fun i l -> (i, l)) plan.Plan.levels)
     in
-    let level_index pred =
-      let rec go i = function
-        | [] -> -1
-        | l :: rest -> if pred l then i else go (i + 1) rest
-      in
-      go 0 plan.Plan.levels
-    in
-    let dist_level =
-      level_index (function Plan.Distribute _ -> true | _ -> false)
-    in
-    let tree_level =
-      level_index (function Plan.Tree_reduce _ -> true | _ -> false)
-    in
-    let dist = Array.of_list (Plan.distributed plan) in
-    let tree = Option.map (fun (d, extent, _) -> (d, extent)) (Plan.tree plan) in
     let steps = Array.of_list (List.map snd nest) in
-    (* a job's loops, outermost first: its segment of the last distributed
-       dimension, its tree range, then the nest steps *)
+    (* a job's loops, outermost first: its segment of the split's last
+       dimension, then the nest steps *)
     let loops =
-      (if Array.length dist = 0 then [] else [ L_seg (fst dist.(Array.length dist - 1)) ])
-      @ (match tree with Some (dim, _) -> [ L_tree dim ] | None -> [])
+      (if Array.length split = 0 then [] else [ L_seg (fst split.(Array.length split - 1)) ])
       @ List.init (Array.length steps) (fun s -> L_step s)
     in
     (* the row, the last loop: its dimension and its longest range *)
     let row loops =
       match List.rev loops with
       | [] -> unsup "plan has no levels"
-      | L_seg _ :: _ -> dist.(Array.length dist - 1)
-      | L_tree _ :: _ -> Option.get tree
+      | L_seg _ :: _ -> split.(Array.length split - 1)
       | L_step s :: _ -> (
         match steps.(s) with
         | S_loop { dim; extent } -> (dim, extent)
@@ -960,15 +966,17 @@ let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
         | S_tile_outer _ -> unsup "plan nest ends in a tile loop")
     in
     (* A custom operator's body runs once per strip. Along a pw row the
-       strip's lanes fold into one cell, one run per point; along the last
+       strip's lanes fold into one cell, one run per point; along a
        distributed dimension, a cc one, they are distinct cells and fold in
-       one run, so its segment loop moves last. Each cell still gets its
-       points in the order the loops visit them, so the move is exact for
-       any operator. A builtin keeps its pw row, which folds into one
-       local. *)
+       one run, so a cc segment loop moves last (a tree split's segment is
+       the pw dimension itself). Each cell still gets its points in the
+       order the loops visit them, so the move is exact for any operator.
+       A builtin keeps its pw row, which folds into one local. *)
     let loops =
       match (reduce, loops) with
-      | Custom _, (L_seg _ as seg) :: rest when astride.(fst (row loops)) = 0 -> rest @ [ seg ]
+      | Custom _, (L_seg d as seg) :: rest
+        when astride.(d) <> 0 && astride.(fst (row loops)) = 0 ->
+        rest @ [ seg ]
       | _ -> loops
     in
     let row_dim, row_extent = row loops in
@@ -1003,7 +1011,8 @@ let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
         nest = steps;
         nest_levels = Array.of_list (List.map fst nest);
         loops = Array.of_list loops;
-        dist; dist_level; tree; tree_level;
+        split; split_level;
+        partials = dist = [] && Array.length split > 0;
         reglen = max 1 (Int.min strip row_extent);
         acc_shape; acc_size;
         acc_addr = strided ~row_dim { c0 = 0; co = astride };
@@ -1212,12 +1221,11 @@ let stage_row c op st acc timers =
 
 (* Stage one job's loops as closures, outermost first: each loop sets its
    coordinate and calls the next, and the last calls [row] over its range.
-   The segment loop ranges over the state's segment, the tree loop over
-   the job's tree range [tlo, thi), and a nest step as the plan says; the
-   returned thunk runs them all at the state's other coordinates. Only
-   with [timers] is a nest step wrapped in [timed]; unprofiled closures
-   read no clock. *)
-let stage_loops c st (tlo, thi) row timers =
+   The segment loop ranges over the state's segment, and a nest step as
+   the plan says; the returned thunk runs them all at the state's other
+   coordinates. Only with [timers] is a nest step wrapped in [timed];
+   unprofiled closures read no clock. *)
+let stage_loops c st row timers =
   let point = st.point and base = st.base and seg = st.seg in
   let last = Array.length c.loops - 1 in
   let rec stage k =
@@ -1233,7 +1241,6 @@ let stage_loops c st (tlo, thi) row timers =
     in
     match c.loops.(k) with
     | L_seg dim -> fun () -> over dim seg.(0) seg.(1)
-    | L_tree dim -> fun () -> over dim tlo thi
     | L_step s -> (
       let f =
         match c.nest.(s) with
@@ -1259,12 +1266,11 @@ let stage_loops c st (tlo, thi) row timers =
 
 let level_path l = "L" ^ string_of_int l
 
-(* The plan level a job's own loop driving (distribute/tree decode, state
-   setup) is attributed to: the innermost parallel level when one exists,
-   else the outermost nest step. *)
+(* The plan level a job's own loop driving (segment decode, state setup)
+   is attributed to: the split's level when there is one, else the
+   outermost nest step. *)
 let driver_level c =
-  if c.tree_level >= 0 then c.tree_level
-  else if c.dist_level >= 0 then c.dist_level
+  if c.split_level >= 0 then c.split_level
   else if Array.length c.nest_levels > 0 then c.nest_levels.(0)
   else -1
 
@@ -1300,21 +1306,21 @@ let profile_segment c path f =
     r
   end
 
-let decode_dist dist point lin =
+let decode_split split point lin =
   let rest = ref lin in
-  for d = Array.length dist - 1 downto 0 do
-    let dim, extent = dist.(d) in
+  for d = Array.length split - 1 downto 0 do
+    let dim, extent = split.(d) in
     point.(dim) <- !rest mod extent;
     rest := !rest / extent
   done
 
-(* One job: the distributed points [dlo, dlo + dsz) and the tree range
-   [tlo, tlo + tsz), into [acc], which it returns. It walks its points in
-   segments of the last distributed dimension, cut where its chunk starts
-   and ends, decodes the distributed coordinates once per segment and runs
-   the staged loops over it; with nothing distributed its one point is one
-   segment. A profiled job flushes its level times once, at the end. *)
-let run_job c bufs op ~profiling (dlo, dsz) (tlo, tsz) acc () =
+(* One job: the split's points [lo, lo + size), into [acc], which it
+   returns. It walks its points in segments of the split's last
+   dimension, cut where its chunk starts and ends, decodes the split's
+   coordinates once per segment and runs the staged loops over it; with no
+   split its one point is one segment. A profiled job flushes its level
+   times once, at the end. *)
+let run_job c bufs op ~profiling (lo, size) acc () =
   let st = mk_state c bufs in
   let n = Array.length c.nest in
   let timers =
@@ -1322,13 +1328,13 @@ let run_job c bufs op ~profiling (dlo, dsz) (tlo, tsz) acc () =
       Some { tot = Array.make (n + 1) 0.0; cnt = Array.make (n + 1) 0 }
     else None
   in
-  let loops = stage_loops c st (tlo, tlo + tsz) (stage_row c op st acc timers) timers in
+  let loops = stage_loops c st (stage_row c op st acc timers) timers in
   let t0 = if profiling then Clock.now_ns () else 0L in
-  let nd = Array.length c.dist in
-  let extent = if nd = 0 then 1 else snd c.dist.(nd - 1) in
-  let i = ref dlo and stop = dlo + dsz in
+  let ns = Array.length c.split in
+  let extent = if ns = 0 then 1 else snd c.split.(ns - 1) in
+  let i = ref lo and stop = lo + size in
   while !i < stop do
-    decode_dist c.dist st.point !i;
+    decode_split c.split st.point !i;
     let x = !i mod extent in
     let len = Int.min (extent - x) (stop - !i) in
     st.seg.(0) <- x;
@@ -1412,40 +1418,31 @@ let exec_output c pool bufs op =
         | Store | Builtin _ -> Bytes.empty) }
   in
   let acc = fresh () in
-  let dist_points =
-    Array.fold_left (fun a (_, extent) -> a * extent) 1 c.dist
-  in
-  let all_points = (0, dist_points) in
-  let whole_tree = match c.tree with Some (_, extent) -> (0, extent) | None -> (0, 0) in
+  let points = Array.fold_left (fun a (_, extent) -> a * extent) 1 c.split in
   let job = run_job c bufs op ~profiling in
-  let chunks extent =
-    Array.of_list (Pool.split_range ~extent ~pieces:(Pool.chunk_budget pool))
-  in
-  let parallel =
-    Pool.num_workers pool > 1 && (Array.length c.dist > 0 || c.tree <> None)
-  in
-  (match (parallel, c.tree, c.reduce) with
-  | true, Some (_, extent), ((Builtin _ | Custom _) as reduce) ->
-    (* tree reduction: per-chunk private accumulators over the whole
-       result, combined in chunk order so associativity suffices *)
+  (match
+     if Pool.num_workers pool > 1 then
+       Pool.split_range ~extent:points ~pieces:(Pool.chunk_budget pool)
+     else [ (0, points) ]
+   with
+  | [ all ] -> ignore (job all acc ())
+  | chunks when c.partials ->
+    (* a tree split: per-chunk private accumulators over the whole result,
+       combined in chunk order so associativity suffices *)
     let partials =
       Pool.run_in_parallel pool
-        (Array.map (fun tr () -> job all_points tr (fresh ()) ()) (chunks extent))
+        (Array.of_list (List.map (fun r () -> job r (fresh ()) ()) chunks))
     in
-    profile_segment c (level_path c.tree_level) (fun () ->
-        match reduce with
+    profile_segment c (level_path c.split_level) (fun () ->
+        match c.reduce with
         | Builtin pw ->
           Array.iter (fun p -> combine_partial pw acc.cells.(0) p.cells.(0)) partials
-        | Custom _ ->
+        | _ ->
           let bd = instantiate_body c (mk_state c [||]) (Option.get op.fold) in
-          Array.iter (combine_custom c bd acc) partials
-        | Store -> ())
-  | true, _, _ ->
-    (* distributed cc dims: disjoint accumulator slabs, shared array *)
-    ignore
-      (Pool.run_in_parallel pool
-         (Array.map (fun r -> job r whole_tree acc) (chunks dist_points)))
-  | false, _, _ -> ignore (job all_points whole_tree acc ()));
+          Array.iter (combine_custom c bd acc) partials)
+  | chunks ->
+    (* a distributed split: disjoint accumulator slabs, shared array *)
+    ignore (Pool.run_in_parallel pool (Array.of_list (List.map (fun r -> job r acc) chunks))));
   (* post-scan ps dimensions, innermost first, over the accumulator *)
   let sstride = row_major_strides c.acc_shape in
   Array.iteri

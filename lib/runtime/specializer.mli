@@ -4,25 +4,34 @@
     Each call compiles its [Plan.t] afresh: a compile takes microseconds,
     less than a key that told computations and plans apart would cost,
     so nothing is cached and a verdict never depends on what ran before.
-    The plan's Distribute, Tile, Seq, Accumulate and Scan levels drive
-    the loop nest, staged once per job as closures. A run reads each fp32
-    or fp64 input's store in place ({!Mdh_tensor.Dense.floats}) and never
-    writes it, and writes its double accumulators straight into each
-    float output's store (rounded for fp32). Every compile is observed
-    on the [runtime.specializer.compile_s] histogram and every run on
+    The plan's levels drive the loop nest, staged once per job as
+    closures. A run reads each fp32 or fp64 input's store in place
+    ({!Mdh_tensor.Dense.floats}) and never writes it, and writes its
+    double accumulators straight into each float output's store (rounded
+    for fp32). Every compile is observed on the
+    [runtime.specializer.compile_s] histogram and every run on
     [runtime.specializer.run_s].
+
+    {b Splits.} A run cuts one level of the plan, its split, into jobs,
+    decided once per compile: the [Distribute] level, whose jobs each
+    write their own disjoint slab of the accumulator; or, in a plan
+    without one, the [Tree_reduce] level, whose jobs each fold a private
+    accumulator over the whole result, combined in chunk order. A plan
+    with neither runs as one job. Under a [Distribute] level the tree is
+    a nest loop like any other.
 
     {b Row steps.} Every job runs one list of loops, outermost first,
     and its last loop is the row, run as one strided row loop. The list
-    is what the plan has: the job's segment of the last [Distribute]
-    dimension, the job's [Tree_reduce] range, then the nest steps (Seq,
-    Accumulate, Scan and tile loops) in level order. A job walks its
-    chunk of the distributed range in segments of the last distributed
-    dimension, cut where the chunk starts and ends, decodes the other
-    distributed coordinates once per segment and runs the loops on it. A
-    custom pw operator (below) whose row would run along a pw dimension
-    moves the segment loop last, when the plan has one. A plan whose nest
-    ends in a tile loop, or that has no levels, is refused. A row is
+    is what the plan has: the job's segment of the split's last
+    dimension, then the nest steps (Seq, Accumulate, Scan and tile loops,
+    and a [Tree_reduce] level under a [Distribute] level) in level order.
+    A job walks its chunk of the split in segments of the split's last
+    dimension, cut where the chunk starts and ends, decodes the split's
+    other coordinates once per segment and runs the loops on it. A custom
+    pw operator (below) whose row would run along a pw dimension moves a
+    distributed segment loop last; a tree split's segment, which runs
+    along the pw dimension itself, stays first. A plan whose nest ends in
+    a tile loop, or that has no levels, is refused. A row is
     evaluated one strip of up to 256 points at a time. Each node of the
     value expression fills a float register of the strip's length,
     allocated once per job, with the operator chosen outside the element
@@ -56,17 +65,19 @@
     plan, or a reduction with no cc dimension) runs the row along a pw
     dimension, where the body folds lane after lane into the one cell,
     one run per point. Either way each cell gets its points in the order
-    the nest visits them. On a pool with workers, tree partials combine
-    cell by cell through the body, in chunk order. Write-back packs a
+    the nest visits them. On a pool with worker domains, the partials of
+    a tree split (a plan without a [Distribute] level) combine cell by
+    cell through the body, in chunk order. Write-back packs a
     record output element by element ({!Mdh_tensor.Dense.set_record}).
 
     {b No allocation per point.} A warm run allocates per call and per
-    job (state, registers, staged closures, unpacked stores), and per
-    element of a record output, never per iteration point or per row. On
-    a pool without worker domains the minor-word count is deterministic;
-    [test_specializer.ml] ("no allocation per iteration point") pins that
-    it does not grow with the iteration space on every catalogue
-    computation and on every form a row compiles. The post-scan of ps
+    job (state, registers, staged closures, unpacked stores, and a tree
+    split's private accumulators), and per element of a record output,
+    never per iteration point or per row. On a pool without worker
+    domains the minor-word count is deterministic; [test_specializer.ml]
+    ("no allocation per iteration point") pins that it does not grow with
+    the iteration space on every catalogue computation and on every form
+    a row compiles. The post-scan of ps
     dimensions and the combine of builtin tree partials run one direct
     loop per builtin operator.
 
@@ -115,10 +126,14 @@
     per fp32 output element, so fp32 results are tolerance-equal — not
     bit-equal — to the per-op-rounding interpreter, exactly like the
     fast-path kernels. Every other output equals
-    {!Mdh_core.Semantics.exec}'s bit for bit, unless the plan regroups a
-    fold that is not exactly associative: a builtin fp64 [add] or [mul],
-    or the tree partials of a custom operator declared associative. A
-    selection such as PRL's and KMeans's is exact under any plan. *)
+    {!Mdh_core.Semantics.exec}'s bit for bit, except where a tree split
+    runs on a pool with worker domains: its partials regroup the fold,
+    which changes the bits of one that is not exactly associative (a
+    builtin fp64 [add] or [mul], or a custom operator declared
+    associative). A plan with a [Distribute] level folds each cell in
+    one job, in the nest's order, so its outputs are the same on every
+    pool. A selection such as PRL's and KMeans's is exact under any
+    plan. *)
 
 val supported :
   Mdh_lowering.Plan.t -> Mdh_core.Md_hom.t -> (unit, string) result
@@ -133,9 +148,10 @@ val run :
   Mdh_tensor.Buffer.env ->
   (Mdh_tensor.Buffer.env, string) result
 (** [Ok env'] iff the plan compiled and the supplied buffers match the
-    declared types and shapes; parallel over the plan's
-    Distribute/Tree_reduce levels when the pool has more than one worker,
-    cut into {!Pool.chunk_budget} jobs. The error is the reason the run
+    declared types and shapes. On a pool with worker domains the run
+    cuts the plan's split into {!Pool.chunk_budget} jobs, or fewer when
+    the split has fewer points, and runs them in parallel; on a pool
+    without, it is one job. The error is the reason the run
     was declined: the compile's refusal, as {!supported} gives it, a
     zero-extent iteration space, or ["input buffers do not match the
     plan"]. One call compiles once. *)

@@ -61,16 +61,19 @@
 #     interpreter's results; without gcc the C half prints an explicit SKIP
 #     line — it is never silently skipped. The specializer half covers all
 #     14 catalogue workloads, prl's and kmeans's custom operators and
-#     records included, and runs prl and kmeans again with --parallel, so
-#     both ways a custom operator folds (lane by lane along a pw row, and
-#     across the distributed cells) run end to end; the C half keeps its
-#     four workloads, since cc refuses MCC,
+#     records included, each with and without --parallel, so both ways a
+#     custom operator folds (lane by lane along a pw row, and across the
+#     distributed cells) and both ways a run splits into jobs (disjoint
+#     slabs of a Distribute level, partials of a Tree_reduce level with no
+#     Distribute level over it) run end to end; the C half keeps its four
+#     workloads, since cc refuses MCC,
 #   - the profiler stage fails: `mdhc profile` must render, on the
 #     specializer, for matmul, for jacobi_3d (whose row is driven by a
-#     Distribute level), for ccsd(t) (driven by a Tree_reduce level), for
-#     kmeans (a custom operator whose row is the distributed segment,
-#     inside the tree range) and for prl (records and a custom operator),
-#     and write prl's flamegraph stacks.
+#     Distribute level), for ccsd(t) (a Distribute level over a Tree_reduce
+#     level, which is a nest loop of each job), for kmeans (a custom
+#     operator whose row is the distributed segment, inside the tree loop)
+#     and for prl (records and a custom operator), and write prl's
+#     flamegraph stacks.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -275,12 +278,14 @@ diff -u scripts/check_diagnostics.golden "$chaos_dir/diagnostics.txt" || {
 # so prl's and kmeans's operators fold lane by lane along their pw rows;
 # --parallel gives them Distribute + Tree_reduce, where the row runs
 # across the distributed cells, one run of the operator's body per strip.
+# With --parallel, on a runner with more than one core, a run splits into
+# jobs: a plan with a Distribute level into disjoint slabs of its
+# distributed range (its tree, if any, a loop inside each job), and dot's,
+# which has only a Tree_reduce level, into partials combined in order.
 for wl in dot matvec matmul 'matmul^t' bmatmul gaussian_2d jacobi1d jacobi_3d \
     mbbs 'ccsd(t)' mcc mcc_caps prl kmeans; do
     dune exec bin/mdhc.exe -- run "$wl" --backend special > /dev/null || {
         echo "error: specializer differential failed on $wl" >&2; exit 1; }
-done
-for wl in prl kmeans; do
     dune exec bin/mdhc.exe -- run "$wl" --parallel --backend special > /dev/null || {
         echo "error: specializer differential failed on $wl --parallel" >&2; exit 1; }
 done
@@ -297,7 +302,7 @@ fi
 # and honour its JSON/flame contracts (bit-identity of unprofiled runs and
 # the 5% sum bound are pinned by the test suite). kmeans's host plan is
 # Distribute + Tree_reduce with a custom operator, so its row is the
-# distributed segment inside the tree range.
+# distributed segment inside the tree loop.
 for wl in matmul jacobi_3d 'ccsd(t)' kmeans; do
     dune exec bin/mdhc.exe -- profile "$wl" > /dev/null || {
         echo "error: mdhc profile $wl (specializer) failed" >&2; exit 1; }

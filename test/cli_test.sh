@@ -336,6 +336,11 @@ grep -q 'specializer.run' "$tmp/profile_prl.txt" ||
 "$MDHC" profile dot --json --repeat 2 2>/dev/null |
   grep -q '"path": "phase:specializer.compile", "count": 2,' ||
   fail "profile did not compile once per run"
+# a job's loop control is charged to the level the run splits into jobs:
+# ccsd(t)'s Distribute level (L0, over its Tree_reduce level) counts them
+"$MDHC" profile 'ccsd(t)' --json 2>/dev/null |
+  grep -Eq '"path": "L0", "label": "distribute [^"]*", "count": [1-9]' ||
+  fail "profile charged no job to ccsd(t)'s Distribute level"
 # the profiler has one backend, so --backend is not an option
 if "$MDHC" profile prl --backend interp >/dev/null 2>&1; then
   fail "profile accepted --backend"

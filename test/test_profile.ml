@@ -2,7 +2,8 @@
    instrumentation): disabled-mode purity — no cells appear and execution
    results are bit-identical with the flag off vs on; the per-level self
    times telescoping to the enclosing exec cell within the documented 5%;
-   digest-keyed accumulation across repeated runs; and the cost model's
+   digest-keyed accumulation across repeated runs; a job's loop control
+   charged to the level the run splits into jobs; and the cost model's
    level attribution lining up with the profiler's path vocabulary. *)
 
 module Profile = Mdh_obs.Profile
@@ -124,7 +125,7 @@ let test_sum_specializer_prl () =
    pool with workers: every parallel job of a profiled run must flush its
    own level times without moving the outputs or breaking the sum. prl's
    custom operator runs its row across the distributed cells, with the
-   tree range, or the timed Accumulate level, looping around it *)
+   tree, or the Accumulate level, a timed nest loop around it *)
 let test_parallel_jobs_profiled () =
   let is_tree = function Plan.Tree_reduce _ -> true | _ -> false in
   let is_dist = function Plan.Distribute _ -> true | _ -> false in
@@ -151,6 +152,45 @@ let test_parallel_jobs_profiled () =
             fun ls -> List.exists is_dist ls && not (List.exists is_tree ls) );
           ("prl", [ 0; 1 ], fun ls -> List.exists is_dist ls && List.exists is_tree ls);
           ("prl", [ 0 ], fun ls -> List.exists is_dist ls && not (List.exists is_tree ls)) ])
+
+(* A job's loop control is charged to the plan's split. Under the parallel
+   schedule matmul distributes [i] and [j] over a tree-reduced [k]: L0,
+   the Distribute level, counts one entry per job, and L1, the tree, a
+   nest loop under it, one per distributed point. *)
+let test_split_level_attribution () =
+  let w = find "matmul" in
+  let schedule md =
+    { (Schedule.sequential md) with Schedule.parallel_dims = Lower.parallelisable_dims md }
+  in
+  List.iter
+    (fun num_domains ->
+      Pool.with_pool ~num_domains (fun pool ->
+          with_profiling (fun () ->
+              let plan, _ = run_profiled ~schedule pool w in
+              let name = Printf.sprintf "matmul on %d worker domains" num_domains in
+              let points =
+                match plan.Plan.levels with
+                | Plan.Distribute { points; _ } :: Plan.Tree_reduce _ :: _ -> points
+                | _ -> Alcotest.failf "%s: plan is not Distribute over Tree_reduce" name
+              in
+              (* 30 points at test size: the pool with a worker cuts them
+                 into its full chunk budget *)
+              let jobs = if num_domains = 0 then 1 else Pool.chunk_budget pool in
+              let cell path =
+                match
+                  List.find_opt (fun e -> e.Profile.path = path)
+                    (Profile.snapshot (Plan.digest plan))
+                with
+                | Some e -> e
+                | None -> Alcotest.failf "%s: no %s cell" name path
+              in
+              let l0 = cell "L0" and l1 = cell "L1" in
+              check Alcotest.int (name ^ ": L0 counts the jobs") jobs l0.Profile.count;
+              check Alcotest.bool (name ^ ": L0 has time") true (l0.Profile.total_s > 0.0);
+              check Alcotest.int (name ^ ": L1 counts the distributed points") points
+                l1.Profile.count;
+              check_level_sum name plan)))
+    [ 0; 1 ]
 
 let test_digest_accumulation () =
   Pool.with_pool (fun pool ->
@@ -229,6 +269,7 @@ let suite =
       tc "level sum = exec cell (specializer)" `Quick test_sum_specializer;
       tc "level sum = exec cell (prl specializer)" `Quick test_sum_specializer_prl;
       tc "profiled parallel jobs" `Quick test_parallel_jobs_profiled;
+      tc "split level attribution" `Quick test_split_level_attribution;
       tc "digest-keyed accumulation" `Quick test_digest_accumulation;
       tc "add/add_n/time primitives" `Quick test_add_and_time_primitives;
       tc "cost attribution paths and sum" `Quick test_level_attribution_paths ] )

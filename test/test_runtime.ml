@@ -33,27 +33,6 @@ let test_parallel_for_exception_propagates () =
            false
          with Failure m -> m = "boom"))
 
-let test_parallel_reduce_sum () =
-  with_pool (fun pool ->
-      let n = 1_000_000 in
-      let total =
-        Pool.parallel_reduce pool ~lo:0 ~hi:n ~map:(fun i -> i) ~combine:( + ) 0
-      in
-      check Alcotest.int "gauss" (n * (n - 1) / 2) total)
-
-let test_parallel_reduce_ordered () =
-  (* string concatenation is associative but not commutative: chunk order
-     must be preserved *)
-  with_pool (fun pool ->
-      let n = 500 in
-      let s =
-        Pool.parallel_reduce pool ~grain:7 ~lo:0 ~hi:n
-          ~map:(fun i -> string_of_int (i mod 10))
-          ~combine:( ^ ) ""
-      in
-      let expected = String.concat "" (List.init n (fun i -> string_of_int (i mod 10))) in
-      check Alcotest.string "in order" expected s)
-
 let test_scan_matches_sequential () =
   with_pool (fun pool ->
       let rng = Mdh_support.Rng.create 1 in
@@ -170,12 +149,6 @@ let farr = Alcotest.testable
       Array.length a = Array.length b
       && Array.for_all2 (fun x y -> Mdh_support.Util.float_equal ~rel:1e-6 ~abs:1e-9 x y) a b)
 
-let test_kernels_dot () =
-  with_pool (fun pool ->
-      let x = rng_floats 1 10_000 and y = rng_floats 2 10_000 in
-      check (Alcotest.float 1e-6) "par = seq" (Kernels.dot_seq x y)
-        (Kernels.dot_par pool x y))
-
 let test_kernels_matvec () =
   with_pool (fun pool ->
       let m = 37 and k = 53 in
@@ -256,8 +229,6 @@ let suite =
     [ tc "parallel_for covers all" `Quick test_parallel_for_covers_all;
       tc "parallel_for empty" `Quick test_parallel_for_empty;
       tc "parallel_for exceptions" `Quick test_parallel_for_exception_propagates;
-      tc "parallel_reduce sum" `Quick test_parallel_reduce_sum;
-      tc "parallel_reduce ordered" `Quick test_parallel_reduce_ordered;
       tc "scan matches sequential" `Quick test_scan_matches_sequential;
       tc "scan edge cases" `Quick test_scan_singleton_and_empty;
       tc "run_in_parallel order" `Quick test_run_in_parallel_order;
@@ -267,7 +238,6 @@ let suite =
       tc "worker exception propagates" `Quick test_worker_exception_propagates;
       tc "worker thunk exception propagates" `Quick test_worker_thunk_exception_propagates;
       tc "zero-domain pool" `Quick test_zero_domain_pool_works;
-      tc "kernel dot" `Quick test_kernels_dot;
       tc "kernel matvec" `Quick test_kernels_matvec;
       tc "kernel matmul variants" `Quick test_kernels_matmul_variants_agree;
       tc "kernel scan" `Quick test_kernels_scan;

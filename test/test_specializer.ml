@@ -698,6 +698,15 @@ let row_cases =
         (Expr.MkRecord
            [ ("v", Expr.read "x" [ k_; i_ ]);
              ("id", Expr.(cast Scalar.Int64 ((k_ * int 23) + i_))) ]));
+    (* the same operator with no cc dimension: the parallel schedule
+       tree-reduces [k] with no Distribute level over it, so on a pool with
+       workers each job folds its part of the row into a private cell and
+       the partials combine through the body *)
+    (fun n ->
+      typed ~name:"SpecRecordOneCell" ~ops:[ Combine.pw sel_max ] ~loops:[ ("k", n) ]
+        ~inp:[ ("x", Scalar.Fp64, [| n |]) ] ~out:scored_ty ~out_idx:[ Expr.int 0 ]
+        (Expr.MkRecord
+           [ ("v", Expr.read "x" [ k_ ]); ("id", Expr.(cast Scalar.Int64 k_)) ]));
     (* int32 data: Add and Sub that wrap at +-2^31, Min, Max and negation,
        and an affine int32 that wraps, selected by a custom operator over
        int32 fields *)
@@ -988,52 +997,83 @@ let test_same_named_operators_stay_apart () =
 
 (* --- outputs do not depend on the pool size --- *)
 
-(* Every catalogue computation, and every row case with rows of 37 points,
-   under the parallel schedule, on pools of 1 and 3 worker domains against
-   the pool of none. Those pools cut the distributed range into 4 and 8
-   chunks, or the tree range when there is one, so a job starts and ends
-   inside a segment of the last distributed dimension (SpecCasts, the
-   SpecScanMid cases, SpecFoldOrder) or on a partial row (the tree-reduced
-   cases). Together the row cases reach every loop order a job runs: the
-   row on a nest step (SpecScanInner, the SpecScanMid cases), on the tree
-   range (SpecLets, the SpecPwOuter cases), on the segment (SpecCasts,
-   SpecFp64), and a custom operator's segment moved last, after a nest
-   step (SpecFoldOrder) or the tree range (SpecRecordPwRow). *)
+(* An fp64 sum over [cc; pw] whose rows hold 1e16, then 1s, then -1e16:
+   a left fold loses every 1 to the 1e16 before it, and a fold regrouped
+   anywhere along a row keeps the 1s of every group but the first, so it
+   gives other bits than Semantics.exec's. The parallel schedule
+   distributes [i] over a tree-reduced [k]. *)
+let regroup_case () =
+  let md =
+    typed ~name:"SpecRegroup" ~ops:[ Combine.cc; Combine.pw (Combine.add Scalar.Fp64) ]
+      ~loops:[ ("i", 6); ("k", 37) ] ~inp:[ ("x", Scalar.Fp64, [| 6; 37 |]) ]
+      ~out:Scalar.Fp64 ~out_idx:[ i_ ] (Expr.read "x" [ i_; k_ ])
+  in
+  let x =
+    Dense.of_fn Scalar.Fp64 [| 6; 37 |] (fun ix ->
+        Scalar.F64 (match ix.(1) with 0 -> 1e16 | 36 -> -1e16 | _ -> 1.0))
+  in
+  (md, Buffer.env_of_list [ Buffer.of_dense "x" x ])
+
+(* Every catalogue computation, every row case with rows of 37 points and
+   the regrouping case, under the parallel schedule, on pools of 1 and 3
+   worker domains against the pool of none (and the regrouping case
+   against Semantics.exec as well). Those pools cut the plan's split into
+   up to 4 and 8 chunks. The split is the Distribute level when the plan has
+   one, where a job may start and end inside a segment of the last
+   distributed dimension (SpecCasts, the SpecScanMid cases,
+   SpecFoldOrder); otherwise it is the Tree_reduce level, and each job
+   folds a partial: of a builtin (SpecRootIf, SpecPwMul, SpecPwMin,
+   SpecPwMax) or of a custom operator (SpecRecordOneCell). Together the row cases reach every
+   loop order a job runs: the row on a nest step (SpecScanInner, the
+   SpecScanMid cases), on the tree, a nest loop under the Distribute level
+   (SpecLets, the SpecPwOuter cases), on the segment (SpecCasts, SpecFp64,
+   and every tree split), and a custom operator's segment moved last,
+   after a nest step (SpecFoldOrder) or after the tree (SpecRecordPwRow). *)
 let test_pool_size_bit_identity () =
+  let regroup = regroup_case () in
   let cases =
     List.map
-      (fun (w : W.t) -> (W.to_md_hom w w.W.test_params, w.W.gen w.W.test_params ~seed:17))
+      (fun (w : W.t) ->
+        (W.to_md_hom w w.W.test_params, w.W.gen w.W.test_params ~seed:17, false))
       Catalog.all
     @ List.map
         (fun make ->
           let md = make 37 in
-          (md, env_for 17 md))
+          (md, env_for 17 md, false))
         row_cases
+    @ [ (fst regroup, snd regroup, true) ]
   in
   List.iter
-    (fun ((md : Md_hom.t), env) ->
+    (fun ((md : Md_hom.t), env, exact) ->
       let plan = plan_of md (parallel_schedule md) in
+      if exact then
+        check Alcotest.bool (md.hom_name ^ ": Distribute over Tree_reduce") true
+          (Plan.distributed plan <> [] && Plan.tree plan <> None);
       let outputs num_domains =
-        Pool.with_pool ~num_domains (fun pool -> Specializer.try_run pool plan md env)
+        match Pool.with_pool ~num_domains (fun pool -> Specializer.try_run pool plan md env) with
+        | Some got -> got
+        | None -> Alcotest.failf "%s refused on %d domains" md.hom_name num_domains
       in
-      match outputs 0 with
-      | None -> Alcotest.failf "%s refused" md.hom_name
-      | Some base ->
-        List.iter
-          (fun num_domains ->
-            match outputs num_domains with
-            | None -> Alcotest.failf "%s refused on %d domains" md.hom_name num_domains
-            | Some got ->
+      let references =
+        ("0 worker domains", outputs 0)
+        :: (if exact then [ ("Semantics.exec", Semantics.exec md env) ] else [])
+      in
+      List.iter
+        (fun num_domains ->
+          let got = outputs num_domains in
+          List.iter
+            (fun (what, expected) ->
               List.iter
                 (fun (o : Md_hom.output) ->
                   let data e = Buffer.data (Buffer.env_find e o.Md_hom.out_name) in
                   check Alcotest.bool
-                    (Printf.sprintf "%s.%s: 0 and %d worker domains agree bit for bit"
-                       md.hom_name o.Md_hom.out_name num_domains)
+                    (Printf.sprintf "%s.%s: %d worker domains and %s agree bit for bit"
+                       md.hom_name o.Md_hom.out_name num_domains what)
                     true
-                    (Dense.equal (data base) (data got)))
+                    (Dense.equal (data expected) (data got)))
                 md.outputs)
-          [ 1; 3 ])
+            references)
+        [ 1; 3 ])
     cases
 
 (* --- allocation gate: no allocation per iteration point --- *)
