@@ -1,6 +1,6 @@
 (* Benchmark driver: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's experiment index) plus the ablations and the
-   wall-clock micro-benchmarks.
+   wall-clock model calibration.
 
      dune exec bench/main.exe                   -- everything
      dune exec bench/main.exe figure3           -- Figure 3 table
@@ -11,7 +11,7 @@
      dune exec bench/main.exe ablation-tiling
      dune exec bench/main.exe ablation-reduction-parallel
      dune exec bench/main.exe ablation-tuning-budget
-     dune exec bench/main.exe micro             -- Bechamel kernels
+     dune exec bench/main.exe calibrate         -- model vs wall clock
 
    Tuning results are cached: cost-model verdicts (and plans) in memory,
    tuned schedules persistently (default ~/.cache/mdh/tuning.db, or
@@ -25,7 +25,7 @@ let usage () =
     "usage: main.exe [--no-cache] [--tuning-db PATH] [--metrics] [--trace FILE]\n\
     \                [figure3|figure4 [gpu|cpu]|failure-matrix|prl-study|\n\
     \                 ablation-openacc-tiling|ablation-tiling|\n\
-    \                 ablation-reduction-parallel|ablation-tuning-budget|micro|\n\
+    \                 ablation-reduction-parallel|ablation-tuning-budget|calibrate|\n\
     \                 plan-exec|model-acc|serve|gate [BASELINES]]\n\
     \n\
     \  --metrics     print the observability summary (pool utilization, per-\n\
@@ -41,8 +41,7 @@ let everything () =
   Mdh_reports.Portability.run ();
   Mdh_reports.Transfer_study.run ();
   Mdh_reports.Ablations.run ();
-  Calibrate.run ();
-  Micro.run ()
+  Calibrate.run ()
 
 type flags = {
   no_cache : bool;
@@ -177,7 +176,6 @@ let () =
   | [ "ablation-tiling" ] -> run Mdh_reports.Ablations.tiling
   | [ "ablation-reduction-parallel" ] -> run Mdh_reports.Ablations.reduction_parallel
   | [ "ablation-tuning-budget" ] -> run Mdh_reports.Ablations.tuning_budget
-  | [ "micro" ] -> run Micro.run
   | [ "plan-exec" ] -> run Plan_exec.run
   | [ "serve" ] -> run Serve_bench.run
   | [ "model-acc" ] -> run Model_acc.run

@@ -1,7 +1,8 @@
 (* MBBS (Listing 13): the prefix-sum combine operator ps. Unlike pw, ps
    preserves the reduction dimension's extent: b[i,j] holds the sum of
-   column j up to row i. The two-phase parallel scan in the runtime and the
-   carry-propagating combine in the semantics implement the same operator.
+   column j up to row i. The semantics implements it as a carry-propagating
+   combine; the executor runs it from the plan, with the scan as a pass
+   over the accumulator after the plan's loops.
 
      dune exec examples/mbbs_prefix_sum.exe *)
 
@@ -46,16 +47,24 @@ let () =
   | Error f -> Format.printf "TVM on MBBS: %a@." Common.pp_failure f
   | Ok _ -> print_endline "TVM unexpectedly accepted MBBS");
 
-  (* parallel scan on the host: the runtime's two-phase implementation *)
+  (* the executor at a larger size, on the default pool: the sequential
+     schedule against one that parallelises every dimension it can *)
+  let params = [ ("I", 2048); ("J", 512) ] in
+  let md = W.to_md_hom w params in
+  let env = w.W.gen params ~seed:9 in
   Mdh_runtime.Pool.with_pool (fun pool ->
-      let n = 1 lsl 22 in
-      let rng = Mdh_support.Rng.create 9 in
-      let xs = Array.init n (fun _ -> Mdh_support.Rng.float rng 1.0) in
-      let seq, t_seq = Mdh_support.Util.time_it (fun () -> Mdh_runtime.Kernels.scan_seq xs) in
-      let par, t_par = Mdh_support.Util.time_it (fun () -> Mdh_runtime.Kernels.scan_par pool xs) in
-      let agree =
-        Mdh_support.Util.float_equal ~rel:1e-6 seq.(n - 1) par.(n - 1)
+      let run sched =
+        match Mdh_support.Util.time_it (fun () -> Mdh_runtime.Exec.run pool md sched env) with
+        | Ok out, t -> (Buffer.data (Buffer.env_find out "b"), t)
+        | Error e, _ -> failwith e
+      in
+      let seq = Mdh_lowering.Schedule.sequential md in
+      let b_seq, t_seq = run seq in
+      let b_par, t_par =
+        run { seq with parallel_dims = Mdh_lowering.Lower.parallelisable_dims md }
       in
       Printf.printf
-        "host scan of 2^22 floats: seq %.4fs, parallel %.4fs (%.1fx, agree: %b)\n"
-        t_seq t_par (t_seq /. t_par) agree)
+        "Exec.run at I=2048 J=512: sequential %.4fs, parallel %.4fs (%.1fx on %d \
+         workers), parallel matches sequential: %b\n"
+        t_seq t_par (t_seq /. t_par) (Mdh_runtime.Pool.num_workers pool)
+        (Dense.approx_equal ~rel:1e-5 ~abs:1e-6 b_seq b_par))

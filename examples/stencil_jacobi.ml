@@ -41,19 +41,29 @@ let () =
          (Buffer.data (Buffer.env_find expected "next")))
   | None -> ());
 
-  (* wall-clock: one parallel sweep on a larger grid *)
+  (* the executor on a larger grid, on the default pool: the sequential
+     schedule against one that parallelises every dimension it can *)
+  let n = 64 in
+  let md_n = W.to_md_hom w [ ("N", n) ] in
+  let env_n = w.W.gen [ ("N", n) ] ~seed:5 in
   Mdh_runtime.Pool.with_pool (fun pool ->
-      let n = 128 in
-      let rng = Mdh_support.Rng.create 5 in
-      let grid = Array.init (n * n * n) (fun _ -> Mdh_support.Rng.float rng 1.0) in
-      let _, t_seq =
-        Mdh_support.Util.time_it (fun () -> Mdh_runtime.Kernels.jacobi3d_seq ~n grid)
+      let run sched =
+        match
+          Mdh_support.Util.time_it (fun () -> Mdh_runtime.Exec.run pool md_n sched env_n)
+        with
+        | Ok out, t -> (Buffer.data (Buffer.env_find out "next"), t)
+        | Error e, _ -> failwith e
       in
-      let _, t_par =
-        Mdh_support.Util.time_it (fun () -> Mdh_runtime.Kernels.jacobi3d_par pool ~n grid)
+      let seq = Mdh_lowering.Schedule.sequential md_n in
+      let next_seq, t_seq = run seq in
+      let next_par, t_par =
+        run { seq with parallel_dims = Mdh_lowering.Lower.parallelisable_dims md_n }
       in
-      Printf.printf "host jacobi3d %d^3 sweep: seq %.4fs, parallel %.4fs (%.1fx on %d workers)\n"
-        n t_seq t_par (t_seq /. t_par) (Mdh_runtime.Pool.num_workers pool));
+      Printf.printf
+        "Exec.run of a %d^3 sweep: sequential %.4fs, parallel %.4fs (%.1fx on %d \
+         workers), parallel matches sequential: %b\n\n"
+        n t_seq t_par (t_seq /. t_par) (Mdh_runtime.Pool.num_workers pool)
+        (Mdh_tensor.Dense.approx_equal ~rel:1e-5 ~abs:1e-6 next_seq next_par));
 
   (* how the tuner schedules the stencil on each device *)
   let md_big = W.to_md_hom w (List.assoc "1" w.W.paper_inputs) in

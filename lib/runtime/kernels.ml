@@ -77,45 +77,3 @@ let matmul_par pool ?(tile = 32) ~m ~n ~k a b =
       let i1 = min m (i0 + tile) in
       matmul_tile_block ~n ~k ~tile a b c i0 i1);
   c
-
-let scan_seq xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n xs.(0) in
-    for i = 1 to n - 1 do
-      out.(i) <- out.(i - 1) +. xs.(i)
-    done;
-    out
-  end
-
-let scan_par pool xs = Pool.scan_inclusive pool ( +. ) xs
-
-let jacobi3d_point ~n x i j l =
-  let at a b c = x.((((a * n) + b) * n) + c) in
-  if i = 0 || j = 0 || l = 0 || i = n - 1 || j = n - 1 || l = n - 1 then at i j l
-  else
-    (at (i - 1) j l +. at (i + 1) j l +. at i (j - 1) l +. at i (j + 1) l
-    +. at i j (l - 1) +. at i j (l + 1) +. at i j l)
-    /. 7.0
-
-let jacobi3d_seq ~n x =
-  let out = Array.make (n * n * n) 0.0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      for l = 0 to n - 1 do
-        out.((((i * n) + j) * n) + l) <- jacobi3d_point ~n x i j l
-      done
-    done
-  done;
-  out
-
-let jacobi3d_par pool ~n x =
-  let out = Array.make (n * n * n) 0.0 in
-  Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:n (fun i ->
-      for j = 0 to n - 1 do
-        for l = 0 to n - 1 do
-          out.((((i * n) + j) * n) + l) <- jacobi3d_point ~n x i j l
-        done
-      done);
-  out

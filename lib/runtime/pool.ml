@@ -224,58 +224,6 @@ let parallel_for t ?grain ~lo ~hi body =
     end
   end
 
-let scan_sequential f xs =
-  let n = Array.length xs in
-  let out = Array.make n xs.(0) in
-  for i = 1 to n - 1 do
-    out.(i) <- f out.(i - 1) xs.(i)
-  done;
-  out
-
-let scan_inclusive t f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else if num_workers t = 1 then scan_sequential f xs
-  else begin
-    let workers = num_workers t in
-    let n_blocks = min n (workers * 4) in
-    let block_size = (n + n_blocks - 1) / n_blocks in
-    let out = Array.make n xs.(0) in
-    (* phase 1: scan each block independently *)
-    parallel_for t ~grain:1 ~lo:0 ~hi:n_blocks (fun b ->
-        let start = b * block_size in
-        let stop = min n (start + block_size) in
-        if start < stop then begin
-          out.(start) <- xs.(start);
-          for i = start + 1 to stop - 1 do
-            out.(i) <- f out.(i - 1) xs.(i)
-          done
-        end);
-    (* phase 2: exclusive scan of block totals, sequential (n_blocks is tiny) *)
-    let carries = Array.make n_blocks None in
-    let carry = ref None in
-    for b = 0 to n_blocks - 1 do
-      carries.(b) <- !carry;
-      let start = b * block_size in
-      let stop = min n (start + block_size) in
-      if start < stop then begin
-        let total = out.(stop - 1) in
-        carry := Some (match !carry with None -> total | Some c -> f c total)
-      end
-    done;
-    (* phase 3: apply carries in parallel *)
-    parallel_for t ~grain:1 ~lo:0 ~hi:n_blocks (fun b ->
-        match carries.(b) with
-        | None -> ()
-        | Some c ->
-          let start = b * block_size in
-          let stop = min n (start + block_size) in
-          for i = start to stop - 1 do
-            out.(i) <- f c out.(i)
-          done);
-    out
-  end
-
 let chunk_budget t = num_workers t * 2
 
 let split_range ~extent ~pieces =

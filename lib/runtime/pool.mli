@@ -4,7 +4,12 @@
     this module provides the parallel substrate the reproduction executes
     lowered plans on: a fixed set of worker domains that repeatedly pick up
     jobs; each job drains a shared atomic chunk counter, giving dynamic load
-    balancing without work stealing. *)
+    balancing without work stealing. Its callers are the executors
+    ({!parallel_for} in Fastpath's row-parallel kernels, {!run_in_parallel}
+    over {!split_range} chunks for the Specializer's jobs) and the tuner's
+    batch evaluation. Reductions and scans are not primitives here: they
+    run as the plan's folds, and [scripts/check.sh] fails if this
+    interface exports a scan again. *)
 
 type t
 
@@ -51,11 +56,6 @@ val parallel_for : t -> ?grain:int -> lo:int -> hi:int -> (int -> unit) -> unit
     Exceptions in the body are re-raised in the caller (first one wins).
     Nested parallel submission from inside a body is detected and raises
     [Invalid_argument] (it would deadlock the fixed worker set). *)
-
-val scan_inclusive : t -> ('a -> 'a -> 'a) -> 'a array -> 'a array
-(** Two-phase parallel inclusive prefix scan (associative operator):
-    per-block scans, a sequential block-total scan, then a parallel carry
-    pass. *)
 
 val chunk_budget : t -> int
 (** How many jobs the plan executors cut a parallel level into: two per

@@ -1133,9 +1133,10 @@ let fold_lanes bd acc i (vals : float array array) n =
     done
   end
 
-(* Fold lane [l] into cell [i0 + step * l], all distinct, in one run of
-   the body over the strip; a cell not seen yet takes its lane. *)
-let fold_cells bd acc i0 step (vals : float array array) n =
+(* Fold value [v0 + l] into cell [i0 + step * l], all distinct, in one
+   run of the body over the strip; a cell not seen yet takes its value
+   (the body's results are fresh registers, so [rhs] still holds it). *)
+let fold_cells bd acc i0 step (vals : float array array) v0 n =
   let cells = acc.cells and seen = acc.seen in
   check_span i0 step n (Bytes.length seen);
   let nf = Array.length cells in
@@ -1144,12 +1145,12 @@ let fold_cells bd acc i0 step (vals : float array array) n =
     for l = 0 to n - 1 do
       Array.unsafe_set lhs l (Array.unsafe_get cell (i0 + (step * l)))
     done;
-    Array.blit vals.(k) 0 bd.b_rhs.(k) 0 n
+    Array.blit vals.(k) v0 bd.b_rhs.(k) 0 n
   done;
   run_code bd.b_run 0 n;
   for l = 0 to n - 1 do
     let i = i0 + (step * l) in
-    let src = if Bytes.unsafe_get seen i = '\000' then vals else bd.b_res in
+    let src = if Bytes.unsafe_get seen i = '\000' then bd.b_rhs else bd.b_res in
     Bytes.unsafe_set seen i '\001';
     for k = 0 to nf - 1 do
       Array.unsafe_set cells.(k) i (Array.unsafe_get src.(k) l)
@@ -1181,7 +1182,7 @@ let fold_strip c op st acc (vals : float array array) =
   | Custom _ ->
     let bd = instantiate_body c st (Option.get op.fold) in
     if step = 0 then fun _ n -> fold_lanes bd acc (row_base s point) vals n
-    else fun x0 n -> fold_cells bd acc (row_base s point + (step * x0)) step vals n
+    else fun x0 n -> fold_cells bd acc (row_base s point + (step * x0)) step vals 0 n
   | Store ->
     fun x0 n ->
       let i0 = row_base s point + (step * x0) in
@@ -1319,8 +1320,11 @@ let decode_split split point lin =
    dimension, cut where its chunk starts and ends, decodes the split's
    coordinates once per segment and runs the staged loops over it; with no
    split its one point is one segment. A profiled job flushes its level
-   times once, at the end. *)
+   times once, at the end; its wall starts before its state and staged
+   loops are set up, so that set-up is charged to the split's level with
+   the rest of the job's loop control. *)
 let run_job c bufs op ~profiling (lo, size) acc () =
+  let t0 = if profiling then Clock.now_ns () else 0L in
   let st = mk_state c bufs in
   let n = Array.length c.nest in
   let timers =
@@ -1329,7 +1333,6 @@ let run_job c bufs op ~profiling (lo, size) acc () =
     else None
   in
   let loops = stage_loops c st (stage_row c op st acc timers) timers in
-  let t0 = if profiling then Clock.now_ns () else 0L in
   let ns = Array.length c.split in
   let extent = if ns = 0 then 1 else snd c.split.(ns - 1) in
   let i = ref lo and stop = lo + size in
@@ -1346,44 +1349,6 @@ let run_job c bufs op ~profiling (lo, size) acc () =
     (flush_profile c ~wall:(Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0)))
     timers;
   acc
-
-let[@inline] combine_into op (acc : float array) (part : float array) =
-  for i = 0 to Array.length acc - 1 do
-    acc.(i) <- combine op acc.(i) part.(i)
-  done
-
-let combine_partial op acc part =
-  match op with
-  | F_add -> combine_into F_add acc part
-  | F_mul -> combine_into F_mul acc part
-  | F_min -> combine_into F_min acc part
-  | F_max -> combine_into F_max acc part
-
-(* [acc] ⊕ [part] cell by cell through the body, a strip of cells per
-   run; a cell only one side has seen takes that side's value. *)
-let combine_custom c bd acc part =
-  let size = c.acc_size and nf = Array.length acc.cells in
-  let base = ref 0 in
-  while !base < size do
-    let b = !base in
-    let n = Int.min c.reglen (size - b) in
-    for k = 0 to nf - 1 do
-      Array.blit acc.cells.(k) b bd.b_lhs.(k) 0 n;
-      Array.blit part.cells.(k) b bd.b_rhs.(k) 0 n
-    done;
-    run_code bd.b_run 0 n;
-    for l = 0 to n - 1 do
-      let i = b + l in
-      if Bytes.get part.seen i <> '\000' then begin
-        let src = if Bytes.get acc.seen i = '\000' then bd.b_rhs else bd.b_res in
-        Bytes.set acc.seen i '\001';
-        for k = 0 to nf - 1 do
-          acc.cells.(k).(i) <- src.(k).(l)
-        done
-      end
-    done;
-    base := b + n
-  done
 
 (* Every element whose coordinate along the scanned dimension is [x > 0]
    becomes [prev ⊕ itself], in increasing address order. *)
@@ -1428,18 +1393,30 @@ let exec_output c pool bufs op =
   | [ all ] -> ignore (job all acc ())
   | chunks when c.partials ->
     (* a tree split: per-chunk private accumulators over the whole result,
-       combined in chunk order so associativity suffices *)
+       combined in chunk order so associativity suffices. Each job visits
+       every cell (its chunk is a nonempty range of the tree, every other
+       dimension a full loop), so a partial folds in like a strip of
+       values at stride 1 *)
     let partials =
       Pool.run_in_parallel pool
         (Array.of_list (List.map (fun r () -> job r (fresh ()) ()) chunks))
     in
     profile_segment c (level_path c.split_level) (fun () ->
+        let size = c.acc_size in
         match c.reduce with
         | Builtin pw ->
-          Array.iter (fun p -> combine_partial pw acc.cells.(0) p.cells.(0)) partials
+          Array.iter (fun p -> fold_strided pw acc.cells.(0) 0 1 p.cells.(0) size) partials
         | _ ->
           let bd = instantiate_body c (mk_state c [||]) (Option.get op.fold) in
-          Array.iter (combine_custom c bd acc) partials)
+          Array.iter
+            (fun p ->
+              let b = ref 0 in
+              while !b < size do
+                let n = Int.min c.reglen (size - !b) in
+                fold_cells bd acc !b 1 p.cells !b n;
+                b := !b + n
+              done)
+            partials)
   | chunks ->
     (* a distributed split: disjoint accumulator slabs, shared array *)
     ignore (Pool.run_in_parallel pool (Array.of_list (List.map (fun r -> job r acc) chunks))));

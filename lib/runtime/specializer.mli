@@ -66,8 +66,9 @@
     dimension, where the body folds lane after lane into the one cell,
     one run per point. Either way each cell gets its points in the order
     the nest visits them. On a pool with worker domains, the partials of
-    a tree split (a plan without a [Distribute] level) combine cell by
-    cell through the body, in chunk order. Write-back packs a
+    a tree split (a plan without a [Distribute] level) combine in chunk
+    order through the same fold as a cc row, a strip of cells per run of
+    the body. Write-back packs a
     record output element by element ({!Mdh_tensor.Dense.set_record}).
 
     {b No allocation per point.} A warm run allocates per call and per
@@ -78,8 +79,8 @@
     ("no allocation per iteration point") pins that it does not grow with
     the iteration space on every catalogue computation and on every form
     a row compiles. The post-scan of ps
-    dimensions and the combine of builtin tree partials run one direct
-    loop per builtin operator.
+    dimensions runs one direct loop per builtin operator, and builtin
+    tree partials combine through the strided strip fold.
 
     {b Eligibility.} Registers are float, and every value keeps a kind
     that says how exact it is. Inputs are fp32, fp64, or records of

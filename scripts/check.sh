@@ -53,6 +53,11 @@
 #     `Dense.set_linear ... (Scalar.f32 ...`) — the fast backends read and
 #     write the fp32 store from Dense.floats in place, so the per-call
 #     copies it replaced cannot creep back,
+#   - the kernel pin fails: a val of lib/runtime/kernels.mli is called
+#     neither from lib/runtime/fastpath.ml nor from bench/calibrate.ml, or
+#     lib/runtime/pool.mli exports a scan — lib/runtime keeps what Exec
+#     runs (and the naive matmul the calibration times), and a reduction
+#     or scan runs as the plan's fold, not as a hand-written routine,
 #   - the diagnostics golden fails: `mdhc check` output over the catalogue,
 #     the test fixtures and the example pragmas must match
 #     scripts/check_diagnostics.golden,
@@ -241,6 +246,24 @@ if [ -n "$copy_leaks" ]; then
     echo "error: a fast backend converts a Dense.t element by element:" >&2
     echo "$copy_leaks" | head -10 >&2
     echo "(read or write the float store from Dense.floats in place)" >&2
+    exit 1
+fi
+
+# kernel pin: every kernel Kernels exports is one Fastpath dispatches to
+# or the calibration times, and Pool offers no scan of its own. A kernel
+# that only a micro-benchmark or an example reaches is code that no plan
+# runs.
+kernel_leaks=$( {
+    for k in $(sed -nE 's/^val ([a-z0-9_]+) .*/\1/p' lib/runtime/kernels.mli); do
+        grep -qE "Kernels\.$k\>" lib/runtime/fastpath.ml bench/calibrate.ml ||
+            echo "lib/runtime/kernels.mli: $k has no caller in Fastpath or the calibration"
+    done
+    grep -nE '^val [a-z0-9_]*scan' lib/runtime/pool.mli | sed 's|^|lib/runtime/pool.mli:|'
+    } || true)
+if [ -n "$kernel_leaks" ]; then
+    echo "error: lib/runtime keeps code that Exec never runs:" >&2
+    echo "$kernel_leaks" | head -10 >&2
+    echo "(delete it, or dispatch to it from Fastpath)" >&2
     exit 1
 fi
 

@@ -33,24 +33,6 @@ let test_parallel_for_exception_propagates () =
            false
          with Failure m -> m = "boom"))
 
-let test_scan_matches_sequential () =
-  with_pool (fun pool ->
-      let rng = Mdh_support.Rng.create 1 in
-      let xs = Array.init 10_001 (fun _ -> Mdh_support.Rng.int rng 100 - 50) in
-      let expected =
-        let out = Array.make (Array.length xs) 0 in
-        let acc = ref 0 in
-        Array.iteri (fun i x -> acc := !acc + x; out.(i) <- !acc) xs;
-        out
-      in
-      check (Alcotest.array Alcotest.int) "scan" expected
-        (Pool.scan_inclusive pool ( + ) xs))
-
-let test_scan_singleton_and_empty () =
-  with_pool (fun pool ->
-      check (Alcotest.array Alcotest.int) "empty" [||] (Pool.scan_inclusive pool ( + ) [||]);
-      check (Alcotest.array Alcotest.int) "one" [| 7 |] (Pool.scan_inclusive pool ( + ) [| 7 |]))
-
 let test_run_in_parallel_order () =
   with_pool (fun pool ->
       let thunks = Array.init 20 (fun i () -> i * i) in
@@ -164,17 +146,6 @@ let test_kernels_matmul_variants_agree () =
       check farr "tiled = naive" reference (Kernels.matmul_tiled ~tile:8 ~m ~n ~k a b);
       check farr "parallel = naive" reference (Kernels.matmul_par pool ~tile:8 ~m ~n ~k a b))
 
-let test_kernels_scan () =
-  with_pool (fun pool ->
-      let xs = rng_floats 7 9_999 in
-      check farr "par = seq" (Kernels.scan_seq xs) (Kernels.scan_par pool xs))
-
-let test_kernels_jacobi () =
-  with_pool (fun pool ->
-      let n = 12 in
-      let x = rng_floats 8 (n * n * n) in
-      check farr "par = seq" (Kernels.jacobi3d_seq ~n x) (Kernels.jacobi3d_par pool ~n x))
-
 (* --- parallel plan executor --- *)
 
 let test_exec_parallel_matches_sequential () =
@@ -229,8 +200,6 @@ let suite =
     [ tc "parallel_for covers all" `Quick test_parallel_for_covers_all;
       tc "parallel_for empty" `Quick test_parallel_for_empty;
       tc "parallel_for exceptions" `Quick test_parallel_for_exception_propagates;
-      tc "scan matches sequential" `Quick test_scan_matches_sequential;
-      tc "scan edge cases" `Quick test_scan_singleton_and_empty;
       tc "run_in_parallel order" `Quick test_run_in_parallel_order;
       tc "pool reusable" `Quick test_pool_reusable;
       tc "nested submission rejected" `Quick test_nested_submission_rejected;
@@ -240,8 +209,6 @@ let suite =
       tc "zero-domain pool" `Quick test_zero_domain_pool_works;
       tc "kernel matvec" `Quick test_kernels_matvec;
       tc "kernel matmul variants" `Quick test_kernels_matmul_variants_agree;
-      tc "kernel scan" `Quick test_kernels_scan;
-      tc "kernel jacobi3d" `Quick test_kernels_jacobi;
       tc "parallel exec = sequential (all workloads)" `Slow
         test_exec_parallel_matches_sequential;
       tc "exec agrees with hand oracles" `Slow

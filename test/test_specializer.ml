@@ -1028,27 +1028,46 @@ let regroup_case () =
    SpecScanMid cases), on the tree, a nest loop under the Distribute level
    (SpecLets, the SpecPwOuter cases), on the segment (SpecCasts, SpecFp64,
    and every tree split), and a custom operator's segment moved last,
-   after a nest step (SpecFoldOrder) or after the tree (SpecRecordPwRow). *)
+   after a nest step (SpecFoldOrder) or after the tree (SpecRecordPwRow).
+   One more case folds a custom operator's partials over more cells than a
+   register strip holds: PRL (a selection, so exact) with its pw dimension
+   the plan's only parallel one, 600 cells in rows of 40. *)
 let test_pool_size_bit_identity () =
-  let regroup = regroup_case () in
+  let parallel md env exact = (md, env, plan_of md (parallel_schedule md), exact) in
+  let regroup =
+    let md, env = regroup_case () in
+    let ((_, _, plan, _) as case) = parallel md env true in
+    check Alcotest.bool (md.hom_name ^ ": Distribute over Tree_reduce") true
+      (Plan.distributed plan <> [] && Plan.tree plan <> None);
+    case
+  in
+  let strips =
+    let params = [ ("N", 600); ("I", 40) ] in
+    let md = W.to_md_hom Mdh_workloads.Prl.prl params in
+    let tree =
+      List.filter
+        (fun d -> Combine.collapses md.combine_ops.(d))
+        (Lower.parallelisable_dims md)
+    in
+    let plan = plan_of md { (Schedule.sequential md) with parallel_dims = tree } in
+    check Alcotest.bool "PRL strips: Tree_reduce and no Distribute" true
+      (Plan.distributed plan = [] && Plan.tree plan <> None);
+    (md, Mdh_workloads.Prl.prl.W.gen params ~seed:17, plan, true)
+  in
   let cases =
     List.map
       (fun (w : W.t) ->
-        (W.to_md_hom w w.W.test_params, w.W.gen w.W.test_params ~seed:17, false))
+        parallel (W.to_md_hom w w.W.test_params) (w.W.gen w.W.test_params ~seed:17) false)
       Catalog.all
     @ List.map
         (fun make ->
           let md = make 37 in
-          (md, env_for 17 md, false))
+          parallel md (env_for 17 md) false)
         row_cases
-    @ [ (fst regroup, snd regroup, true) ]
+    @ [ regroup; strips ]
   in
   List.iter
-    (fun ((md : Md_hom.t), env, exact) ->
-      let plan = plan_of md (parallel_schedule md) in
-      if exact then
-        check Alcotest.bool (md.hom_name ^ ": Distribute over Tree_reduce") true
-          (Plan.distributed plan <> [] && Plan.tree plan <> None);
+    (fun ((md : Md_hom.t), env, plan, exact) ->
       let outputs num_domains =
         match Pool.with_pool ~num_domains (fun pool -> Specializer.try_run pool plan md env) with
         | Some got -> got
