@@ -107,7 +107,7 @@ let bench_one pool dev idx (w : W.t) params =
         | Error _ -> None
         | Ok predicted ->
           let run () =
-            match Exec.run ~device:dev ~fastpath:false pool md sched env with
+            match Exec.run ~device:dev pool md sched env with
             | Ok e -> ignore e
             | Error e -> failwith (name ^ ": " ^ e)
           in

@@ -621,8 +621,8 @@ let run_cmd =
              the result against the reference semantics." in
   let backend_arg =
     let doc =
-      "Execution backend: $(b,auto) (fastpath, then plan-compiled \
-       specializer, then the reference semantics), $(b,interp) (the \
+      "Execution backend: $(b,auto) (the plan-compiled specializer, then \
+       the reference semantics), $(b,interp) (the \
        reference semantics only, sequential whatever $(b,--parallel) \
        says), $(b,special) (plan-compiled specializer, error if the \
        workload is not specializable), or $(b,cc) (generate the OpenMP C, \

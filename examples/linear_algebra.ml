@@ -1,7 +1,8 @@
 (* Linear algebra with the MDH directive: MatMul (Listing 9) on the square
    and the tall-skinny deep-learning shape, demonstrating (i) the MDH
-   decomposition law that justifies tiling, and (ii) the shape-sensitivity
-   of fixed vendor kernels vs auto-tuned MDH code.
+   decomposition law that justifies tiling, (ii) the shape-sensitivity
+   of fixed vendor kernels vs auto-tuned MDH code, and (iii) the executor
+   running MatMul 384^3 from its plan, sequential and parallel.
 
      dune exec examples/linear_algebra.exe *)
 
@@ -56,25 +57,24 @@ let () =
       (Mdh_workloads.Linalg.matmul_t, "1"); (Mdh_workloads.Linalg.bmatmul, "1") ];
   print_newline ();
 
-  (* Real parallel speedup on the host, with the specialised kernels. *)
+  (* The executor at 384^3 on the default pool: the sequential schedule
+     against one that parallelises every dimension it can *)
+  let params = [ ("I", 384); ("J", 384); ("K", 384) ] in
+  let md = W.to_md_hom Mdh_workloads.Linalg.matmul params in
+  let env = Mdh_workloads.Linalg.matmul.W.gen params ~seed:3 in
   Mdh_runtime.Pool.with_pool (fun pool ->
-      let n = 384 in
-      let rng = Mdh_support.Rng.create 3 in
-      let a = Array.init (n * n) (fun _ -> Mdh_support.Rng.float rng 1.0) in
-      let b = Array.init (n * n) (fun _ -> Mdh_support.Rng.float rng 1.0) in
-      let _, t_naive =
-        Mdh_support.Util.time_it (fun () -> Mdh_runtime.Kernels.matmul_seq ~m:n ~n ~k:n a b)
+      let run sched =
+        match Mdh_support.Util.time_it (fun () -> Mdh_runtime.Exec.run pool md sched env) with
+        | Ok out, t -> (Buffer.data (Buffer.env_find out "C"), t)
+        | Error e, _ -> failwith e
       in
-      let _, t_tiled =
-        Mdh_support.Util.time_it (fun () ->
-            Mdh_runtime.Kernels.matmul_tiled ~tile:32 ~m:n ~n ~k:n a b)
-      in
-      let _, t_par =
-        Mdh_support.Util.time_it (fun () ->
-            Mdh_runtime.Kernels.matmul_par pool ~tile:32 ~m:n ~n ~k:n a b)
+      let seq = Mdh_lowering.Schedule.sequential md in
+      let c_seq, t_seq = run seq in
+      let c_par, t_par =
+        run { seq with parallel_dims = Mdh_lowering.Lower.parallelisable_dims md }
       in
       Printf.printf
-        "host matmul %d^3: naive %.3fs, tiled %.3fs (%.1fx), tiled+parallel %.3fs \
-         (%.1fx, %d workers)\n"
-        n t_naive t_tiled (t_naive /. t_tiled) t_par (t_naive /. t_par)
-        (Mdh_runtime.Pool.num_workers pool))
+        "Exec.run matmul 384^3: sequential %.4fs, parallel %.4fs (%.1fx on %d \
+         workers), parallel matches sequential: %b\n"
+        t_seq t_par (t_seq /. t_par) (Mdh_runtime.Pool.num_workers pool)
+        (Dense.approx_equal ~rel:1e-5 ~abs:1e-6 c_seq c_par))

@@ -26,8 +26,8 @@ type trigger = {
 }
 
 let sites =
-  [ "pool.job"; "kernel.run"; "cost.eval"; "db.read"; "db.write"; "db.rename";
-    "serve.accept"; "serve.read"; "serve.write"; "serve.handle" ]
+  [ "pool.job"; "cost.eval"; "db.read"; "db.write"; "db.rename"; "serve.accept";
+    "serve.read"; "serve.write"; "serve.handle" ]
 
 let armed_flag = Atomic.make false
 let triggers : trigger list ref = ref []
@@ -43,8 +43,8 @@ let m_site site =
 let grammar =
   "SPEC     := CLAUSE (',' CLAUSE)*\n\
    CLAUSE   := SITE ':' ACTION ['@' N] ['/' EVERY]\n\
-   SITE     := pool.job | kernel.run | cost.eval | db.read | db.write\n\
-  \          | db.rename | serve.accept | serve.read | serve.write | serve.handle\n\
+   SITE     := pool.job | cost.eval | db.read | db.write | db.rename\n\
+  \          | serve.accept | serve.read | serve.write | serve.handle\n\
    ACTION   := raise              (raise Mdh_fault.Fault.Injected)\n\
   \          | delay=MILLIS       (sleep before proceeding)\n\
   \          | truncate=N         (keep only N bytes of the payload)\n\

@@ -16,8 +16,8 @@
     {v
     SPEC   := CLAUSE (',' CLAUSE)*
     CLAUSE := SITE ':' ACTION ['@' N] ['/' EVERY]
-    SITE   := pool.job | kernel.run | cost.eval | db.read | db.write
-            | db.rename | serve.accept | serve.read | serve.write | serve.handle
+    SITE   := pool.job | cost.eval | db.read | db.write | db.rename
+            | serve.accept | serve.read | serve.write | serve.handle
     ACTION := raise | delay=MILLIS | truncate=N | corrupt=SEED
     v}
     e.g. [cost.eval:raise@40] raises on the 40th cost evaluation;

@@ -3,8 +3,8 @@
     Wall time is attributed to [(plan digest, level path)] cells: the
     runtime reports samples addressed by a level's position in the plan
     tree (["L0"], ["L1"], … outermost-first, ["leaf"] for the point
-    computation) or by backend phase (["phase:fastpath"],
-    ["phase:specializer.compile"], ["phase:specializer.run"]), plus an
+    computation) or by backend phase (["phase:specializer.compile"],
+    ["phase:specializer.run"]), plus an
     enclosing ["exec"] cell per run. Keys are plain strings so this
     module has no dependency on the lowering layer — callers pass
     [Plan.digest].

@@ -17,27 +17,9 @@ let host_device pool =
 
 module Trace = Mdh_obs.Trace
 module Metrics = Mdh_obs.Metrics
-module Clock = Mdh_obs.Clock
-module Profile = Mdh_obs.Profile
 
 let m_runs = Metrics.counter "runtime.exec.runs"
 let m_fallbacks = Metrics.counter "runtime.exec.fallbacks"
-
-(* time a backend attempt and attribute it to a profile phase cell when it
-   actually handled the run; a refused attempt (None) is matcher overhead,
-   far below profiling resolution *)
-let timed_phase ~digest ~path f =
-  if not (Profile.enabled ()) then f ()
-  else begin
-    let t0 = Clock.now_ns () in
-    let r = f () in
-    (match r with
-    | Some _ ->
-      Profile.add ~digest ~path
-        (Clock.ns_to_s (Int64.sub (Clock.now_ns ()) t0))
-    | None -> ());
-    r
-  end
 
 let run_seq md env =
   Trace.with_span ~cat:"runtime" "exec.seq"
@@ -49,25 +31,18 @@ let run_seq md env =
    nothing else it raises is caught *)
 let run_reference f = try Ok (f ()) with Semantics.Semantic_error reason -> Error reason
 
-let run_with_plan ?(fastpath = true) ?(specialize = true) pool plan
-    (md : Md_hom.t) env =
+let run_with_plan ?fastpath:_ ?(specialize = true) pool plan (md : Md_hom.t) env =
   if Array.exists (fun s -> s = 0) md.Md_hom.sizes then
     (* an empty iteration space has no work to distribute: it is pinned
        to the sequential semantics, whatever the plan *)
     run_reference (fun () -> run_seq md env)
   else begin
     Metrics.incr m_runs;
-    let digest = if Profile.enabled () then Plan.digest plan else "" in
     Trace.with_span ~cat:"runtime" "exec.run"
       ~args:[ ("hom", md.Md_hom.hom_name) ]
       (fun () ->
-        match
-          timed_phase ~digest ~path:"phase:fastpath" (fun () ->
-              if fastpath then Fastpath.try_run pool plan md env else None)
-        with
-        | Some env -> Ok env
-        | None when not specialize -> run_reference (fun () -> run_seq md env)
-        | None -> (
+        if not specialize then run_reference (fun () -> run_seq md env)
+        else
           (* the specializer attributes its own compile/run phases *)
           match Specializer.run pool plan md env with
           | Ok env -> Ok env
@@ -79,14 +54,14 @@ let run_with_plan ?(fastpath = true) ?(specialize = true) pool plan
                     (fun () -> Semantics.exec md env)
                 in
                 Metrics.incr m_fallbacks;
-                env)))
+                env))
   end
 
-let run ?device ?fastpath ?specialize pool (md : Md_hom.t) sched env =
+let run ?device ?specialize pool (md : Md_hom.t) sched env =
   if Array.exists (fun s -> s = 0) md.Md_hom.sizes then
     run_reference (fun () -> run_seq md env)
   else
     let dev = match device with Some d -> d | None -> host_device pool in
     match Plan.build md dev sched with
     | Error _ as e -> e
-    | Ok plan -> run_with_plan ?fastpath ?specialize pool plan md env
+    | Ok plan -> run_with_plan ?specialize pool plan md env

@@ -1,12 +1,3 @@
-let dot_seq x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Kernels.dot: length mismatch";
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. (x.(i) *. y.(i))
-  done;
-  !acc
-
 let matvec_row ~k m v r =
   let base = r * k in
   let acc = ref 0.0 in
@@ -67,13 +58,4 @@ let matmul_tiled ?(tile = 32) ~m ~n ~k a b =
     matmul_tile_block ~n ~k ~tile a b c !i0 i1;
     i0 := i1
   done;
-  c
-
-let matmul_par pool ?(tile = 32) ~m ~n ~k a b =
-  let c = Array.make (m * n) 0.0 in
-  let n_blocks = (m + tile - 1) / tile in
-  Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:n_blocks (fun blk ->
-      let i0 = blk * tile in
-      let i1 = min m (i0 + tile) in
-      matmul_tile_block ~n ~k ~tile a b c i0 i1);
   c

@@ -1,22 +1,16 @@
-(** Unboxed float kernels over [float array]s: the hand-specialised
-    counterparts of what the MDH pipeline's code generator would emit for
-    the linear-algebra workloads. Every kernel only reads its input arrays
-    and returns a fresh result array.
-
-    {!Fastpath} runs the dot, matvec and matmul kernels inside [Exec.run],
-    directly on the inputs' fp32 stores ({!Mdh_tensor.Dense.floats}): dot
-    sequentially on every pool, matvec and matmul row-parallel when the
-    plan has a parallel level and the pool has workers. [matmul_seq] is
-    the naive reference that [bench/calibrate.ml] times and the tests check
-    the tiled variants against. [scripts/check.sh] fails if a kernel here
-    is called neither from {!Fastpath} nor from [bench/calibrate.ml]. *)
-
-val dot_seq : float array -> float array -> float
+(** Unboxed float kernels over [float array]s: hand-written matmul and
+    matvec loops that [bench/calibrate.ml] times to calibrate the host's
+    cost model (its compute peak, the gain from cache tiling and from the
+    pool's [parallel_for]). No plan runs them: {!Exec} dispatches only to
+    the {!Specializer} and the reference. Every kernel only reads its
+    input arrays and returns a fresh result array. [scripts/check.sh]
+    fails if a kernel here is not called from [bench/calibrate.ml]. *)
 
 val matvec_seq : m:int -> k:int -> float array -> float array -> float array
 (** Row-major [m x k] matrix times vector. *)
 
 val matvec_par : Pool.t -> m:int -> k:int -> float array -> float array -> float array
+(** [matvec_seq] with its rows distributed across the pool. *)
 
 val matmul_seq : m:int -> n:int -> k:int -> float array -> float array -> float array
 (** Naive i-j-k triple loop, row-major [m x k] times [k x n]. *)
@@ -24,8 +18,3 @@ val matmul_seq : m:int -> n:int -> k:int -> float array -> float array -> float 
 val matmul_tiled :
   ?tile:int -> m:int -> n:int -> k:int -> float array -> float array -> float array
 (** Cache-blocked (i,j,k tiles, default 32). *)
-
-val matmul_par :
-  Pool.t -> ?tile:int -> m:int -> n:int -> k:int -> float array -> float array ->
-  float array
-(** Tiled with row-blocks distributed across the pool. *)

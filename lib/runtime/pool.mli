@@ -4,10 +4,10 @@
     this module provides the parallel substrate the reproduction executes
     lowered plans on: a fixed set of worker domains that repeatedly pick up
     jobs; each job drains a shared atomic chunk counter, giving dynamic load
-    balancing without work stealing. Its callers are the executors
-    ({!parallel_for} in Fastpath's row-parallel kernels, {!run_in_parallel}
-    over {!split_range} chunks for the Specializer's jobs) and the tuner's
-    batch evaluation. Reductions and scans are not primitives here: they
+    balancing without work stealing. Its callers are the Specializer
+    ({!run_in_parallel} over {!split_range} chunks, one per job), the
+    tuner's batch evaluation ({!parallel_for}) and the calibration's
+    row-parallel matvec. Reductions and scans are not primitives here: they
     run as the plan's folds, and [scripts/check.sh] fails if this
     interface exports a scan again. *)
 

@@ -697,6 +697,19 @@ let value_program md ~row_dim inputs (o : Md_hom.output) =
   let out = List.map (reg b) (field_values o.out_ty v) in
   (finish b (Array.of_list (List.map snd out)), List.map fst out)
 
+(* The two reads of [o]'s value when it is [x * y] of two float reads,
+   each as its store and its address along the row. Called on a value
+   whose program compiled, so neither operand is refused. *)
+let product_reads md ~row_dim inputs (o : Md_hom.output) =
+  match o.value with
+  | Expr.Binop (Expr.Mul, x, y) -> (
+    let b = emitter md ~row_dim inputs in
+    match (value b [] ~branch:false x, value b [] ~branch:false y) with
+    | V_read ((K_f32 _ | K_f64 _), sx, ax), V_read ((K_f32 _ | K_f64 _), sy, ay) ->
+      Some ((sx, strided ~row_dim ax), (sy, strided ~row_dim ay))
+    | _ -> None)
+  | _ -> None
+
 (* A custom operator's body as a program: [lhs] and [rhs] are parameter
    registers, one per field of the element type [ty], which the fold
    fills with an accumulator cell and a lane (or a partial's cell); the
@@ -781,10 +794,17 @@ type view =
    by its first point. *)
 type reduce = Store | Builtin of fold | Custom of Combine.custom_fn
 
+(* A row whose value is [x * y], two float reads, folded by a builtin
+   into one cell (a pw row): the fold, and each read's store and address
+   along the row. Such a row runs as one loop per strip, with no
+   registers and no instruction calls. *)
+type product = { pfold : fold; x : int * strided; y : int * strided }
+
 type out_plan = {
   out : Md_hom.output;
   prog : program;
   fold : fold_program option;  (** the custom operator's body *)
+  product : product option;
   view : view;
 }
 
@@ -995,7 +1015,15 @@ let compile ~digest (plan : Plan.t) (md : Md_hom.t) =
             | Custom fn -> Some (fold_program md fn o.out_ty kinds)
             | Store | Builtin _ -> None
           in
-          { out = o; prog; fold; view = view_of acc_shape o })
+          let product =
+            match reduce with
+            | Builtin pfold when astride.(row_dim) = 0 ->
+              Option.map
+                (fun (x, y) -> { pfold; x; y })
+                (product_reads md ~row_dim inputs o)
+            | Store | Builtin _ | Custom _ -> None
+          in
+          { out = o; prog; fold; product; view = view_of acc_shape o })
         md.outputs
     in
     let scan_levels =
@@ -1100,6 +1128,48 @@ let[@inline] fold_strided op (acc : float array) i0 step (v : float array) n =
     Array.unsafe_set acc i (combine op (Array.unsafe_get acc i) (Array.unsafe_get v l))
   done
 
+(* Fold the products [x.(x0 + xstep * l) * y.(y0 + ystep * l)], l in
+   [0, n), into cell [i] in lane order: what two reads, a multiply and
+   [fold_one] compute, in one pass. The caller has checked every address,
+   so the loop makes no call and keeps its operands in registers. *)
+let[@inline] fold_product op (acc : float array) i (x : float array) x0 xstep
+    (y : float array) y0 ystep n =
+  let s = ref (Array.unsafe_get acc i) and xi = ref x0 and yi = ref y0 in
+  for _ = 1 to n do
+    s := combine op !s (Array.unsafe_get x !xi *. Array.unsafe_get y !yi);
+    xi := !xi + xstep;
+    yi := !yi + ystep
+  done;
+  Array.unsafe_set acc i !s
+
+(* one out-of-line loop per operator, each with no call in it *)
+let product_add acc i x x0 xstep y y0 ystep n = fold_product F_add acc i x x0 xstep y y0 ystep n
+let product_mul acc i x x0 xstep y y0 ystep n = fold_product F_mul acc i x x0 xstep y y0 ystep n
+let product_min acc i x x0 xstep y y0 ystep n = fold_product F_min acc i x x0 xstep y y0 ystep n
+let product_max acc i x x0 xstep y y0 ystep n = fold_product F_max acc i x x0 xstep y y0 ystep n
+
+(* The strip step of a product row: both reads from the strip's start,
+   each span checked as a read instruction checks it, folded into the
+   row's one cell. *)
+let product_strip c p st acc =
+  let point = st.point and cell = acc.cells.(0) in
+  let (xb, xs), (yb, ys) = (p.x, p.y) in
+  let x = st.bufs.(xb) and y = st.bufs.(yb) in
+  let fold =
+    match p.pfold with
+    | F_add -> product_add
+    | F_mul -> product_mul
+    | F_min -> product_min
+    | F_max -> product_max
+  in
+  fun x0 n ->
+    let xa = row_base xs point + (xs.step * x0) and ya = row_base ys point + (ys.step * x0) in
+    check_span xa xs.step n (Array.length x);
+    check_span ya ys.step n (Array.length y);
+    let i = row_base c.acc_addr point in
+    check_span i 0 1 (Array.length cell);
+    fold cell i x xa xs.step y ya ys.step n
+
 (* Fold the lanes of a strip into cell [i], one after another: the body
    runs on one lane, [lhs] carrying the cell from lane to lane. *)
 let fold_lanes bd acc i (vals : float array array) n =
@@ -1197,14 +1267,19 @@ let fold_strip c op st acc (vals : float array array) =
 (* The row step of one job for output [op]: [row lo hi] evaluates the
    points [lo, hi) of the row dimension, at the state's other coordinates,
    one strip at a time into the registers, and folds each strip into
-   [acc]. With [timers], every strip is charged to the leaf slot. *)
+   [acc]; a product row folds its strip in one loop, with no registers.
+   With [timers], every strip is charged to the leaf slot. *)
 let stage_row c op st acc timers =
-  let i = instantiate c st op.prog in
-  let fold = fold_strip c op st acc (Array.map (fun r -> i.i_regs.(r)) op.prog.results) in
-  let code = i.i_run in
-  let run x0 n =
-    run_code code x0 n;
-    fold x0 n
+  let run =
+    match op.product with
+    | Some p -> product_strip c p st acc
+    | None ->
+      let i = instantiate c st op.prog in
+      let fold = fold_strip c op st acc (Array.map (fun r -> i.i_regs.(r)) op.prog.results) in
+      let code = i.i_run in
+      fun x0 n ->
+        run_code code x0 n;
+        fold x0 n
   in
   let run =
     match timers with

@@ -1,5 +1,5 @@
-(** Plan-compiled execution: the generic counterpart of the hand-written
-    {!Fastpath} kernels.
+(** Plan-compiled execution: the code the plan generates, and the one
+    executor {!Exec} runs a computation on beside the reference.
 
     Each call compiles its [Plan.t] afresh: a compile takes microseconds,
     less than a key that told computations and plans apart would cost,
@@ -46,6 +46,17 @@
     points, so the outputs do not depend on the strip length. A profiled
     run times the same row step, charging each strip to the leaf cell
     with a count of its points.
+
+    {b Product rows.} An output whose value is [x * y] of two float reads
+    (fp32 or fp64), folded by a builtin operator along a pw row — dot,
+    matvec, the matmuls, CCSD(T) and MCC — is recorded as such once per
+    compile: the two reads' stores and addresses, and the fold. Its row
+    runs one loop per strip that reads both stores, multiplies and folds
+    into the one local, with no registers and no instruction calls. It
+    checks both reads' spans on every strip and folds in the same order,
+    so its outputs are bit-identical to the same product computed
+    through registers. A strided cc-row fold and every other value keep
+    the register form.
 
     {b Records and custom operators.} Nothing record-shaped exists at run
     time. A record input is unpacked on each call, through
@@ -125,8 +136,8 @@
 
     A float accumulation happens in double precision with one rounding
     per fp32 output element, so fp32 results are tolerance-equal — not
-    bit-equal — to the per-op-rounding interpreter, exactly like the
-    fast-path kernels. Every other output equals
+    bit-equal — to the per-op-rounding interpreter. Every other output
+    equals
     {!Mdh_core.Semantics.exec}'s bit for bit, except where a tree split
     runs on a pool with worker domains: its partials regroup the fold,
     which changes the bits of one that is not exactly associative (a

@@ -589,13 +589,13 @@ module Exec_op = struct
     in
     let timed = Mdh_support.Util.time_it in
     let in_pool f = ctx.with_pool (fun pool -> timed (fun () -> f pool)) in
-    let dispatch ~fastpath ~specialize pool =
-      ok_or "exec_failed" (Mdh_runtime.Exec.run ~fastpath ~specialize pool md sched env)
+    let dispatch ~specialize pool =
+      ok_or "exec_failed" (Mdh_runtime.Exec.run ~specialize pool md sched env)
     in
     let out, elapsed_s =
       match r.backend with
-      | Auto -> in_pool (dispatch ~fastpath:true ~specialize:true)
-      | Interp -> in_pool (dispatch ~fastpath:false ~specialize:false)
+      | Auto -> in_pool (dispatch ~specialize:true)
+      | Interp -> in_pool (dispatch ~specialize:false)
       | Special -> in_pool (fun pool -> special pool md sched env)
       | Cc -> timed (fun () -> ok_or "exec_failed" (Mdh_codegen.Cc.execute md env))
     in

@@ -14,9 +14,9 @@
 
     The reference semantics and the directive interpreter read and
     write elements through [get]/[set]. The fast backends
-    ([Mdh_runtime.Fastpath], [Mdh_runtime.Specializer] and
-    [Mdh_codegen.Cc]) take the float store itself from {!floats}: they
-    read inputs and write outputs in place, with no per-element copy. *)
+    ([Mdh_runtime.Specializer] and [Mdh_codegen.Cc]) take the float store
+    itself from {!floats}: they read inputs and write outputs in place,
+    with no per-element copy. *)
 
 type t
 

@@ -50,14 +50,18 @@
 #   - the unboxed-storage pin fails: a file under lib/runtime or
 #     lib/codegen converts a Dense.t element by element
 #     (`Scalar.to_float (Dense.get_linear ...` or
-#     `Dense.set_linear ... (Scalar.f32 ...`) — the fast backends read and
-#     write the fp32 store from Dense.floats in place, so the per-call
-#     copies it replaced cannot creep back,
-#   - the kernel pin fails: a val of lib/runtime/kernels.mli is called
-#     neither from lib/runtime/fastpath.ml nor from bench/calibrate.ml, or
-#     lib/runtime/pool.mli exports a scan — lib/runtime keeps what Exec
-#     runs (and the naive matmul the calibration times), and a reduction
+#     `Dense.set_linear ... (Scalar.f32 ...`) — the Specializer and Cc
+#     read and write the fp32 store from Dense.floats in place, so the
+#     per-call copies it replaced cannot creep back,
+#   - the kernel pin fails: a val of lib/runtime/kernels.mli is not called
+#     from bench/calibrate.ml, or lib/runtime/pool.mli exports a scan —
+#     Kernels keeps only the loops the calibration times, and a reduction
 #     or scan runs as the plan's fold, not as a hand-written routine,
+#   - the executor pin fails: a file under lib/, bin/, bench/, test/ or
+#     examples/ other than lib/runtime/fastpath.ml(i) names Fastpath, or
+#     fastpath.ml calls Kernels — Exec dispatches to two executors, the
+#     Specializer and the reference, and Fastpath is a stub kept only for
+#     the benchmark harness under perf/,
 #   - the diagnostics golden fails: `mdhc check` output over the catalogue,
 #     the test fixtures and the example pragmas must match
 #     scripts/check_diagnostics.golden,
@@ -72,6 +76,10 @@
 #     slabs of a Distribute level, partials of a Tree_reduce level with no
 #     Distribute level over it) run end to end; the C half keeps its four
 #     workloads, since cc refuses MCC,
+#   - the examples stage fails: linear_algebra, mbbs_prefix_sum and
+#     stencil_jacobi, which time Exec.run under the sequential and the
+#     parallel schedule on the default pool, must exit 0 and print no
+#     check line that reads false,
 #   - the profiler stage fails: `mdhc profile` must render, on the
 #     specializer, for matmul, for jacobi_3d (whose row is driven by a
 #     Distribute level), for ccsd(t) (a Distribute level over a Tree_reduce
@@ -236,8 +244,8 @@ if [ -n "$expr_leaks" ]; then
 fi
 
 # unboxed-storage pin: fp32/fp64 tensors keep their elements in a flat
-# float store, which Fastpath, the Specializer and Cc read and write in
-# place through Dense.floats. An element-by-element conversion in
+# float store, which the Specializer and Cc read and write in place
+# through Dense.floats. An element-by-element conversion in
 # lib/runtime or lib/codegen is the per-call copy that store replaced.
 copy_leaks=$(grep -rnE \
     'Scalar\.to_float \(Dense\.get_linear|Dense\.set_linear .*\(Scalar\.f32' \
@@ -249,21 +257,36 @@ if [ -n "$copy_leaks" ]; then
     exit 1
 fi
 
-# kernel pin: every kernel Kernels exports is one Fastpath dispatches to
-# or the calibration times, and Pool offers no scan of its own. A kernel
-# that only a micro-benchmark or an example reaches is code that no plan
-# runs.
+# kernel pin: every kernel Kernels exports is one the calibration times,
+# and Pool offers no scan of its own. A kernel that only an example or a
+# test reaches is code that no plan runs and no measurement needs.
 kernel_leaks=$( {
     for k in $(sed -nE 's/^val ([a-z0-9_]+) .*/\1/p' lib/runtime/kernels.mli); do
-        grep -qE "Kernels\.$k\>" lib/runtime/fastpath.ml bench/calibrate.ml ||
-            echo "lib/runtime/kernels.mli: $k has no caller in Fastpath or the calibration"
+        grep -qE "Kernels\.$k\>" bench/calibrate.ml ||
+            echo "lib/runtime/kernels.mli: $k has no caller in the calibration"
     done
     grep -nE '^val [a-z0-9_]*scan' lib/runtime/pool.mli | sed 's|^|lib/runtime/pool.mli:|'
     } || true)
 if [ -n "$kernel_leaks" ]; then
     echo "error: lib/runtime keeps code that Exec never runs:" >&2
     echo "$kernel_leaks" | head -10 >&2
-    echo "(delete it, or dispatch to it from Fastpath)" >&2
+    echo "(delete it, or time it in bench/calibrate.ml)" >&2
+    exit 1
+fi
+
+# executor pin: Exec dispatches to the Specializer and the reference, and
+# to nothing else. Fastpath is a stub that the benchmark harness under
+# perf/ still compiles against; no other code names it, and it runs no
+# kernel.
+executor_leaks=$( {
+    grep -rn 'Fastpath' lib bin bench test examples \
+        | grep -vE '^lib/runtime/fastpath\.mli?:'
+    grep -n 'Kernels' lib/runtime/fastpath.ml | sed 's|^|lib/runtime/fastpath.ml:|'
+    } || true)
+if [ -n "$executor_leaks" ]; then
+    echo "error: a second executor is dispatched to beside the Specializer:" >&2
+    echo "$executor_leaks" | head -10 >&2
+    echo "(run the plan through Exec: the Specializer, else the reference)" >&2
     exit 1
 fi
 
@@ -320,6 +343,17 @@ if command -v gcc > /dev/null 2>&1; then
 else
     echo "check.sh: SKIP compiled-C differential stage (gcc not on PATH)"
 fi
+
+# examples stage: the examples that time Exec.run under the sequential
+# and the parallel schedule must run to completion, and every check line
+# they print (a result compared with another) must read true.
+for ex in linear_algebra mbbs_prefix_sum stencil_jacobi; do
+    dune exec "examples/$ex.exe" > "$chaos_dir/$ex.txt" || {
+        echo "error: example $ex failed" >&2; exit 1; }
+    if grep -wn 'false' "$chaos_dir/$ex.txt" >&2; then
+        echo "error: example $ex printed a failed check" >&2; exit 1
+    fi
+done
 
 # profiler stage: `mdhc profile` must render a per-plan-level breakdown
 # and honour its JSON/flame contracts (bit-identity of unprofiled runs and

@@ -91,6 +91,19 @@ let test_parse_error_diagnostics () =
   (* the unknown-site diagnostic enumerates what IS known *)
   expect "nope:raise" "serve.handle"
 
+(* no kernel runs in place of a plan, so the site that faulted one is
+   gone: naming it is an unknown site, and the error lists those that
+   remain *)
+let test_kernel_site_unknown () =
+  match Fault.parse "kernel.run:raise@1" with
+  | Ok _ -> Alcotest.fail "accepted kernel.run"
+  | Error e ->
+    List.iter
+      (fun fragment ->
+        if not (Test_util.contains e fragment) then
+          Alcotest.failf "diagnostic %S does not name %S" e fragment)
+      ("unknown site \"kernel.run\"" :: Fault.sites)
+
 let test_parse_serve_sites () =
   List.iter
     (fun site ->
@@ -539,6 +552,8 @@ let suite =
       Alcotest.test_case "spec: bad specs rejected" `Quick test_parse_errors;
       Alcotest.test_case "spec: edge cases carry named diagnostics" `Quick
         test_parse_error_diagnostics;
+      Alcotest.test_case "spec: kernel.run is an unknown site" `Quick
+        test_kernel_site_unknown;
       Alcotest.test_case "spec: serve.* sites parse" `Quick
         test_parse_serve_sites;
       Alcotest.test_case "disarmed hooks are no-ops" `Quick test_disarmed_noop;

@@ -120,48 +120,6 @@ let test_used_layers_rejected_not_masked () =
           (outputs_agree ~bitwise:false md got (Semantics.exec md env))
       | Error e -> Alcotest.failf "cpu device rejected: %s" e)
 
-(* --- fast-path dispatch (satellite 6) --- *)
-
-let test_fastpath_hit_counted () =
-  let c = Mdh_obs.Metrics.counter "runtime.kernels.fastpath_hits" in
-  with_pool (fun pool ->
-      let w = Option.get (Catalog.find "dot") in
-      let md = W.to_md_hom w w.W.test_params in
-      let env = w.W.gen w.W.test_params ~seed:5 in
-      let sched =
-        { (Schedule.sequential md) with
-          Schedule.parallel_dims = Lower.parallelisable_dims md }
-      in
-      let before = Mdh_obs.Metrics.value c in
-      (match Exec.run pool md sched env with
-      | Error e -> Alcotest.fail e
-      | Ok got ->
-        check Alcotest.bool "fast-path result correct" true
-          (outputs_agree ~bitwise:false md got (Semantics.exec md env)));
-      check Alcotest.int "hit counted" (before + 1) (Mdh_obs.Metrics.value c);
-      (* ~fastpath:false must not dispatch *)
-      (match Exec.run ~fastpath:false pool md sched env with
-      | Error e -> Alcotest.fail e
-      | Ok _ -> ());
-      check Alcotest.int "disabled: no hit" (before + 1)
-        (Mdh_obs.Metrics.value c);
-      (* a workload outside the kernel library never matches: matmul^t has
-         a transposed access pattern the matmul matcher must refuse *)
-      let wt = Option.get (Catalog.find "matmul^t") in
-      let mdt = W.to_md_hom wt wt.W.test_params in
-      let envt = wt.W.gen wt.W.test_params ~seed:5 in
-      let schedt =
-        { (Schedule.sequential mdt) with
-          Schedule.parallel_dims = Lower.parallelisable_dims mdt }
-      in
-      (match Exec.run pool mdt schedt envt with
-      | Error e -> Alcotest.fail e
-      | Ok got ->
-        check Alcotest.bool "generic path correct" true
-          (outputs_agree ~bitwise:false mdt got (Semantics.exec mdt envt)));
-      check Alcotest.int "no false match" (before + 1)
-        (Mdh_obs.Metrics.value c))
-
 (* --- the chunk budget follows the pool size --- *)
 
 let test_chunk_budget_per_pool_size () =
@@ -194,5 +152,4 @@ let suite =
         test_random_schedules_match_reference;
       tc "used_layers rejected, not masked" `Quick
         test_used_layers_rejected_not_masked;
-      tc "fastpath hits counted" `Quick test_fastpath_hit_counted;
       tc "chunk budget per pool size" `Quick test_chunk_budget_per_pool_size ] )

@@ -49,7 +49,7 @@ let run_profiled ?(schedule = host_schedule) pool (w : W.t) =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  match Exec.run ~fastpath:false pool md sched env with
+  match Exec.run pool md sched env with
   | Ok env' -> (plan, env')
   | Error e -> Alcotest.fail e
 

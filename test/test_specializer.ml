@@ -6,19 +6,18 @@
    pinned-random legal schedules (PRL and KMeans, whose custom operators
    and record types leave nothing to round, exactly, raw, saturated and
    optimized), the compiled C end to end through gcc when a C compiler is
-   on PATH (an explicit SKIP line otherwise, never silently). The
-   satellites ride along: commuted-multiplicand fast-path matching,
-   hit-vs-error fast-path accounting with fallback, zero-extent executor
-   semantics, inputs that do not match the computation (an error, not an
-   exception), operators that share a name (told apart by their bodies and
-   by their declared algebra, whatever ran before) and the interp
-   dispatch, which runs the reference. Three pins cover the
-   specializer's row steps: hand-built directives with the expression
-   forms and operators the catalogue lacks (each form a row refuses is
-   named by the refusal and runs on the reference, counted as one
-   fallback), outputs bit-identical
-   across pool sizes, and the allocation gate (no minor words per
-   iteration point). *)
+   on PATH (an explicit SKIP line otherwise, never silently). Also
+   checked: zero-extent executor semantics, inputs that do
+   not match the computation (an error, not an exception), operators that
+   share a name (told apart by their bodies and by their declared
+   algebra, whatever ran before) and the interp dispatch, which runs the
+   reference. Four pins cover the specializer's row steps: hand-built
+   directives with the expression forms and operators the catalogue lacks
+   (each form a row refuses is named by the refusal and runs on the
+   reference, counted as one fallback), product rows (a [read * read]
+   folded in one loop) bit-identical to the same product through
+   registers, outputs bit-identical across pool sizes, and the allocation
+   gate (no minor words per iteration point). *)
 
 module W = Mdh_workloads.Workload
 module Catalog = Mdh_workloads.Catalog
@@ -37,7 +36,6 @@ module Lower = Mdh_lowering.Lower
 module Plan = Mdh_lowering.Plan
 module Device = Mdh_machine.Device
 module Metrics = Mdh_obs.Metrics
-module Fault = Mdh_fault.Fault
 module Cc = Mdh_codegen.Cc
 module Openmp_c = Mdh_codegen.Openmp_c
 module Rng = Mdh_support.Rng
@@ -179,7 +177,7 @@ let outputs_equal md a b =
       Dense.equal (data a) (data b))
     md.Md_hom.outputs
 
-(* [~fastpath:false ~specialize:false] is [Semantics.exec] itself, with no
+(* [~specialize:false] is [Semantics.exec] itself, with no
    Specializer compile or run and no fallback counted; the default
    dispatch serves every catalogue computation without a fallback *)
 let test_interp_runs_reference () =
@@ -191,7 +189,7 @@ let test_interp_runs_reference () =
           let env = w.W.gen w.W.test_params ~seed:23 in
           let sched = parallel_schedule md in
           let before = compiles_and_runs () in
-          (match Exec.run ~fastpath:false ~specialize:false pool md sched env with
+          (match Exec.run ~specialize:false pool md sched env with
           | Error e -> Alcotest.fail e
           | Ok got ->
             check Alcotest.bool (w.W.wl_name ^ ": interp = Semantics.exec") true
@@ -203,107 +201,6 @@ let test_interp_runs_reference () =
           | Ok _ -> ())
         Catalog.all;
       check Alcotest.int "no fallback counted" f0 (Metrics.value fallbacks))
-
-(* --- commuted multiplicands still hit the fast-path kernels --- *)
-
-let commuted_matmul =
-  (* b[k][j] * a[i][k]: the textbook matmul with the operands of the
-     multiplication swapped — semantically identical, and the bug this
-     PR fixes is that the matcher only accepted the a-first spelling *)
-  Transform.to_md_hom_exn
-    (D.make ~name:"MatMulCommuted"
-       ~out:[ D.buffer "c" Scalar.Fp32 ]
-       ~inp:[ D.buffer "a" Scalar.Fp32; D.buffer "b" Scalar.Fp32 ]
-       ~combine_ops:
-         [ Combine.cc; Combine.cc; Combine.pw (Combine.add Scalar.Fp32) ]
-       (D.for_ "i" 6
-          (D.for_ "j" 7
-             (D.for_ "k" 8
-                (D.body
-                   [ D.assign "c"
-                       [ Expr.idx "i"; Expr.idx "j" ]
-                       Expr.(
-                         read "b" [ idx "k"; idx "j" ] * read "a" [ idx "i"; idx "k" ]) ])))))
-
-let commuted_matvec =
-  Transform.to_md_hom_exn
-    (D.make ~name:"MatVecCommuted"
-       ~out:[ D.buffer "w" Scalar.Fp32 ]
-       ~inp:[ D.buffer "M" Scalar.Fp32; D.buffer "v" Scalar.Fp32 ]
-       ~combine_ops:[ Combine.cc; Combine.pw (Combine.add Scalar.Fp32) ]
-       (D.for_ "i" 7
-          (D.for_ "k" 9
-             (D.body
-                [ D.assign "w" [ Expr.idx "i" ]
-                    Expr.(read "v" [ idx "k" ] * read "M" [ idx "i"; idx "k" ]) ]))))
-
-let test_commuted_operands_hit_fastpath () =
-  let hits = Metrics.counter "runtime.kernels.fastpath_hits" in
-  with_pool (fun pool ->
-      let run md env =
-        let sched =
-          { (Schedule.sequential md) with
-            Schedule.parallel_dims = Lower.parallelisable_dims md }
-        in
-        match
-          inputs_untouched md.Md_hom.hom_name md env (fun () ->
-              Exec.run pool md sched env)
-        with
-        | Error e -> Alcotest.fail e
-        | Ok got ->
-          check Alcotest.bool (md.Md_hom.hom_name ^ " correct") true
-            (outputs_agree md got (Semantics.exec md env))
-      in
-      let rng = Rng.create 8 in
-      let before = Metrics.value hits in
-      run commuted_matmul
-        (Buffer.env_of_list
-           [ W.float_buffer "a" rng [| 6; 8 |]; W.float_buffer "b" rng [| 8; 7 |] ]);
-      check Alcotest.int "commuted matmul hits the kernel" (before + 1)
-        (Metrics.value hits);
-      run commuted_matvec
-        (Buffer.env_of_list
-           [ W.float_buffer "M" rng [| 7; 9 |]; W.float_buffer "v" rng [| 9 |] ]);
-      check Alcotest.int "commuted matvec hits the kernel" (before + 2)
-        (Metrics.value hits);
-      (* accepting both orders must not loosen the pattern: matmul^t reads
-         b[j][k], which neither operand order makes a matmul *)
-      let wt = Option.get (Catalog.find "matmul^t") in
-      let mdt = W.to_md_hom wt wt.W.test_params in
-      run mdt (wt.W.gen wt.W.test_params ~seed:8);
-      check Alcotest.int "matmul^t still no false match" (before + 2)
-        (Metrics.value hits))
-
-(* --- a raising kernel is an error, not a hit, and the run degrades --- *)
-
-let test_fastpath_error_falls_back () =
-  let hits = Metrics.counter "runtime.kernels.fastpath_hits" in
-  let errors = Metrics.counter "runtime.kernels.fastpath_errors" in
-  with_pool (fun pool ->
-      let w = Option.get (Catalog.find "dot") in
-      let md = W.to_md_hom w w.W.test_params in
-      let env = w.W.gen w.W.test_params ~seed:31 in
-      let sched =
-        { (Schedule.sequential md) with
-          Schedule.parallel_dims = Lower.parallelisable_dims md }
-      in
-      let h0 = Metrics.value hits and e0 = Metrics.value errors in
-      (* the kernel.run site raises inside the matched dot kernel (pool.job
-         faults model dead workers and are absorbed by work stealing); the
-         old code counted the hit and opened the span before running the
-         kernel, so the abort was billed as a success *)
-      (match Fault.configure "kernel.run:raise@1" with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      let result = Exec.run pool md sched env in
-      Fault.disarm ();
-      (match result with
-      | Error e -> Alcotest.failf "no fallback, run failed: %s" e
-      | Ok got ->
-        check Alcotest.bool "degraded run still correct" true
-          (outputs_agree md got (Semantics.exec md env)));
-      check Alcotest.int "no hit recorded" h0 (Metrics.value hits);
-      check Alcotest.int "one error recorded" (e0 + 1) (Metrics.value errors))
 
 (* --- zero-extent iteration spaces: parallel = sequential = defined --- *)
 
@@ -397,7 +294,7 @@ let test_mismatched_inputs_error () =
                   reason
           in
           expect "run" (Exec.run ~device:cpu pool md sched env);
-          expect "interp run" (Exec.run ~device:cpu ~fastpath:false ~specialize:false pool md sched env);
+          expect "interp run" (Exec.run ~device:cpu ~specialize:false pool md sched env);
           expect "run_with_plan" (Exec.run_with_plan pool (Plan.sequential md) md env))
         [ (prl_md, prl_env, newp.inp_name, "holds an element not of type");
           (dot_md, dot_env, x.inp_name, "not supplied");
@@ -1095,6 +992,116 @@ let test_pool_size_bit_identity () =
         [ 1; 3 ])
     cases
 
+(* --- product rows: [read * read] folded along a pw row in one loop --- *)
+
+(* Minor words of one warm [Specializer.try_run]: on a pool without
+   worker domains the count is deterministic. *)
+let minor_words pool plan md env =
+  let w0 = Gc.minor_words () in
+  let r = Specializer.try_run pool plan md env in
+  let w1 = Gc.minor_words () in
+  if r = None then Alcotest.failf "%s refused" md.Md_hom.hom_name;
+  w1 -. w0
+
+(* [md] with every output's value [x * y] spelled [(x * y) * 1]: exact in
+   double, but not a product of two reads, so its rows run through
+   registers. *)
+let through_registers (md : Md_hom.t) =
+  let one (o : Md_hom.output) =
+    Expr.Const (if Scalar.equal_ty o.out_ty Scalar.Fp64 then Scalar.F64 1.0 else Scalar.f32 1.0)
+  in
+  { md with
+    Md_hom.outputs =
+      List.map
+        (fun (o : Md_hom.output) -> { o with Md_hom.value = Expr.(o.value * one o) })
+        md.Md_hom.outputs }
+
+(* Inputs near 1, so that a product of a thousand of them stays finite. *)
+let near_one seed (md : Md_hom.t) =
+  let rng = Rng.create seed in
+  Buffer.env_of_list
+    (List.map
+       (fun (i : Md_hom.input) ->
+         Buffer.of_dense i.Md_hom.inp_name
+           (Dense.of_fn i.inp_ty i.inp_shape (fun _ ->
+                let v = 1.0 +. ((Rng.float rng 2.0 -. 1.0) /. 64.0) in
+                if Scalar.equal_ty i.inp_ty Scalar.Fp64 then Scalar.F64 v else Scalar.f32 v)))
+       md.Md_hom.inputs)
+
+(* Products folded along a row of [n] points: [x[i,k] * y[k]] and
+   [y[k] * x[i,k]] (matvec with commuted operands) into every builtin
+   fold, fp32 and fp64; matmul with commuted operands
+   ([b[k,j] * a[i,k]]); and MatMul^T ([A[k,i] * B[j,k]]). The first read
+   of the commuted matmul and of MatMul^T is strided along the row. *)
+let product_cases =
+  let generic (opname, op) ty swap n =
+    let tyname = if Scalar.equal_ty ty Scalar.Fp64 then "64" else "32" in
+    let x = Expr.read "x" [ i_; k_ ] and y = Expr.read "y" [ k_ ] in
+    typed
+      ~name:(Printf.sprintf "SpecProduct%s%s%s" opname tyname (if swap then "Swapped" else ""))
+      ~ops:[ Combine.cc; Combine.pw (op ty) ] ~loops:[ ("i", 3); ("k", n) ]
+      ~inp:[ ("x", ty, [| 3; n |]); ("y", ty, [| n |]) ] ~out:ty ~out_idx:[ i_ ]
+      (if swap then Expr.(y * x) else Expr.(x * y))
+  in
+  let commuted_matmul n =
+    hand_built ~name:"SpecProductMatMulCommuted"
+      ~ops:[ Combine.cc; Combine.cc; Combine.pw (Combine.add Scalar.Fp32) ]
+      ~loops:[ ("i", 3); ("j", 4); ("k", n) ] ~inp:[ ("a", [| 3; n |]); ("b", [| n; 4 |]) ]
+      ~out_idx:[ i_; j_ ]
+      Expr.(read "b" [ k_; j_ ] * read "a" [ i_; k_ ])
+  in
+  let matmul_t n = W.to_md_hom Mdh_workloads.Linalg.matmul_t [ ("I", 3); ("J", 4); ("K", n) ] in
+  List.concat_map
+    (fun op ->
+      List.concat_map
+        (fun ty -> [ generic op ty false; generic op ty true ])
+        [ Scalar.Fp32; Scalar.Fp64 ])
+    [ ("Add", Combine.add); ("Mul", Combine.mul); ("Min", Combine.min); ("Max", Combine.max) ]
+  @ [ commuted_matmul; matmul_t ]
+
+(* Every product case at rows of 1, 255, 256, 257 and 1000 points, under
+   the sequential and the parallel schedule (whose rows also run along the
+   pw dimension) on a pool without worker domains: equal under
+   [Dense.equal] to the same product through registers, and to
+   [Semantics.exec]. A row of at least 255 points shows that it folded in
+   one loop: its warm call allocates at least a strip of three registers
+   (3 x 256 words: two reads and their product) fewer minor words than
+   the same product through registers. *)
+let test_product_rows_match_registers () =
+  Pool.with_pool ~num_domains:0 (fun pool ->
+      List.iter
+        (fun make ->
+          List.iter
+            (fun n ->
+              let md = make n in
+              let unfused = through_registers md in
+              let env = near_one 19 md in
+              List.iter
+                (fun (what, schedule) ->
+                  let label = Printf.sprintf "%s, row of %d, %s schedule" md.hom_name n what in
+                  let plan = plan_of md (schedule md) in
+                  let run md =
+                    match Specializer.try_run pool plan md env with
+                    | Some got -> got
+                    | None -> Alcotest.failf "%s refused" label
+                  in
+                  let fused = run md in
+                  check Alcotest.bool (label ^ " = through registers") true
+                    (outputs_equal md fused (run unfused));
+                  check Alcotest.bool (label ^ " = Semantics.exec") true
+                    (matches md fused (Semantics.exec md env));
+                  if n >= 255 then begin
+                    let saved =
+                      minor_words pool plan unfused env -. minor_words pool plan md env
+                    in
+                    if saved < 3.0 *. 256.0 then
+                      Alcotest.failf "%s: %.0f minor words fewer than through registers" label
+                        saved
+                  end)
+                [ ("sequential", Schedule.sequential); ("parallel", parallel_schedule) ])
+            [ 1; 255; 256; 257; 1000 ])
+        product_cases)
+
 (* --- allocation gate: no allocation per iteration point --- *)
 
 (* Minor words one warm call may allocate beyond the same call on the
@@ -1110,13 +1117,6 @@ let test_pool_size_bit_identity () =
 let alloc_slack = 2048.0
 
 let test_no_allocation_per_point () =
-  let minor_words pool plan md env =
-    let w0 = Gc.minor_words () in
-    let r = Specializer.try_run pool plan md env in
-    let w1 = Gc.minor_words () in
-    if r = None then Alcotest.failf "%s refused" md.Md_hom.hom_name;
-    w1 -. w0
-  in
   let catalogue name small big =
     let w = Option.get (Catalog.find name) in
     (name, (fun p -> W.to_md_hom w p), (fun p _ -> w.W.gen p ~seed:5), small, big)
@@ -1183,10 +1183,6 @@ let suite =
     [ tc "specializer matches reference across catalogue" `Slow
         test_specializer_matches_reference;
       tc "interp runs the reference" `Quick test_interp_runs_reference;
-      tc "commuted multiplicands hit fastpath" `Quick
-        test_commuted_operands_hit_fastpath;
-      tc "fastpath error counted and degraded" `Quick
-        test_fastpath_error_falls_back;
       tc "zero-extent workloads execute" `Quick test_zero_extent_runs;
       tc "mismatched inputs are an error" `Quick test_mismatched_inputs_error;
       tc "generated C reduction identities" `Slow test_openmp_identity_init;
@@ -1198,4 +1194,5 @@ let suite =
       tc "malformed record input declines" `Quick test_malformed_record_declines;
       tc "outputs bit-identical across pool sizes" `Quick
         test_pool_size_bit_identity;
+      tc "product rows match registers" `Quick test_product_rows_match_registers;
       tc "no allocation per iteration point" `Quick test_no_allocation_per_point ] )
